@@ -103,7 +103,8 @@ def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:
     """Unique (B, X ⊆ EA(B), Y ⊆ IA(B)) with subset = B∖Y ∪ X.
 
     Found by scanning the bases in canonical order for the interval
-    [B∖IA(B), B∪EA(B)] containing the subset; uniqueness is asserted.
+    [B∖IA(B), B∪EA(B)] containing the subset; uniqueness is checked.  This
+    scan is the oracle for :func:`crapo_decompose_independent`.
     """
     hits = []
     for b in matroid.bases:
@@ -118,28 +119,49 @@ def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:
 
 
 def crapo_decompose_independent(matroid: Matroid, indep: int) -> CrapoDecomposition:
-    """Unique (B, Y ⊆ IA(B)) with indep = B∖Y; B is the related basis."""
-    if not matroid.is_independent(indep):
-        raise NotIndependent(subset_str(indep, matroid.n))
-    dec = crapo_decompose_subset(matroid, indep)
-    assert dec.x == 0
-    return dec
+    """Unique (B, Y ⊆ IA(B)) with indep = B∖Y; B is the related basis.
+
+    Read off :func:`related_basis` as (B, x=0, y=B∖indep);
+    :func:`crapo_decompose_subset` is the basis-scan oracle it must agree with.
+    """
+    basis = related_basis(matroid, indep)
+    return CrapoDecomposition(basis=basis, x=0, y=basis & ~indep)
 
 
 def related_basis(matroid: Matroid, indep: int) -> int:
-    """The basis internally related to an independent set, memoized."""
+    """The basis internally related to an independent set, memoized.
+
+    It is the greedy completion of the set: scan the elements from n down to 1
+    and add each one that keeps the set independent.  The result B is a basis
+    containing I, and B∖I ⊆ IA(B): an element e of B∖I is internally passive
+    only if B∖e∪e' is a basis for some larger e' ∉ B, but e' was rejected when
+    the set held only I and elements of B above e', all inside B∖e.  By the
+    uniqueness of Crapo's decomposition I = B∖Y with Y ⊆ IA(B) (Crapo 1969;
+    Björner 1992) this B is the related basis.  O(n) independence tests.
+    """
     cache = matroid._cache.setdefault("related", {})
     hit = cache.get(indep)
     if hit is None:
-        hit = crapo_decompose_independent(matroid, indep).basis
+        if not matroid.is_independent(indep):
+            raise NotIndependent(subset_str(indep, matroid.n))
+        hit = indep
+        for e in range(matroid.n, 0, -1):
+            bit = 1 << (e - 1)
+            if not hit & bit and matroid.is_independent(hit | bit):
+                hit |= bit
         cache[indep] = hit
     return hit
 
 
 def broken_circuits(matroid: Matroid) -> tuple[int, ...]:
-    """Circuits with their maximum element removed, deduplicated and sorted."""
-    out = {circ ^ (1 << (max_elem(circ) - 1)) for circ in matroid.circuits}
-    return tuple(sorted(out))
+    """Circuits with their maximum element removed, deduplicated, sorted, memoized."""
+    cache = matroid._cache.get("broken_circuits")
+    if cache is None:
+        cache = tuple(
+            sorted({circ ^ (1 << (max_elem(circ) - 1)) for circ in matroid.circuits})
+        )
+        matroid._cache["broken_circuits"] = cache
+    return cache
 
 
 def is_nbc(matroid: Matroid, subset: int) -> bool:

@@ -26,7 +26,7 @@ from .activity import (
     related_basis,
 )
 from .bitsets import subset_str, submasks
-from .errors import NotIndependent, NotNBC, NotPure
+from .errors import EquivalenceMismatch, NotIndependent, NotNBC, NotPure
 from .matroid import Matroid
 
 COMPLEX_KINDS = ("augmented-ea", "ea", "nbc", "augmented-nbc")
@@ -181,7 +181,12 @@ def facet_F(matroid: Matroid, indep: int) -> Facet:
 
     Built both directly from the definition and by rewriting the related
     basis facet (replace z_Y by y_Y); the two constructions must agree.
+    Memoized per matroid, so the agreement is checked once per set.
     """
+    cache = matroid._cache.setdefault("facets", {})
+    hit = cache.get(indep)
+    if hit is not None:
+        return hit
     if not matroid.is_independent(indep):
         raise NotIndependent(subset_str(indep, matroid.n))
     dec = crapo_decompose_independent(matroid, indep)
@@ -194,7 +199,11 @@ def facet_F(matroid: Matroid, indep: int) -> Facet:
         zs=(dec.basis | bprof.ea) & ~dec.y,
         tag=indep,
     )
-    assert direct == rewritten, "facet constructions disagree"
+    if direct != rewritten:
+        raise EquivalenceMismatch(
+            f"facet constructions disagree on {subset_str(indep, matroid.n)}"
+        )
+    cache[indep] = direct
     return direct
 
 

@@ -58,7 +58,7 @@ class DecompositionNotUnique(ActivitaError):
 
 
 class EquivalenceMismatch(ActivitaError):
-    """The equivalent forms of an order definition disagreed; implementation bug."""
+    """Equivalent forms of a definition or construction disagreed; implementation bug."""
 
 
 class LatticeFailure(ActivitaError):

@@ -52,8 +52,8 @@ class Matroid:
         return subset in self._basis_set
 
     def is_independent(self, subset: int) -> bool:
-        """True iff the subset is contained in some basis."""
-        return any(subset & ~b == 0 for b in self.bases)
+        """True iff the subset is one of the materialized independent sets."""
+        return subset in self._independent_set
 
     def rank_of(self, subset: int) -> int:
         """Rank of a subset: max |subset ∩ B| over bases B."""
@@ -62,6 +62,10 @@ class Matroid:
     @cached_property
     def _basis_set(self) -> frozenset[int]:
         return frozenset(self.bases)
+
+    @cached_property
+    def _independent_set(self) -> frozenset[int]:
+        return frozenset(self.independent_sets)
 
     @cached_property
     def independent_sets(self) -> tuple[int, ...]:

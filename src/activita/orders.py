@@ -148,6 +148,16 @@ class Poset:
         return tuple(cols)
 
     @cached_property
+    def down_row_index(self) -> dict[int, int]:
+        """Element index keyed by its down-row."""
+        return {row: i for i, row in enumerate(self.down_rows)}
+
+    @cached_property
+    def up_row_index(self) -> dict[int, int]:
+        """Element index keyed by its up-row."""
+        return {row: i for i, row in enumerate(self.up_rows)}
+
+    @cached_property
     def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction: (i, j) with elements[j] covering elements[i]."""
         out = []
@@ -331,21 +341,21 @@ def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionS
 # -- lattice structure ------------------------------------------------------------
 
 
-def _unique_bound(candidates: int, rows: tuple[int, ...]) -> int:
-    """Index of the unique member of ``candidates`` dominating all others."""
-    hits = [i for i in _idx_bits(candidates) if candidates & ~rows[i] == 0]
-    if len(hits) != 1:
-        raise LatticeFailure(f"bound not unique among {len(hits)} candidates")
-    return hits[0]
-
-
 def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
-    """Greatest lower bound and least upper bound in a materialized poset."""
+    """Greatest lower bound and least upper bound in a materialized poset.
+
+    The glb is the element whose down-row equals the common lower bounds of a
+    and b, the lub the element whose up-row equals their common upper bounds;
+    rows are distinct by antisymmetry, so each lookup has at most one answer,
+    and no answer raises LatticeFailure.
+    """
     ia, ib = poset.index[a], poset.index[b]
-    lower = poset.down_rows[ia] & poset.down_rows[ib]
-    upper = poset.up_rows[ia] & poset.up_rows[ib]
-    glb = _unique_bound(lower, poset.down_rows)
-    lub = _unique_bound(upper, poset.up_rows)
+    glb = poset.down_row_index.get(poset.down_rows[ia] & poset.down_rows[ib])
+    lub = poset.up_row_index.get(poset.up_rows[ia] & poset.up_rows[ib])
+    if glb is None:
+        raise LatticeFailure("no greatest lower bound")
+    if lub is None:
+        raise LatticeFailure("no least upper bound")
     return poset.elements[glb], poset.elements[lub]
 
 
@@ -355,8 +365,9 @@ def meet_join_ind(matroid: Matroid, i: int, k: int) -> tuple[int, int]:
     Related sets meet and join by intersection and union.  Sets related to
     incomparable bases A, C meet at the basis A ∧ C and join at IP(A ∨ C),
     with the basis meet/join taken in the materialized bases poset.  Every
-    answer is cross-checked against the generic bound search on the full
-    independent-set poset; a mismatch raises LatticeFailure.
+    answer is cross-checked against the bounds read from the full
+    independent-set poset's row tables (:func:`poset_meet_join`); a mismatch
+    raises LatticeFailure.
     """
     for x in (i, k):
         if not matroid.is_independent(x):

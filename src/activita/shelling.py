@@ -23,6 +23,7 @@ from .bitsets import min_elem, submasks, subset_str
 from .complexes import Facet, SimplicialComplex, build_complex, facet_F
 from .errors import (
     ComparablePair,
+    EquivalenceMismatch,
     NotAPermutation,
     NotIndependent,
     OrderNotExtension,
@@ -194,7 +195,8 @@ def property_H_check(
                 if g & ~order[i] == 0:
                     rg = restrictions[i]
                     break
-            assert rg is not None and rg & ~g == 0, "face outside shelling intervals"
+            if rg is None or rg & ~g:
+                raise EquivalenceMismatch("face outside shelling intervals")
             if need & ~rg:
                 return False
     return True

@@ -15,7 +15,7 @@ from activita.complexes import (
     independence_complex,
     induced_subcomplex,
 )
-from activita.errors import NotIndependent, NotNBC, NotPure
+from activita.errors import EquivalenceMismatch, NotIndependent, NotNBC, NotPure
 from activita.matroid import from_bases, uniform
 from activita.tutte import BiPoly
 
@@ -68,6 +68,14 @@ class TestFacetF:
     def test_not_independent(self, m5_matroid):
         with pytest.raises(NotIndependent):
             facet_F(m5_matroid, ps5("123"))
+
+    def test_constructions_disagree_on_broken_structure(self):
+        # bypassing validation with a non-matroid splits the two constructions
+        from activita.matroid import Matroid
+
+        broken = Matroid(4, [0b0011, 0b1100])
+        with pytest.raises(EquivalenceMismatch):
+            facet_F(broken, 0)
 
     def test_support_propositions(self, corpus):
         for m in corpus.values():

@@ -6,7 +6,7 @@ import pytest
 
 from activita.activity import related_basis
 from activita.bitsets import parse_subset, subset_str
-from activita.errors import NotACover, NotIndependent
+from activita.errors import LatticeFailure, NotACover, NotIndependent
 from activita.matroid import uniform
 from activita.orders import (
     boolean_interval,
@@ -278,6 +278,39 @@ class TestLattice:
     def test_idempotent(self, m5_matroid):
         for i in m5_matroid.independent_sets:
             assert meet_join_ind(m5_matroid, i, i) == (i, i)
+
+    def test_bounds_match_unique_bound_scan(self, corpus):
+        # the row lookups against the literal definition: the unique common
+        # bound that dominates every other common bound
+        def unique_bound(candidates, rows):
+            hits = [
+                j
+                for j in range(len(rows))
+                if candidates >> j & 1 and candidates & ~rows[j] == 0
+            ]
+            assert len(hits) == 1
+            return hits[0]
+
+        for m in corpus.values():
+            p = build_poset(m, "extint-ind")
+            for a, x in enumerate(p.elements):
+                for b, y in enumerate(p.elements):
+                    glb = unique_bound(p.down_rows[a] & p.down_rows[b], p.down_rows)
+                    lub = unique_bound(p.up_rows[a] & p.up_rows[b], p.up_rows)
+                    assert poset_meet_join(p, x, y) == (p.elements[glb], p.elements[lub])
+
+    def test_non_lattice_posets_raise(self):
+        # bowtie: 1, 2 both below 3, 4, so neither pair has a unique bound
+        bowtie = make_poset([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
+        with pytest.raises(LatticeFailure, match="greatest lower"):
+            poset_meet_join(bowtie, 1, 2)
+        with pytest.raises(LatticeFailure, match="greatest lower"):
+            poset_meet_join(bowtie, 3, 4)
+        # V: 1 below 2 and 3; the meet exists, the join does not
+        vee = make_poset([1, 2, 3], [(1, 2), (1, 3)])
+        with pytest.raises(LatticeFailure, match="least upper"):
+            poset_meet_join(vee, 2, 3)
+        assert poset_meet_join(vee, 1, 2) == (1, 2)
 
     def test_laws_exhaustive(self, corpus):
         for name, m in corpus.items():

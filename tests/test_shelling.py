@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from activita.activity import activity_profile, is_nbc, nbc_sets
 from activita.bitsets import mask_of, parse_subset, subset_str
 from activita.complexes import SimplicialComplex, build_complex, independence_complex
-from activita.errors import ComparablePair, NotAPermutation, OrderNotExtension
+from activita.errors import (
+    ComparablePair,
+    EquivalenceMismatch,
+    NotAPermutation,
+    OrderNotExtension,
+)
 from activita.matroid import uniform
 from activita.orders import (
     build_poset,
@@ -148,6 +153,17 @@ class TestPropertyH:
             order = [cx.facet_by_tag[i] for i in ext]
             rep = verify_shelling(cx, order, check_properties=False)
             assert property_H_check(cx, order, rep.restrictions)
+
+    def test_restrictions_outside_intervals_raise(self, m5_matroid):
+        # restriction sets handed in past verify_shelling: the first facet's
+        # claims all its vertices, so its own codim-1 faces fall outside it
+        cx = build_complex(m5_matroid, "augmented-ea")
+        ext = first_extension(build_poset(m5_matroid, "extint-ind"))
+        order = [cx.facet_by_tag[i] for i in ext]
+        rep = verify_shelling(cx, order, check_properties=False)
+        corrupt = [order[0]] + rep.restrictions[1:]
+        with pytest.raises(EquivalenceMismatch):
+            property_H_check(cx, order, corrupt)
 
     def test_simplex_vacuous(self):
         cx = SimplicialComplex((("z", 1), ("z", 2), ("z", 3)), (0b111,))

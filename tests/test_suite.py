@@ -1,7 +1,7 @@
 """The verification-suite driver: finding shapes and degenerate matroids."""
 
 from activita.bitsets import parse_subset
-from activita.matroid import from_bases, relabel, uniform
+from activita.matroid import from_bases, graphic, relabel, uniform
 from activita.suite import run_suite
 
 
@@ -52,3 +52,11 @@ def test_suite_accepts_relabeled_matroid(m5_matroid):
     twisted = relabel(m5_matroid, [2, 5, 3, 1, 4])
     findings = run_suite({"twisted": twisted}, cap=20, seed=2)
     assert all(f.ok for f in findings), [f for f in findings if not f.ok]
+
+
+def test_full_suite_on_wheel_w4():
+    # the wheel with four spokes: 8 elements, 134 independent sets
+    w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
+    assert len(w4.independent_sets) == 134
+    findings = run_suite({"W4": w4}, cap=20)
+    assert findings and all(f.ok for f in findings), [f for f in findings if not f.ok]
