@@ -18,10 +18,8 @@ from .complexes import (
     FHVector,
     SimplicialComplex,
     build_complex,
-    f_vector,
     facet_F,
     facet_G,
-    h_vector,
     independence_complex,
     induced_subcomplex,
 )
@@ -55,7 +53,6 @@ from .shelling import (
     h_complex_check,
     property_H_check,
     restriction_set_formula_check,
-    restriction_sets,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import max_elem, subset_str
+from .bitsets import iter_bits, max_elem, subset_str
 from .errors import DecompositionNotFound, DecompositionNotUnique, NotIndependent
 from .matroid import Matroid
 
@@ -78,25 +78,16 @@ def activity_profile_by_exchange(matroid: Matroid, basis: int) -> ActivityProfil
         if basis & ebit:
             swaps = bigger & ~basis
             if not any(
-                matroid.is_basis((basis ^ ebit) | (1 << (x - 1)))
-                for x in _bits(swaps)
+                matroid.is_basis((basis ^ ebit) | 1 << x) for x in iter_bits(swaps)
             ):
                 ia |= ebit
         else:
             swaps = bigger & basis
             if not any(
-                matroid.is_basis((basis ^ (1 << (x - 1))) | ebit)
-                for x in _bits(swaps)
+                matroid.is_basis((basis ^ 1 << x) | ebit) for x in iter_bits(swaps)
             ):
                 ea |= ebit
     return ActivityProfile(ea=ea, ep=full & ~basis & ~ea, ia=ia, ip=basis & ~ia)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length()
 
 
 def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:

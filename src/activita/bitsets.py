@@ -20,14 +20,17 @@ def mask_of(elems: Iterable[int]) -> int:
     return m
 
 
-def elems_of(mask: int) -> tuple[int, ...]:
-    """Ascending tuple of elements in a mask."""
-    out = []
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, ascending (bit e-1 is element e)."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
         mask ^= low
-    return tuple(out)
+        yield low.bit_length() - 1
+
+
+def elems_of(mask: int) -> tuple[int, ...]:
+    """Ascending tuple of elements in a mask."""
+    return tuple(i + 1 for i in iter_bits(mask))
 
 
 def min_elem(mask: int) -> int:

@@ -186,16 +186,11 @@ def shell(matroid: str, kind: str, order_kind: str, seed: int,
         poset_kind = "flip-ind"
     else:
         poset_kind = _SHELL_POSET[kind]
-    if kind == "nbc":
-        # order facets (maximal nbc sets) by their first appearance in the extension
-        cx = build_complex(m, kind)
-        extension = random_extension(build_poset(m, poset_kind), random.Random(seed))
-        facet_order = [cx.facet_by_tag[t] for t in extension if t in cx.facet_by_tag]
-    else:
-        cx = build_complex(m, kind)
-        poset = build_poset(m, poset_kind)
-        extension = random_extension(poset, random.Random(seed))
-        facet_order = [cx.facet_by_tag[t] for t in extension]
+    cx = build_complex(m, kind)
+    extension = random_extension(build_poset(m, poset_kind), random.Random(seed))
+    # the nbc complex's facets are the maximal nbc sets: they keep the order in
+    # which the extension lists them, the other nbc sets are skipped
+    facet_order = [cx.facet_by_tag[t] for t in extension if t in cx.facet_by_tag]
     report = verify_shelling(cx, facet_order)
     data = _report_json(report, cx, m.n)
     data["complex"] = kind

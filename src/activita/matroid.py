@@ -149,9 +149,6 @@ class Matroid:
 
     # -- misc ----------------------------------------------------------------
 
-    def subset_str(self, subset: int) -> str:
-        return subset_str(subset, self.n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matroid) and self.n == other.n and self.bases == other.bases

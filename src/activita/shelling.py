@@ -25,12 +25,11 @@ from .errors import (
     ComparablePair,
     EquivalenceMismatch,
     NotAPermutation,
-    NotIndependent,
     OrderNotExtension,
     WitnessNotFound,
 )
 from .matroid import Matroid
-from .orders import build_poset, compare_bases, leq_extint_ind
+from .orders import build_poset
 
 
 @dataclass
@@ -135,13 +134,6 @@ def verify_shelling_pairwise(
             if not ok:
                 return False, (i, k)
     return True, None
-
-
-def restriction_sets(
-    cx: SimplicialComplex, order: list[int] | tuple[int, ...]
-) -> list[int]:
-    """Restriction sets by the codimension-one rule (valid for shellings)."""
-    return [_restriction(order, k) for k in range(len(order))]
 
 
 def restriction_sets_bruteforce(order: list[int] | tuple[int, ...]) -> list[int]:
@@ -270,6 +262,7 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
     """
     pa = activity_profile(matroid, a)
     pc = activity_profile(matroid, c_basis)
+    bases_poset = build_poset(matroid, "extint-bases")
     full = matroid.full_mask
     candidates = pc.ip & pa.ep
     for c in range(matroid.n, 0, -1):
@@ -284,7 +277,7 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
             if not matroid.is_basis(basis_b):
                 continue
             pb = activity_profile(matroid, basis_b)
-            if not compare_bases(matroid, "extint", basis_b, c_basis):
+            if not bases_poset.leq(basis_b, c_basis):
                 continue
             if bool(pb.ea & cbit) != bool(pa.ea & cbit):
                 continue
@@ -318,15 +311,13 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
     search between the related bases and transport the deletion set Y.
     The returned witness always satisfies J < K and the facet equation.
     """
-    for x in (i, k):
-        if not matroid.is_independent(x):
-            raise NotIndependent(subset_str(x, matroid.n))
-    if leq_extint_ind(matroid, k, i):
+    a = related_basis(matroid, i)
+    c_basis = related_basis(matroid, k)
+    ind_poset = build_poset(matroid, "extint-ind")
+    if ind_poset.leq(k, i):
         raise ComparablePair(
             f"{subset_str(k, matroid.n)} <= {subset_str(i, matroid.n)}; no witness needed"
         )
-    a = related_basis(matroid, i)
-    c_basis = related_basis(matroid, k)
     if a == c_basis:
         c = min_elem(k & ~i)
         j = k & ~(1 << (c - 1))
@@ -338,7 +329,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
             raise WitnessNotFound("deleted set is not internally active in the new basis")
         j = basis_b & ~y
         witness = Witness(J=j, c=c, case="unrelated", B=basis_b)
-    if not (leq_extint_ind(matroid, witness.J, k) and witness.J != k):
+    if not (ind_poset.leq(witness.J, k) and witness.J != k):
         raise WitnessNotFound("constructed witness does not precede K")
     if not _star_equation_holds(matroid, i, witness.J, k, witness.c):
         raise WitnessNotFound("constructed witness violates the facet equation")

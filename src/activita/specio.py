@@ -21,9 +21,22 @@ def _require(spec: dict, field: str, types) -> object:
     if field not in spec:
         raise ParseError(f"missing field {field!r} for type {spec.get('type')!r}")
     value = spec[field]
-    if not isinstance(value, types):
+    # bool is a subclass of int, and no field takes a boolean
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ParseError(f"field {field!r} has wrong type {type(value).__name__}")
     return value
+
+
+def _int_lists(rows: list, field: str, length: int | None = None) -> list[list[int]]:
+    """Check that each row is a list of integers (of ``length`` if given)."""
+    for row in rows:
+        if (
+            not isinstance(row, list)
+            or length is not None and len(row) != length
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+        ):
+            raise ParseError(f"bad entry {row!r} in field {field!r}")
+    return rows
 
 
 def matroid_from_dict(spec: dict) -> Matroid:
@@ -33,24 +46,22 @@ def matroid_from_dict(spec: dict) -> Matroid:
     if kind == "bases":
         n = _require(spec, "n", int)
         raw = _require(spec, "bases", list)
+        if not all(isinstance(s, str) for s in raw):
+            raise ParseError("field 'bases' needs subset strings")
         try:
             masks = [parse_subset(s, n) for s in raw]
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad subset in field 'bases': {exc}") from exc
         return from_bases(n, masks)
     if kind == "uniform":
         return uniform(_require(spec, "r", int), _require(spec, "n", int))
     if kind == "graphic":
         vertices = _require(spec, "vertices", int)
-        edges = _require(spec, "edges", list)
-        try:
-            pairs = [(int(u), int(v)) for u, v in edges]
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"bad edge in field 'edges': {exc}") from exc
-        return graphic(vertices, pairs)
+        edges = _int_lists(_require(spec, "edges", list), "edges", length=2)
+        return graphic(vertices, [(u, v) for u, v in edges])
     if kind == "linear":
         return linear_over_prime_field(
-            _require(spec, "p", int), _require(spec, "matrix", list)
+            _require(spec, "p", int), _int_lists(_require(spec, "matrix", list), "matrix")
         )
     if kind == "dual":
         return matroid_from_dict(_require(spec, "of", dict)).dual

@@ -8,7 +8,7 @@ formulas tying the activity complexes to Tutte evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .activity import activity_profile
 from .complexes import build_complex
@@ -203,7 +203,6 @@ class IdentityReport:
     bivariate: BiPoly
     bivariate_matches: bool
     collapse_matches: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

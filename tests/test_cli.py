@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from activita.cli import main
+from activita.complexes import COMPLEX_KINDS
 from activita.errors import ParseError, UnequalCardinality
 from activita.specio import matroid_from_dict, parse_spec, spec_dict
 
@@ -187,9 +188,24 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--no-builtin"])
         assert result.exit_code == 2
 
-    def test_bad_spec_is_usage_error(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"type": "bases", "n": 2, "bases": ["1", "12"]}',
+            '{"type": "uniform", "r": true, "n": 3}',
+            '{"type": "graphic", "vertices": 2, "edges": [[1.9, 2]]}',
+            '{"type": "bases", "n": 2, "bases": [3]}',
+            '{"type": "linear", "p": 2, "matrix": [[1, "a"]]}',
+            '{"type": "linear", "p": 2, "matrix": [[1, 1.5]]}',
+        ],
+        ids=[
+            "unequal-cardinality", "bool-int", "float-vertex", "int-subset",
+            "str-entry", "float-entry",
+        ],
+    )
+    def test_bad_spec_is_usage_error(self, runner, tmp_path, spec):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"type": "bases", "n": 2, "bases": ["1", "12"]}')
+        bad.write_text(spec)
         result = runner.invoke(main, ["verify", str(bad), "--no-builtin"])
         assert result.exit_code == 2
 
@@ -202,6 +218,42 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert elapsed < 60.0
         assert "FAIL" not in result.output
+
+
+# each command runs twice; "{m5}" is the m5 spec and "{out}" a fresh directory
+TWICE = [
+    ["activity", "{m5}", "23"],
+    ["order", "{m5}", "--json"],
+    ["order", "{m5}", "--kind", "extint-ind", "--dot", "{out}/hasse.dot"],
+    *(["complex", "{m5}", "--kind", kind, "--json"] for kind in COMPLEX_KINDS),
+    *(
+        ["shell", "{m5}", "--complex", kind, "--seed", "3", "--report", "{out}/r.json"]
+        for kind in COMPLEX_KINDS
+    ),
+    ["shell", "{m5}", "--order", "flip", "--seed", "3", "--report", "{out}/r.json"],
+    ["tutte", "{m5}"],
+    ["verify", "{m5}", "--no-builtin", "--report", "{out}/findings.json"],
+    ["corpus", "--dir", "{out}/specs"],
+]
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv", TWICE, ids=lambda argv: " ".join(a for a in argv if "{" not in a)
+    )
+    def test_same_bytes_twice(self, runner, m5_path, tmp_path, argv):
+        runs = []
+        for attempt in ("first", "second"):
+            out = tmp_path / attempt
+            out.mkdir()
+            result = runner.invoke(main, [a.format(m5=m5_path, out=out) for a in argv])
+            assert result.exit_code == 0, result.output
+            written = {
+                str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            }
+            assert bool(written) == any("{out}" in a for a in argv)
+            runs.append((result.output.replace(str(out), "{out}"), written))
+        assert runs[0] == runs[1]
 
 
 class TestCorpusCommand:

@@ -9,6 +9,7 @@ from activita.bitsets import parse_subset, subset_str
 from activita.errors import LatticeFailure, NotACover, NotIndependent
 from activita.matroid import uniform
 from activita.orders import (
+    Poset,
     boolean_interval,
     build_poset,
     compare_bases,
@@ -20,6 +21,7 @@ from activita.orders import (
     meet_join_ind,
     poset_meet_join,
 )
+from activita.suite import check_lattice, check_posets, poset_axiom_violation
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -68,12 +70,10 @@ class TestCompareBases:
             assert compare_bases(m5_matroid, kind, b, b)
 
     def test_all_equivalent_conditions_agree(self, corpus):
-        # compare_bases raises EquivalenceMismatch internally if they differ
-        for m in corpus.values():
-            for kind in ("ext", "int", "extint"):
-                for a in m.bases:
-                    for b in m.bases:
-                        compare_bases(m, kind, a, b)
+        # poset-axioms compares each basis order with its equivalent forms
+        for name, m in corpus.items():
+            axioms = [f for f in check_posets(name, m) if f.check == "poset-axioms"]
+            assert [(f.ok, f.detail) for f in axioms] == [(True, "")]
 
     def test_extint_refines_ext_and_int(self, corpus):
         for m in corpus.values():
@@ -175,10 +175,32 @@ class TestBuildPoset:
                     assert ind.leq(a, b) == bas.leq(a, b)
 
 
+class TestPosetAxioms:
+    @pytest.mark.parametrize(
+        "rows,violation",
+        [
+            ((0b011, 0b000, 0b100), "not reflexive at 2"),
+            ((0b011, 0b011, 0b100), "not antisymmetric on 1, 2"),
+            ((0b011, 0b110, 0b100), "not transitive from 1 through 2"),
+        ],
+        ids=["reflexive", "antisymmetric", "transitive"],
+    )
+    def test_broken_relations_fail(self, m5_matroid, monkeypatch, rows, violation):
+        broken = Poset((1, 2, 4), rows)
+        assert poset_axiom_violation(broken, 3) == violation
+        # check_posets reports it under poset-axioms, naming the order
+        import activita.suite as suite
+
+        real = suite.build_poset
+        monkeypatch.setattr(
+            suite, "build_poset", lambda m, kind: broken if kind == "flip-ind" else real(m, kind)
+        )
+        axioms = [f for f in check_posets("m5", m5_matroid) if f.check == "poset-axioms"]
+        assert [(f.ok, f.detail) for f in axioms] == [(False, f"flip-ind: {violation}")]
+
+
 def make_poset(elements, pairs):
     """Tiny helper: poset from explicit strict relations (plus reflexivity)."""
-    from activita.orders import Poset
-
     idx = {e: i for i, e in enumerate(elements)}
     rows = []
     for a in elements:
@@ -330,6 +352,20 @@ class TestLattice:
                     for l in elems:
                         assert meet[meet[i, k], l] == meet[i, meet[k, l]]
                         assert join[join[i, k], l] == join[i, join[k, l]]
+
+    def test_wrong_closed_form_fails_lattice_laws(self, m5_matroid, monkeypatch):
+        import activita.suite as suite
+
+        real = suite.meet_join_ind
+
+        def swapped_on_one_pair(m, i, k):
+            meet, join = real(m, i, k)
+            return (join, meet) if (i, k) == (ps5("23"), ps5("14")) else (meet, join)
+
+        monkeypatch.setattr(suite, "meet_join_ind", swapped_on_one_pair)
+        [finding] = check_lattice("m5", m5_matroid)
+        assert finding.check == "lattice-laws" and finding.ok is False
+        assert finding.detail.endswith("disagrees with poset bounds on 23, 14")
 
     def test_poset_meet_join_against_scan(self, m5_matroid):
         p = build_poset(m5_matroid, "extint-bases")

@@ -27,7 +27,6 @@ from activita.shelling import (
     h_complex_check,
     property_H_check,
     restriction_set_formula_check,
-    restriction_sets,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,
@@ -106,7 +105,8 @@ class TestRestrictionSets:
         cases.append((ea, [ea.facet_by_tag[b] for b in ext]))
         for cx, order in cases:
             assert len(order) <= 12
-            assert restriction_sets(cx, order) == restriction_sets_bruteforce(order)
+            report = verify_shelling(cx, order, check_properties=False)
+            assert report.restrictions == restriction_sets_bruteforce(order)
 
     def test_formula_extint(self, m5_matroid):
         poset = build_poset(m5_matroid, "extint-ind")
