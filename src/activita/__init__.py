@@ -50,6 +50,7 @@ from .shelling import (
     ShellingReport,
     Witness,
     exchange_down_basis,
+    flip_restrictions,
     h_complex_check,
     property_H_check,
     restriction_set_formula_check,

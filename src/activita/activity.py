@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import iter_bits, max_elem, subset_str
-from .errors import DecompositionNotFound, DecompositionNotUnique, NotIndependent
+from .errors import (
+    DecompositionNotFound,
+    DecompositionNotUnique,
+    NotABasis,
+    NotIndependent,
+)
 from .matroid import Matroid
 
 
@@ -69,7 +74,7 @@ def activity_profile_by_exchange(matroid: Matroid, basis: int) -> ActivityProfil
     e ∈ B is internally active iff no larger e' ∉ B gives a basis B∖e∪e'.
     """
     if not matroid.is_basis(basis):
-        raise NotIndependent(f"{subset_str(basis, matroid.n)} is not a basis")
+        raise NotABasis(f"{subset_str(basis, matroid.n)} is not a basis")
     full = matroid.full_mask
     ea = ia = 0
     for e in range(1, matroid.n + 1):

@@ -101,6 +101,28 @@ class SimplicialComplex:
         return out
 
     @cached_property
+    def neighbours(self) -> dict[int, tuple[int, ...]]:
+        """The facets sharing a codimension-one face with each facet, by facet.
+
+        Built in O(s·d) from a dict of ridges (a facet minus one vertex) to
+        the facets containing them.  Two facets share at most one ridge, so
+        no neighbour is listed twice.
+        """
+        by_ridge: dict[int, list[int]] = {}
+        for f in self.facets:
+            vs = f
+            while vs:
+                v = vs & -vs
+                vs ^= v
+                by_ridge.setdefault(f ^ v, []).append(f)
+        out: dict[int, list[int]] = {f: [] for f in self.facets}
+        for sharing in by_ridge.values():
+            if len(sharing) > 1:
+                for f in sharing:
+                    out[f] += [g for g in sharing if g != f]
+        return {f: tuple(gs) for f, gs in out.items()}
+
+    @cached_property
     def faces(self) -> frozenset[int]:
         """All faces, by downset traversal from the facets with dedup."""
         seen: set[int] = set()

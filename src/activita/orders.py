@@ -16,6 +16,7 @@ lattice bounds are checked by the verification suite (``poset-axioms``,
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +65,14 @@ def compare_bases(matroid: Matroid, kind: str, a: int, b: int) -> bool:
     return pa.ip & pb.ep == 0
 
 
+def _active_leq(matroid: Matroid, i: int, k: int) -> bool:
+    """I∖IA(I)∪EA(I) ⊆ K∖IA(K)∪EA(K): how sets with different related bases
+    compare in both orders on independent sets."""
+    pi = activity_profile(matroid, i)
+    pk = activity_profile(matroid, k)
+    return ((i & ~pi.ia) | pi.ea) & ~((k & ~pk.ia) | pk.ea) == 0
+
+
 def leq_extint_ind(matroid: Matroid, i: int, k: int) -> bool:
     """The external/internal order extended to independent sets.
 
@@ -72,18 +81,14 @@ def leq_extint_ind(matroid: Matroid, i: int, k: int) -> bool:
     """
     if related_basis(matroid, i) == related_basis(matroid, k):
         return i & ~k == 0
-    pi = activity_profile(matroid, i)
-    pk = activity_profile(matroid, k)
-    return ((i & ~pi.ia) | pi.ea) & ~((k & ~pk.ia) | pk.ea) == 0
+    return _active_leq(matroid, i, k)
 
 
 def leq_flip_ind(matroid: Matroid, i: int, k: int) -> bool:
     """Variant of the order on independent sets with each boolean block flipped."""
     if related_basis(matroid, i) == related_basis(matroid, k):
         return k & ~i == 0
-    pi = activity_profile(matroid, i)
-    pk = activity_profile(matroid, k)
-    return ((i & ~pi.ia) | pi.ea) & ~((k & ~pk.ia) | pk.ea) == 0
+    return _active_leq(matroid, i, k)
 
 
 # -- materialized posets ---------------------------------------------------------
@@ -97,10 +102,9 @@ class Poset:
     reflexivity, antisymmetry and transitivity of every materialized order.
     """
 
-    def __init__(self, elements: tuple[int, ...], up_rows: tuple[int, ...], kind: str = ""):
+    def __init__(self, elements: tuple[int, ...], up_rows: tuple[int, ...]):
         self.elements = elements
         self.up_rows = up_rows
-        self.kind = kind
         self.index = {e: i for i, e in enumerate(elements)}
 
     def __len__(self) -> int:
@@ -198,7 +202,7 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
     rows = tuple(
         sum(1 << j for j, b in enumerate(elements) if rel(a, b)) for a in elements
     )
-    poset = Poset(elements, rows, kind=kind)
+    poset = Poset(elements, rows)
     matroid._cache[key] = poset
     return poset
 
@@ -249,20 +253,32 @@ def first_extension(poset: Poset) -> tuple[int, ...]:
 
 
 def random_extension(poset: Poset, rng: random.Random) -> tuple[int, ...]:
-    """One random linear extension via random topological sorting."""
+    """One random linear extension via random topological sorting.
+
+    The placed elements always form a down-set, so an element is available
+    once its lower covers are placed.  ``avail`` lists the available elements
+    in index order and is updated as elements are placed, so one order costs
+    O(covers) plus the list updates.  It is the list a rescan of the whole
+    poset at every step would build, so ``rng.choice`` draws the same orders
+    from a seed as that rescan, which ``tests/test_orders.py`` keeps as the
+    reference.
+    """
     m = len(poset.elements)
-    down = poset.down_rows
-    placed = 0
+    unplaced_below = [0] * m
+    upper: list[list[int]] = [[] for _ in range(m)]
+    for i, j in poset.cover_index_pairs:
+        unplaced_below[j] += 1
+        upper[i].append(j)
+    avail = [i for i in range(m) if not unplaced_below[i]]
     order = []
     for _ in range(m):
-        avail = [
-            i
-            for i in range(m)
-            if not placed >> i & 1 and not down[i] & ~placed & ~(1 << i)
-        ]
         i = rng.choice(avail)
+        avail.remove(i)
         order.append(poset.elements[i])
-        placed |= 1 << i
+        for j in upper[i]:
+            unplaced_below[j] -= 1
+            if not unplaced_below[j]:
+                insort(avail, j)
     return tuple(order)
 
 

@@ -6,8 +6,18 @@ for every i < k there are j < k and a vertex e of F_k with
 F_i ∩ F_k ⊆ F_j ∩ F_k = F_k ∖ e.  The restriction set R_k collects the
 vertices v of F_k whose deletion leaves a face of an earlier facet; the
 pairwise condition is then equivalent to R_k not being contained in any
-earlier facet, which is what the verifier checks (the literal quantifier
-form is kept as a brute-force oracle).
+earlier facet, i.e. to R_k being a new face at step k (the literal
+quantifier form is kept as a brute-force oracle).
+
+The verifier decides this by counting faces.  R_k is the union of F_k ∖ G
+over the facets G placed before F_k that share a ridge with it, read from
+``SimplicialComplex.neighbours``.  The faces new at step k lie in
+[R_k, F_k] and those of all steps partition the complex, so
+Σ_k 2^(d−|R_k|) equals the face count iff every R_k is new, i.e. iff the
+order is a shelling.  One order of s facets of size d costs O(s·d) plus its
+neighbour pairs; the O(s²) scan over earlier facets runs only when the count
+differs, to name the first failing pair.  Property (H) reads the first facet
+containing each ridge from the same index.
 
 The witness construction produces, for independent sets I, K with
 K not below I in the external/internal order, an earlier independent set J
@@ -19,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activity import activity_profile, crapo_decompose_independent, related_basis
-from .bitsets import min_elem, submasks, subset_str
+from .bitsets import iter_bits, min_elem, submasks, subset_str
 from .complexes import Facet, SimplicialComplex, build_complex, facet_F
 from .errors import (
     ComparablePair,
@@ -59,42 +69,47 @@ class Witness:
     B: int | None = None
 
 
-def _restriction(order: list[int] | tuple[int, ...], k: int) -> int:
-    """R_k: vertices v of F_k with F_k∖v contained in some earlier facet."""
-    fk = order[k]
-    r = 0
-    for j in range(k):
-        diff = fk & ~order[j]
-        if diff.bit_count() == 1:
-            r |= diff
-    return r
-
-
 def verify_shelling(
     cx: SimplicialComplex,
     order: list[int] | tuple[int, ...],
     check_properties: bool = True,
 ) -> ShellingReport:
-    """Check a facet order for the shelling property and report restrictions."""
+    """Check a facet order for the shelling property and report restrictions.
+
+    R_k is the union of F_k ∖ G over the neighbours G of F_k placed before
+    it.  The faces new at step k lie in [R_k, F_k] (a face of F_k missing a
+    vertex v of R_k lies in F_k ∖ v, a face of an earlier facet) and the new
+    faces of all steps partition the complex, so Σ_k 2^(d−|R_k|) is at least
+    the face count, with equality iff each R_k is new, which is the pairwise
+    condition R_k ⊄ F_i for all i < k.  On a shortfall the scan over earlier
+    facets names the first failing pair (i, k).
+    """
     if sorted(order) != sorted(cx.facets):
         raise NotAPermutation("order is not a permutation of the complex's facets")
-    restrictions: list[int] = []
-    for k in range(len(order)):
-        rk = _restriction(order, k)
-        for i in range(k):
-            # need some e in R_k outside F_i; otherwise (i, k) violates shelling
-            if rk & ~order[i] == 0:
-                return ShellingReport(
-                    verdict=False,
-                    failing_pair=(i, k),
-                    restrictions=restrictions,
-                    h_from_restrictions=None,
-                    matches_complex_h=None,
-                    property_h=None,
-                    h_complex=None,
-                )
+    pos = {f: k for k, f in enumerate(order)}
+    neighbours = cx.neighbours
+    restrictions = []
+    for k, fk in enumerate(order):
+        rk = 0
+        for g in neighbours[fk]:
+            if pos[g] < k:
+                rk |= fk & ~g
         restrictions.append(rk)
     d = cx.facet_size
+    if sum(1 << (d - r.bit_count()) for r in restrictions) != sum(cx.fh.f):
+        for k, rk in enumerate(restrictions):
+            for i in range(k):
+                if rk & ~order[i] == 0:
+                    return ShellingReport(
+                        verdict=False,
+                        failing_pair=(i, k),
+                        restrictions=restrictions[:k],
+                        h_from_restrictions=None,
+                        matches_complex_h=None,
+                        property_h=None,
+                        h_complex=None,
+                    )
+        raise EquivalenceMismatch("face count and pairwise scan disagree")
     h = [0] * (d + 1)
     for r in restrictions:
         h[r.bit_count()] += 1
@@ -168,26 +183,26 @@ def property_H_check(
     For every facet F, codim-1 face G of F and vertex e of G with e in R(F),
     property (H) demands e in R(G), where R(G) is the restriction of the
     (unique) shelling interval containing G.  Codimension one suffices.
+    Only G = F∖v with v in R(F) needs a look: otherwise R(F) ⊆ G ⊆ F and G
+    lies in the interval of F itself.  G's interval is that of the first
+    facet containing G, which is F or a neighbour of F without v.
     """
+    pos = {f: k for k, f in enumerate(order)}
+    neighbours = cx.neighbours
     for k, fk in enumerate(order):
         rk = restrictions[k]
-        vs = fk
-        while vs:
-            vbit = vs & -vs
-            vs ^= vbit
+        for v in iter_bits(rk & fk):
+            vbit = 1 << v
             g = fk ^ vbit
             need = rk & g
             if not need:
                 continue
-            if not rk & vbit:
-                # R_k ⊆ G ⊆ F_k, so G lives in the interval of F_k itself
-                continue
-            rg = None
-            for i in range(len(order)):
-                if g & ~order[i] == 0:
-                    rg = restrictions[i]
-                    break
-            if rg is None or rg & ~g:
+            first = k
+            for h in neighbours[fk]:
+                if fk & ~h == vbit and pos[h] < first:
+                    first = pos[h]
+            rg = restrictions[first]
+            if rg & ~g:
                 raise EquivalenceMismatch("face outside shelling intervals")
             if need & ~rg:
                 return False
@@ -195,9 +210,25 @@ def property_H_check(
 
 
 def h_complex_check(restrictions: list[int]) -> bool:
-    """True iff the restriction family is closed under taking subsets."""
+    """True iff the restriction family is closed under taking subsets.
+
+    A family is closed under subsets iff it is closed under deleting one
+    element, so this is O(|family|·d).
+    """
     family = set(restrictions)
-    return all(sub in family for r in family for sub in submasks(r))
+    return all(r & ~(1 << v) in family for r in family for v in iter_bits(r))
+
+
+def flip_restrictions(matroid: Matroid) -> dict[int, int]:
+    """Closed-form restriction set y_Y z_{IP(A)} of F(I), I = A∖Y, in the flip
+    order, for every independent set I; the same for every extension order."""
+    n = matroid.n
+    out = {}
+    for indep in matroid.independent_sets:
+        dec = crapo_decompose_independent(matroid, indep)
+        ip = activity_profile(matroid, dec.basis).ip
+        out[indep] = (dec.y << n) | (ip << (2 * n))
+    return out
 
 
 def restriction_set_formula_check(
@@ -218,17 +249,12 @@ def restriction_set_formula_check(
     report = verify_shelling(cx, facet_order, check_properties=False)
     if not report.verdict:
         return False
-    n = matroid.n
-    for k, indep in enumerate(order):
-        if kind == "extint":
-            expected = indep << (2 * n)
-        else:
-            dec = crapo_decompose_independent(matroid, indep)
-            ip = activity_profile(matroid, dec.basis).ip
-            expected = (dec.y << n) | (ip << (2 * n))
-        if report.restrictions[k] != expected:
-            return False
-    return True
+    if kind == "extint":
+        expected = [indep << (2 * matroid.n) for indep in order]
+    else:
+        flip = flip_restrictions(matroid)
+        expected = [flip[indep] for indep in order]
+    return report.restrictions == expected
 
 
 # -- witness construction ----------------------------------------------------------

@@ -35,6 +35,7 @@ from .orders import (
 )
 from .shelling import (
     exchange_down_basis,
+    flip_restrictions,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,
@@ -376,7 +377,7 @@ def check_shelling_flip(name: str, m: Matroid, cap: int, seed: int) -> list[Find
     cx = build_complex(m, "augmented-ea")
     poset = build_poset(m, "flip-ind")
     sample = linear_extensions(poset, cap=cap, seed=seed)
-    n = m.n
+    expected = flip_restrictions(m)
     all_ok = formula_ok = True
     bipolys = []
     for order in sample.orders:
@@ -384,10 +385,7 @@ def check_shelling_flip(name: str, m: Matroid, cap: int, seed: int) -> list[Find
         all_ok &= report.verdict
         if not report.verdict:
             break
-        for i, r in zip(order, report.restrictions):
-            dec = crapo_decompose_independent(m, i)
-            ip = activity_profile(m, dec.basis).ip
-            formula_ok &= r == (dec.y << n) | (ip << (2 * n))
+        formula_ok &= report.restrictions == [expected[i] for i in order]
         bipolys.append(bivariate_restriction_polynomial(m, report.restrictions))
     out.append(
         _finding(

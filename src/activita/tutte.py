@@ -183,12 +183,11 @@ def bivariate_restriction_polynomial(
     d = n + matroid.rank
     ymask = ((1 << n) - 1) << n
     zmask = ((1 << n) - 1) << (2 * n)
-    out = BiPoly.zero()
+    coeffs: dict[tuple[int, int], int] = {}
     for r in restrictions:
-        ycount = (r & ymask).bit_count()
-        zcount = (r & zmask).bit_count()
-        out = out + BiPoly.monomial(-ycount, d - zcount)
-    return out
+        key = (-(r & ymask).bit_count(), d - (r & zmask).bit_count())
+        coeffs[key] = coeffs.get(key, 0) + 1
+    return BiPoly(coeffs)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from activita.activity import (
     related_basis,
 )
 from activita.bitsets import parse_subset, subset_str
-from activita.errors import NotIndependent
+from activita.errors import NotABasis, NotIndependent
 from activita.matroid import from_bases, uniform
 
 ps5 = lambda s: parse_subset(s, 5)
@@ -77,6 +77,11 @@ def test_exchange_characterization_matches(corpus):
     for m in corpus.values():
         for b in m.bases:
             assert activity_profile(m, b) == activity_profile_by_exchange(m, b)
+
+
+def test_exchange_characterization_rejects_non_basis(m5_matroid):
+    with pytest.raises(NotABasis, match="1 is not a basis"):
+        activity_profile_by_exchange(m5_matroid, ps5("1"))
 
 
 def test_loop_always_externally_active():

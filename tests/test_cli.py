@@ -1,5 +1,6 @@
 """CLI surface: spec parsing, subcommands, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,9 @@ M5_SPEC = {
     "n": 5,
     "bases": ["345", "135", "245", "235", "125", "134", "234", "124"],
 }
+
+
+VERIFY_SEED0_SHA256 = "aa36b876a19da83bd0ef8a8421b2d271a5f7bf4f5a0f4a5620d6bde8f81a99d0"
 
 
 @pytest.fixture()
@@ -254,6 +258,15 @@ class TestDeterminism:
             assert bool(written) == any("{out}" in a for a in argv)
             runs.append((result.output.replace(str(out), "{out}"), written))
         assert runs[0] == runs[1]
+
+
+class TestGoldenOutput:
+    def test_verify_stdout_digest(self, runner):
+        # the recorded stdout of `activita verify --cap 200 --seed 0`
+        result = runner.invoke(main, ["verify", "--cap", "200", "--seed", "0"])
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == VERIFY_SEED0_SHA256
 
 
 class TestCorpusCommand:

@@ -1,5 +1,6 @@
 """Active orders: comparisons, Hasse diagrams, extensions, lattice, flips."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,7 @@ from activita.bitsets import parse_subset, subset_str
 from activita.errors import LatticeFailure, NotACover, NotIndependent
 from activita.matroid import uniform
 from activita.orders import (
+    POSET_KINDS,
     Poset,
     boolean_interval,
     build_poset,
@@ -20,6 +22,7 @@ from activita.orders import (
     linear_extensions,
     meet_join_ind,
     poset_meet_join,
+    random_extension,
 )
 from activita.suite import check_lattice, check_posets, poset_axiom_violation
 
@@ -286,6 +289,36 @@ class TestLinearExtensions:
             assert p.is_extension(random_extension(p, _random.Random(seed)))
 
         check()
+
+
+def rescan_extension(poset, rng):
+    """The sampler with its available list rebuilt by a full scan at every
+    step, O(m²) per order: the reference the incremental sampler must match."""
+    m = len(poset.elements)
+    down = poset.down_rows
+    placed = 0
+    order = []
+    for _ in range(m):
+        avail = [
+            i
+            for i in range(m)
+            if not placed >> i & 1 and not down[i] & ~placed & ~(1 << i)
+        ]
+        i = rng.choice(avail)
+        order.append(poset.elements[i])
+        placed |= 1 << i
+    return tuple(order)
+
+
+@pytest.mark.parametrize("kind", POSET_KINDS)
+def test_random_extension_draws_the_rescan_orders(corpus, kind):
+    # same seed, same orders: sampled verify output depends on it
+    for m in corpus.values():
+        poset = build_poset(m, kind)
+        for seed in range(5):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_extension(poset, fast) == rescan_extension(poset, slow)
 
 
 class TestLattice:

@@ -1,12 +1,20 @@
 """Shelling verification, restriction sets, property (H), and witnesses."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activita.activity import activity_profile, is_nbc, nbc_sets
-from activita.bitsets import mask_of, parse_subset, subset_str
-from activita.complexes import SimplicialComplex, build_complex, independence_complex
+from activita.bitsets import mask_of, parse_subset, submasks, subset_str
+from activita.complexes import (
+    COMPLEX_KINDS,
+    FHVector,
+    SimplicialComplex,
+    build_complex,
+    independence_complex,
+)
 from activita.errors import (
     ComparablePair,
     EquivalenceMismatch,
@@ -20,8 +28,10 @@ from activita.orders import (
     first_extension,
     leq_extint_ind,
     linear_extensions,
+    random_extension,
 )
 from activita.shelling import (
+    ShellingReport,
     exchange_down_basis,
     verify_shelling_by_witnesses,
     h_complex_check,
@@ -358,3 +368,136 @@ class TestDownwardExchange:
                     assert d_basis != a_basis
                     assert compare_bases(m, "extint", d_basis, a_basis)
                     assert prof.ia & ~activity_profile(m, d_basis).ia == 0
+
+
+# -- differential tests: the neighbour-indexed verifier against the scans ---------
+
+
+def scan_restriction(order, k):
+    """R_k by a scan of every earlier facet."""
+    fk = order[k]
+    r = 0
+    for j in range(k):
+        diff = fk & ~order[j]
+        if diff.bit_count() == 1:
+            r |= diff
+    return r
+
+
+def scan_property_h(order, restrictions):
+    """Property (H), finding the first facet containing each ridge by a scan."""
+    for k, fk in enumerate(order):
+        rk = restrictions[k]
+        for vbit in (1 << v for v in range(fk.bit_length()) if fk >> v & 1):
+            g = fk ^ vbit
+            need = rk & g
+            if not need or not rk & vbit:
+                continue
+            i = next(i for i in range(len(order)) if g & ~order[i] == 0)
+            if restrictions[i] & ~g:
+                raise EquivalenceMismatch("face outside shelling intervals")
+            if need & ~restrictions[i]:
+                return False
+    return True
+
+
+def submask_h_complex(restrictions):
+    family = set(restrictions)
+    return all(sub in family for r in family for sub in submasks(r))
+
+
+def scan_verify_shelling(cx, order, check_properties=True):
+    """The O(s²) verifier: each R_k checked against every earlier facet."""
+    restrictions = []
+    for k in range(len(order)):
+        rk = scan_restriction(order, k)
+        for i in range(k):
+            if rk & ~order[i] == 0:
+                return ShellingReport(False, (i, k), restrictions, None, None, None, None)
+        restrictions.append(rk)
+    h = [0] * (cx.facet_size + 1)
+    for r in restrictions:
+        h[r.bit_count()] += 1
+    h_tuple = tuple(h) if order else ()
+    report = ShellingReport(True, None, restrictions, h_tuple, h_tuple == cx.fh.h, None, None)
+    if check_properties:
+        report.property_h = scan_property_h(order, restrictions)
+        report.h_complex = submask_h_complex(restrictions)
+    return report
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EquivalenceMismatch as exc:
+        return type(exc)
+
+
+def assert_agrees_with_scans(cx, order):
+    report = verify_shelling(cx, order)
+    assert report == scan_verify_shelling(cx, order)
+    assert report.verdict == verify_shelling_pairwise(cx, order)[0]
+    # property (H) on every order, shelling or not, with the scanned sets
+    scanned = [scan_restriction(order, k) for k in range(len(order))]
+    assert outcome(property_H_check, cx, order, scanned) == outcome(
+        scan_property_h, order, scanned
+    )
+    assert h_complex_check(scanned) == submask_h_complex(scanned)
+    return report.verdict
+
+
+@st.composite
+def shuffled_pure_complexes(draw):
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(0, n))
+    masks = [f for f in range(1 << n) if f.bit_count() == d]
+    facets = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=20, unique=True))
+    cx = SimplicialComplex(tuple(("z", e) for e in range(1, n + 1)), tuple(facets))
+    return cx, draw(st.permutations(facets))
+
+
+class TestNeighbourIndexedVerifier:
+    @given(shuffled_pure_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_pure_complexes(self, case):
+        cx, order = case
+        assert_agrees_with_scans(cx, list(order))
+
+    def test_shuffled_and_extension_orders_of_corpus_complexes(self, corpus):
+        shell_poset = {
+            "augmented-ea": "extint-ind",
+            "ea": "extint-bases",
+            "nbc": "nbc-extint",
+            "augmented-nbc": "nbc-extint",
+        }
+        verdicts = []
+        for m in corpus.values():
+            cases = [(build_complex(m, k), shell_poset[k]) for k in COMPLEX_KINDS]
+            cases.append((independence_complex(m), "extint-bases"))
+            for cx, poset_kind in cases:
+                poset = build_poset(m, poset_kind)
+                rng = random.Random(len(cx.facets))
+                for _ in range(4):
+                    shuffled = list(cx.facets)
+                    rng.shuffle(shuffled)
+                    verdicts.append(assert_agrees_with_scans(cx, shuffled))
+                    extension = random_extension(poset, rng)
+                    order = [cx.facet_by_tag[t] for t in extension if t in cx.facet_by_tag]
+                    verdicts.append(assert_agrees_with_scans(cx, order))
+        assert True in verdicts and False in verdicts
+
+    @given(st.lists(st.integers(0, 127), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_h_complex_check_matches_all_submasks(self, family):
+        assert h_complex_check(family) == submask_h_complex(family)
+
+    def test_face_count_disagreeing_with_the_scan_raises(self):
+        # a shelling whose complex reports one face too many
+        cx = SimplicialComplex((("z", 1), ("z", 2)), (0b11,))
+        cx.fh = FHVector(f=(1, 2, 2), h=(1, 1, 1))
+        with pytest.raises(EquivalenceMismatch):
+            verify_shelling(cx, [0b11])
+
+    def test_empty_complex(self):
+        cx = SimplicialComplex((("z", 1),), ())
+        assert verify_shelling(cx, []) == scan_verify_shelling(cx, [])
