@@ -10,12 +10,18 @@ Four pure complexes are built from a matroid on vertices x_e, y_e, z_e:
 
 Vertices are indexed flavor-major (all x, then y, then z, per the kind's
 vertex universe) and faces are bitmasks over that universe.
+
+f-vectors are counted without listing faces, by memoized Shannon expansion
+of the facet family on its lowest vertex (``face_counts``).  The cost is
+O(s) per distinct subfamily met, not Σ_F 2^|F| submask steps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from math import comb
 
 from .activity import (
@@ -68,12 +74,10 @@ class SimplicialComplex:
         vertices: tuple[tuple[str, int], ...],
         facets: tuple[int, ...],
         tags: tuple[int, ...] | None = None,
-        name: str = "",
     ):
         self.vertices = vertices
         self.facets = facets
         self.tags = tags
-        self.name = name
         sizes = {f.bit_count() for f in facets}
         if len(sizes) > 1:
             raise NotPure(f"facet sizes {sorted(sizes)}")
@@ -123,24 +127,86 @@ class SimplicialComplex:
         return {f: tuple(gs) for f, gs in out.items()}
 
     @cached_property
-    def faces(self) -> frozenset[int]:
-        """All faces, by downset traversal from the facets with dedup."""
-        seen: set[int] = set()
-        for f in self.facets:
-            for sub in submasks(f):
-                seen.add(sub)
-        return frozenset(seen)
+    def faces(self) -> FaceSet:
+        """All faces as facets plus f-vector, counted by ``face_counts``.
+
+        That costs O(s) per distinct subfamily of the s facets met by the
+        Shannon expansion, where listing the faces costs Σ_F 2^|F| steps.
+        """
+        return FaceSet(self.facets, face_counts(self.facets))
 
     @cached_property
     def fh(self) -> FHVector:
-        if not self.facets:
-            return FHVector(f=(), h=())
-        d = self.facet_size
-        f = [0] * (d + 1)
-        for face in self.faces:
-            f[face.bit_count()] += 1
-        h = _h_from_f(tuple(f))
-        return FHVector(f=tuple(f), h=h)
+        f = self.faces.f
+        return FHVector(f=f, h=_h_from_f(f))
+
+
+class FaceSet:
+    """The faces of a complex without listing them.
+
+    ``len`` is the face count (read ``sum(f)`` past ``sys.maxsize``, where
+    ``len`` overflows) and ``in`` a facet-containment test; iterating walks every submask of every
+    facet, so it is meant for small oracles.
+    """
+
+    __slots__ = ("facets", "f")
+
+    def __init__(self, facets: tuple[int, ...], f: tuple[int, ...]):
+        self.facets = facets
+        self.f = f
+
+    def __len__(self) -> int:
+        return sum(self.f)
+
+    def __contains__(self, face: int) -> bool:
+        return any(face & ~g == 0 for g in self.facets)
+
+    def __iter__(self) -> Iterator[int]:
+        seen: set[int] = set()
+        for g in self.facets:
+            for sub in submasks(g):
+                if sub not in seen:
+                    seen.add(sub)
+                    yield sub
+
+
+def face_counts(facets: Iterable[int]) -> tuple[int, ...]:
+    """f_0..f_d of the complex generated by ``facets`` (f_0 counts the empty face).
+
+    Shannon expansion on the lowest vertex v of the family's union: the faces
+    of 𝓕 are those of {F∖v : F ∈ 𝓕} plus v joined to those of
+    {F∖v : v ∈ F ∈ 𝓕}, whose counts shift up by one.  Families are memoized
+    as frozensets, and one containing its own union is a simplex, counted by
+    binomials.  The expansion runs on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  No facets give ().
+    """
+    memo: dict[frozenset[int], tuple[int, ...]] = {frozenset(): ()}
+    root = frozenset(facets)
+    stack = [root]
+    while stack:
+        family = stack[-1]
+        if family in memo:
+            stack.pop()
+            continue
+        union = 0
+        for g in family:
+            union |= g
+        if union in family:
+            k = union.bit_count()
+            memo[family] = tuple(comb(k, i) for i in range(k + 1))
+            stack.pop()
+            continue
+        v = union & -union
+        without = frozenset(g & ~v for g in family)
+        with_v = frozenset(g ^ v for g in family if g & v)
+        pending = [sub for sub in (without, with_v) if sub not in memo]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        shifted = (0, *memo[with_v])
+        memo[family] = tuple(a + b for a, b in zip_longest(memo[without], shifted, fillvalue=0))
+    return memo[root]
 
 
 def _h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,7 +310,6 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
         vertices,
         tuple(_facet_mask(vertices, f) for f in fobjs),
         tags=tuple(f.tag for f in fobjs),
-        name=kind,
     )
     expected_dim = {
         "augmented-ea": matroid.n + matroid.rank - 1,
@@ -287,7 +352,6 @@ def induced_subcomplex(cx: SimplicialComplex, flavors: str) -> SimplicialComplex
     return SimplicialComplex(
         tuple(new_vertices),
         tuple(sorted(remap_mask(f) for f in maximal)),
-        name=f"{cx.name}|{flavors}",
     )
 
 
@@ -298,5 +362,4 @@ def independence_complex(matroid: Matroid) -> SimplicialComplex:
         vertices,
         tuple(_facet_mask(vertices, Facet(0, 0, b, b)) for b in matroid.bases),
         tags=matroid.bases,
-        name="independence",
     )

@@ -285,7 +285,13 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
     Searches c over IP(C) ∩ EP(A) from the largest down and b ascending; the
     first pair satisfying all the lemma's conditions wins.  Also verifies the
     facet equation F(A)∩F(C) ⊆ F(B)∩F(C) = F(C)∖z_c for the chosen pair.
+    The search and both checks depend on (A, C) alone, so the pair found is
+    memoized per matroid.
     """
+    cache = matroid._cache.setdefault("basis_witness", {})
+    hit = cache.get((a, c_basis))
+    if hit is not None:
+        return hit
     pa = activity_profile(matroid, a)
     pc = activity_profile(matroid, c_basis)
     bases_poset = build_poset(matroid, "extint-bases")
@@ -321,6 +327,7 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
                 raise WitnessNotFound(
                     "internal activity does not grow along the witness exchange"
                 )
+            cache[a, c_basis] = basis_b, c
             return basis_b, c
     raise WitnessNotFound(
         f"no exchange witness for bases {subset_str(a, matroid.n)}, "

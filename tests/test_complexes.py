@@ -1,10 +1,16 @@
 """Activity complexes: facets, purity, induced subcomplexes, f/h-vectors."""
 
+import time
+from math import comb
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from activita.activity import related_basis
-from activita.bitsets import parse_subset, subset_str
+from activita.bitsets import MAX_GROUND, parse_subset, submasks, subset_str
 from activita.complexes import (
+    COMPLEX_KINDS,
     SimplicialComplex,
     build_complex,
     f_vector_by_inclusion_exclusion,
@@ -14,7 +20,7 @@ from activita.complexes import (
     induced_subcomplex,
 )
 from activita.errors import NotIndependent, NotNBC, NotPure
-from activita.matroid import from_bases, uniform
+from activita.matroid import from_bases, graphic, uniform
 from activita.tutte import BiPoly
 
 ps5 = lambda s: parse_subset(s, 5)
@@ -208,3 +214,88 @@ class TestFHVectors:
     def test_m5_augmented_h_vector(self, m5_matroid):
         cx = build_complex(m5_matroid, "augmented-ea")
         assert cx.fh.h == (1, 5, 10, 8, 0, 0, 0, 0, 0)
+
+
+def faces_by_submask_walk(facets) -> set[int]:
+    """Every submask of every facet, deduplicated in a set."""
+    return {sub for g in facets for sub in submasks(g)}
+
+
+def f_of(faces: set[int]) -> tuple[int, ...]:
+    if not faces:
+        return ()
+    f = [0] * (max(g.bit_count() for g in faces) + 1)
+    for g in faces:
+        f[g.bit_count()] += 1
+    return tuple(f)
+
+
+def assert_faces_match_walk(cx: SimplicialComplex) -> None:
+    walk = faces_by_submask_walk(cx.facets)
+    assert cx.fh.f == f_of(walk)
+    assert len(cx.faces) == len(walk)
+    assert set(cx.faces) == walk
+    assert all(g in cx.faces for g in walk)
+    # one vertex past a facet is a face iff another facet holds it
+    universe = (1 << len(cx.vertices)) - 1
+    for g in cx.facets:
+        rest = universe & ~g
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            assert ((g | v) in cx.faces) == ((g | v) in walk)
+
+
+def pure_complex(size: int, facets) -> SimplicialComplex:
+    return SimplicialComplex(
+        tuple(("z", e) for e in range(1, size + 1)), tuple(sorted(facets))
+    )
+
+
+@st.composite
+def pure_complexes(draw):
+    """Pure complexes on at most 8 vertices, with at most 10 facets."""
+    size = draw(st.integers(1, 8))
+    k = draw(st.integers(0, size))
+    same_size = [g for g in range(1 << size) if g.bit_count() == k]
+    facets = draw(st.sets(st.sampled_from(same_size), max_size=10))
+    return pure_complex(size, facets)
+
+
+W4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
+
+
+class TestFaceCounts:
+    @given(pure_complexes())
+    @example(pure_complex(3, []))
+    @example(pure_complex(1, [0]))
+    @example(pure_complex(8, [0xFF]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_walk_and_inclusion_exclusion(self, cx):
+        assert cx.fh.f == f_vector_by_inclusion_exclusion(cx)
+        assert_faces_match_walk(cx)
+
+    @pytest.mark.parametrize("kind", COMPLEX_KINDS)
+    def test_corpus_and_w4_complexes(self, corpus, kind):
+        for m in (*corpus.values(), W4):
+            cx = build_complex(m, kind)
+            assert_faces_match_walk(cx)
+            if len(cx.facets) <= 12:
+                assert cx.fh.f == f_vector_by_inclusion_exclusion(cx)
+
+    def test_independence_and_induced_complexes(self, corpus):
+        for m in (*corpus.values(), W4):
+            assert_faces_match_walk(independence_complex(m))
+            assert_faces_match_walk(induced_subcomplex(build_complex(m, "augmented-ea"), "xz"))
+
+    def test_large_simplex_and_ridge_pair_are_linear(self):
+        # the submask walk would take 2^192 steps on these
+        n = 3 * MAX_GROUND
+        full = (1 << n) - 1
+        start = time.perf_counter()
+        simplex = pure_complex(n, [full])
+        assert simplex.fh.f == tuple(comb(n, i) for i in range(n + 1))
+        # two facets sharing the ridge full∖{n}
+        pair = pure_complex(n + 1, [full, (full >> 1) | 1 << n])
+        assert pair.fh.f == tuple(2 * comb(n, i) - comb(n - 1, i) for i in range(n + 1))
+        assert time.perf_counter() - start < 1.0
