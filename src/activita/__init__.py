@@ -53,7 +53,6 @@ from .shelling import (
     flip_restrictions,
     h_complex_check,
     property_H_check,
-    restriction_set_formula_check,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,

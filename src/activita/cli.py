@@ -218,7 +218,8 @@ def tutte(matroid: str, as_json: bool) -> None:
 
 @main.command()
 @click.argument("matroids", type=click.Path(), nargs=-1)
-@click.option("--cap", type=int, default=200, help="Linear extensions per poset.")
+@click.option("--cap", type=click.IntRange(min=1), default=200,
+              help="Linear extensions per poset.")
 @click.option("--seed", type=int, default=0)
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write machine-readable findings to this path.")

@@ -77,10 +77,6 @@ class NotPure(ActivitaError):
     pass
 
 
-class OrderNotExtension(ActivitaError):
-    pass
-
-
 class ComparablePair(ActivitaError):
     """Raised by the witness search when the pair already satisfies K <= I."""
 

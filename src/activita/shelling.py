@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 from .activity import activity_profile, crapo_decompose_independent, related_basis
 from .bitsets import iter_bits, min_elem, submasks, subset_str
-from .complexes import Facet, SimplicialComplex, build_complex, facet_F
+from .complexes import Facet, SimplicialComplex, facet_F
 from .errors import (
     ComparablePair,
     EquivalenceMismatch,
     NotAPermutation,
-    OrderNotExtension,
     WitnessNotFound,
 )
 from .matroid import Matroid
@@ -229,32 +228,6 @@ def flip_restrictions(matroid: Matroid) -> dict[int, int]:
         ip = activity_profile(matroid, dec.basis).ip
         out[indep] = (dec.y << n) | (ip << (2 * n))
     return out
-
-
-def restriction_set_formula_check(
-    matroid: Matroid, order: tuple[int, ...], kind: str = "extint"
-) -> bool:
-    """Check the closed form of restriction sets for an extension order.
-
-    ``kind="extint"``: the restriction of F(I) must be z_I.
-    ``kind="flip"``: it must be y_{Y_I} z_{IP(A)} with I = A∖Y_I.
-    The order is a linear extension over the independent sets.
-    """
-    poset_kind = {"extint": "extint-ind", "flip": "flip-ind"}[kind]
-    poset = build_poset(matroid, poset_kind)
-    if not poset.is_extension(order):
-        raise OrderNotExtension(f"order does not extend {poset_kind}")
-    cx = build_complex(matroid, "augmented-ea")
-    facet_order = [cx.facet_by_tag[i] for i in order]
-    report = verify_shelling(cx, facet_order, check_properties=False)
-    if not report.verdict:
-        return False
-    if kind == "extint":
-        expected = [indep << (2 * matroid.n) for indep in order]
-    else:
-        flip = flip_restrictions(matroid)
-        expected = [flip[indep] for indep in order]
-    return report.restrictions == expected
 
 
 # -- witness construction ----------------------------------------------------------

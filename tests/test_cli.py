@@ -193,24 +193,26 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec,args",
         [
-            '{"type": "bases", "n": 2, "bases": ["1", "12"]}',
-            '{"type": "uniform", "r": true, "n": 3}',
-            '{"type": "graphic", "vertices": 2, "edges": [[1.9, 2]]}',
-            '{"type": "bases", "n": 2, "bases": [3]}',
-            '{"type": "linear", "p": 2, "matrix": [[1, "a"]]}',
-            '{"type": "linear", "p": 2, "matrix": [[1, 1.5]]}',
+            ('{"type": "bases", "n": 2, "bases": ["1", "12"]}', []),
+            ('{"type": "uniform", "r": true, "n": 3}', []),
+            ('{"type": "graphic", "vertices": 2, "edges": [[1.9, 2]]}', []),
+            ('{"type": "bases", "n": 2, "bases": [3]}', []),
+            ('{"type": "linear", "p": 2, "matrix": [[1, "a"]]}', []),
+            ('{"type": "linear", "p": 2, "matrix": [[1, 1.5]]}', []),
+            ('{"type": "uniform", "r": 1, "n": 2}', ["--cap", "0"]),
+            ('{"type": "uniform", "r": 1, "n": 2}', ["--cap", "-1"]),
         ],
         ids=[
             "unequal-cardinality", "bool-int", "float-vertex", "int-subset",
-            "str-entry", "float-entry",
+            "str-entry", "float-entry", "cap-zero", "cap-negative",
         ],
     )
-    def test_bad_spec_is_usage_error(self, runner, tmp_path, spec):
+    def test_bad_spec_is_usage_error(self, runner, tmp_path, spec, args):
         bad = tmp_path / "bad.json"
         bad.write_text(spec)
-        result = runner.invoke(main, ["verify", str(bad), "--no-builtin"])
+        result = runner.invoke(main, ["verify", str(bad), "--no-builtin", *args])
         assert result.exit_code == 2
 
     def test_full_corpus_default_settings_under_budget(self, runner):

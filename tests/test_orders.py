@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from activita.activity import related_basis
-from activita.bitsets import parse_subset, subset_str
+from activita.bitsets import iter_bits, parse_subset, subset_str
 from activita.errors import LatticeFailure, NotACover, NotIndependent
 from activita.matroid import uniform
 from activita.orders import (
@@ -25,6 +25,7 @@ from activita.orders import (
     random_extension,
 )
 from activita.suite import check_lattice, check_posets, poset_axiom_violation
+from test_oracles import lattice_laws_hold
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -369,22 +370,7 @@ class TestLattice:
 
     def test_laws_exhaustive(self, corpus):
         for name, m in corpus.items():
-            if m.n > 5:
-                continue  # the full triple loop runs in the acceptance suite
-            elems = m.independent_sets
-            meet, join = {}, {}
-            for i in elems:
-                for k in elems:
-                    meet[i, k], join[i, k] = meet_join_ind(m, i, k)
-            for i in elems:
-                for k in elems:
-                    assert meet[i, k] == meet[k, i]
-                    assert join[i, k] == join[k, i]
-                    assert meet[i, join[i, k]] == i
-                    assert join[i, meet[i, k]] == i
-                    for l in elems:
-                        assert meet[meet[i, k], l] == meet[i, meet[k, l]]
-                        assert join[join[i, k], l] == join[i, join[k, l]]
+            assert lattice_laws_hold(m), name
 
     def test_wrong_closed_form_fails_lattice_laws(self, m5_matroid, monkeypatch):
         import activita.suite as suite
@@ -399,6 +385,24 @@ class TestLattice:
         [finding] = check_lattice("m5", m5_matroid)
         assert finding.check == "lattice-laws" and finding.ok is False
         assert finding.detail.endswith("disagrees with poset bounds on 23, 14")
+
+    def test_non_transitive_order_fails_lattice_laws(self, m5_matroid, monkeypatch):
+        import activita.suite as suite
+
+        real = build_poset(m5_matroid, "extint-ind")
+        rows = list(real.up_rows)
+        # drop a <= c from a chain a < b < c
+        a = real.index[0]
+        b = next(iter_bits(rows[a] & ~(1 << a)))
+        c = next(iter_bits(rows[b] & ~(1 << b)))
+        rows[a] &= ~(1 << c)
+        broken = Poset(real.elements, tuple(rows))
+        monkeypatch.setattr(
+            suite, "build_poset", lambda m, kind: broken if kind == "extint-ind" else real
+        )
+        [finding] = check_lattice("m5", m5_matroid)
+        assert finding.check == "lattice-laws" and finding.ok is False
+        assert finding.detail.startswith("extint-ind: not transitive")
 
     def test_poset_meet_join_against_scan(self, m5_matroid):
         p = build_poset(m5_matroid, "extint-bases")

@@ -19,7 +19,6 @@ from activita.errors import (
     ComparablePair,
     EquivalenceMismatch,
     NotAPermutation,
-    OrderNotExtension,
 )
 from activita.matroid import uniform
 from activita.orders import (
@@ -27,7 +26,6 @@ from activita.orders import (
     compare_bases,
     first_extension,
     leq_extint_ind,
-    linear_extensions,
     random_extension,
 )
 from activita.shelling import (
@@ -36,7 +34,6 @@ from activita.shelling import (
     verify_shelling_by_witnesses,
     h_complex_check,
     property_H_check,
-    restriction_set_formula_check,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,
@@ -117,23 +114,6 @@ class TestRestrictionSets:
             assert len(order) <= 12
             report = verify_shelling(cx, order, check_properties=False)
             assert report.restrictions == restriction_sets_bruteforce(order)
-
-    def test_formula_extint(self, m5_matroid):
-        poset = build_poset(m5_matroid, "extint-ind")
-        for order in linear_extensions(poset, cap=20, seed=3).orders:
-            assert restriction_set_formula_check(m5_matroid, order, "extint")
-
-    def test_formula_flip(self, m5_matroid):
-        poset = build_poset(m5_matroid, "flip-ind")
-        for order in linear_extensions(poset, cap=20, seed=3).orders:
-            assert restriction_set_formula_check(m5_matroid, order, "flip")
-
-    def test_formula_rejects_non_extension(self, m5_matroid):
-        poset = build_poset(m5_matroid, "extint-ind")
-        order = list(first_extension(poset))
-        order[0], order[-1] = order[-1], order[0]
-        with pytest.raises(OrderNotExtension):
-            restriction_set_formula_check(m5_matroid, tuple(order), "extint")
 
     def test_specific_restrictions(self, m5_matroid):
         # R(F(25)) = z_25 in the plain order; R(F(2)) = y_45 z_2 in the flip order
