@@ -228,15 +228,18 @@ def tutte(matroid: str, as_json: bool) -> None:
 def verify(matroids: tuple[str, ...], cap: int, seed: int,
            report_path: str | None, builtin: bool) -> None:
     """Run the full theorem-verification suite; nonzero exit on any failure."""
-    corpus: dict[str, Matroid] = {}
-    if builtin:
-        corpus.update(builtin_corpus())
+    entries = [(k, m, "the built-in corpus") for k, m in builtin_corpus().items()] if builtin else []
     try:
-        corpus.update(corpus_from_env())
+        entries += corpus_from_env()
     except ParseError as exc:
         raise click.UsageError(str(exc)) from exc
-    for path in matroids:
-        corpus[Path(path).stem] = _load(path)
+    entries += [(Path(path).stem, _load(path), path) for path in matroids]
+    corpus: dict[str, Matroid] = {}
+    sources: dict[str, str] = {}
+    for name, m, source in entries:
+        if name in sources:
+            raise click.UsageError(f"duplicate matroid name {name!r}: {sources[name]} and {source}")
+        corpus[name], sources[name] = m, source
     if not corpus:
         raise click.UsageError("no matroids to verify")
     findings = run_suite(corpus, cap=cap, seed=seed)

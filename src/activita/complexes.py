@@ -83,8 +83,7 @@ class SimplicialComplex:
             raise NotPure(f"facet sizes {sorted(sizes)}")
         self.facet_size = sizes.pop() if sizes else 0
         self.dimension = self.facet_size - 1
-        fs = set(facets)
-        if len(fs) != len(facets):
+        if len(set(facets)) != len(facets):
             raise NotPure("duplicate facets")
         for f in facets:
             for g in facets:
@@ -128,11 +127,7 @@ class SimplicialComplex:
 
     @cached_property
     def faces(self) -> FaceSet:
-        """All faces as facets plus f-vector, counted by ``face_counts``.
-
-        That costs O(s) per distinct subfamily of the s facets met by the
-        Shannon expansion, where listing the faces costs Σ_F 2^|F| steps.
-        """
+        """All faces as facets plus f-vector, counted by ``face_counts``."""
         return FaceSet(self.facets, face_counts(self.facets))
 
     @cached_property
@@ -218,29 +213,6 @@ def _h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def f_vector_by_inclusion_exclusion(cx: SimplicialComplex) -> tuple[int, ...]:
-    """f-vector by inclusion-exclusion over facet intersections.
-
-    Exponential in the number of facets; an independent oracle for small
-    complexes rather than a production path.
-    """
-    if not cx.facets:
-        return ()
-    d = cx.facet_size
-    f = [0] * (d + 1)
-    s = len(cx.facets)
-    for pick in range(1, 1 << s):
-        inter = (1 << len(cx.vertices)) - 1
-        for j in range(s):
-            if pick >> j & 1:
-                inter &= cx.facets[j]
-        sign = -1 if pick.bit_count() % 2 == 0 else 1
-        k = inter.bit_count()
-        for i in range(min(k, d) + 1):
-            f[i] += sign * comb(k, i)
-    return tuple(f)
-
-
 # -- matroid facets ---------------------------------------------------------------
 
 
@@ -311,12 +283,7 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
         tuple(_facet_mask(vertices, f) for f in fobjs),
         tags=tuple(f.tag for f in fobjs),
     )
-    expected_dim = {
-        "augmented-ea": matroid.n + matroid.rank - 1,
-        "ea": matroid.n + matroid.rank - 1,
-        "nbc": matroid.rank - 1,
-        "augmented-nbc": matroid.rank - 1,
-    }[kind]
+    expected_dim = matroid.rank - 1 + (matroid.n if kind.endswith("ea") else 0)
     if cx.facets and cx.dimension != expected_dim:
         raise NotPure(f"{kind} complex has dimension {cx.dimension}, expected {expected_dim}")
     matroid._cache[key] = cx

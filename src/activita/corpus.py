@@ -38,15 +38,16 @@ def builtin_corpus() -> dict[str, Matroid]:
     }
 
 
-def corpus_from_env() -> dict[str, Matroid]:
-    """Extra corpus entries from *.json files under $ACTIVITA_CORPUS_DIR."""
+def corpus_from_env() -> list[tuple[str, Matroid, str]]:
+    """Extra corpus entries (name, matroid, file) from *.json files under
+    $ACTIVITA_CORPUS_DIR."""
     directory = os.environ.get(CORPUS_DIR_ENV)
     if not directory:
-        return {}
-    out: dict[str, Matroid] = {}
+        return []
+    out = []
     for path in sorted(Path(directory).glob("*.json")):
         try:
-            out[path.stem] = parse_spec(path.read_text())
+            out.append((path.stem, parse_spec(path.read_text()), str(path)))
         except (ParseError, OSError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return out

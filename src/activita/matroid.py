@@ -288,9 +288,6 @@ def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
         return rank
 
     r = col_rank(list(range(n)))
-    if r == 0:
-        # all-zero matrix: rank-0 matroid, single empty basis
-        return from_bases(n, [0], provenance="linear")
     bases = [
         mask_of(j + 1 for j in c)
         for c in combinations(range(n), r)

@@ -7,38 +7,29 @@ enumeration and sampling, lattice operations, boolean cover intervals, and the
 flip involution.
 
 Each order has one definition here, and :func:`build_poset` materializes it
-once per matroid; other code reads the relation from that poset.  The
-equivalent characterizations of each order, the poset axioms and the generic
-lattice bounds are checked by the verification suite (``poset-axioms``,
-``lattice-laws``), not on every call.
+once per matroid as rows that are ANDs of column bitsets, O(m·n) big-int
+operations on m elements; other code reads the relation from that poset.
+The suite's ``poset-axioms`` checks every row against the definition, the
+equivalent forms and the poset axioms, and ``lattice-laws`` the lattice
+bounds, instead of every call.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .activity import activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, submasks, subset_str
-from .errors import (
-    EquivalenceMismatch,
-    LatticeFailure,
-    NotABasis,
-    NotACover,
-)
+from .errors import EquivalenceMismatch, LatticeFailure, NotABasis, NotACover
 from .matroid import Matroid
 
 BASIS_ORDER_KINDS = ("ext", "int", "extint")
-POSET_KINDS = (
-    "ext-bases",
-    "int-bases",
-    "extint-bases",
-    "extint-ind",
-    "flip-ind",
-    "nbc-extint",
-)
+POSET_KINDS = ("ext-bases", "int-bases", "extint-bases", "extint-ind", "flip-ind", "nbc-extint")
 
 
 # -- pairwise comparisons ------------------------------------------------------
@@ -47,9 +38,7 @@ POSET_KINDS = (
 def compare_bases(matroid: Matroid, kind: str, a: int, b: int) -> bool:
     """Whether a <= b for bases in the external/internal/combined order.
 
-    ext: A ⊆ B ∪ EA(B); int: A∖IA(A) ⊆ B; extint: IP(A) ∩ EP(B) = ∅.  The
-    equivalent forms of each are checked against the materialized posets by
-    the suite's ``poset-axioms`` finding.
+    ext: A ⊆ B ∪ EA(B); int: A∖IA(A) ⊆ B; extint: IP(A) ∩ EP(B) = ∅.
     """
     if kind not in BASIS_ORDER_KINDS:
         raise ValueError(f"unknown basis order {kind!r}")
@@ -97,9 +86,8 @@ def leq_flip_ind(matroid: Matroid, i: int, k: int) -> bool:
 class Poset:
     """A finite poset on subset masks with a materialized comparability matrix.
 
-    ``up_rows[i]`` is a bitmask over element indices j with elements[i] <= elements[j].
-    The rows are taken as given; the suite's ``poset-axioms`` finding checks
-    reflexivity, antisymmetry and transitivity of every materialized order.
+    ``up_rows[i]`` is a bitmask over element indices j with elements[i] <= elements[j],
+    taken as given.
     """
 
     def __init__(self, elements: tuple[int, ...], up_rows: tuple[int, ...]):
@@ -134,15 +122,17 @@ class Poset:
 
     @cached_property
     def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction: (i, j) with elements[j] covering elements[i]."""
+        """Transitive reduction: (i, j) with elements[j] covering elements[i],
+        sorted.  The covers of i are its strict up-set minus everything
+        strictly above some element of it."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self.up_rows)]
         out = []
-        for i, row in enumerate(self.up_rows):
-            strict = row & ~(1 << i)
-            for j in iter_bits(strict):
-                between = strict & self.down_rows[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return tuple(sorted(out))
+        for i, row in enumerate(strict):
+            above = 0
+            for j in iter_bits(row):
+                above |= strict[j]
+            out.extend((i, j) for j in iter_bits(row & ~above))
+        return tuple(out)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) element pairs."""
@@ -165,44 +155,54 @@ class Poset:
 
         return tuple(height(j) for j in range(len(self.elements)))
 
-    def is_extension(self, order: tuple[int, ...]) -> bool:
-        """True iff the listed elements form an order-preserving permutation."""
-        if sorted(order) != sorted(self.elements):
-            return False
-        placed = 0
-        for e in order:
-            i = self.index[e]
-            if self.down_rows[i] & ~placed & ~(1 << i):
-                return False
-            placed |= 1 << i
-        return True
+
+def _containment_rows(need: Sequence[int], have: Sequence[int], n: int) -> list[int]:
+    """Row x = {y : need[x] ⊆ have[y]}: the AND over e ∈ need[x] of the
+    column bitset {y : e ∈ have[y]}, once per distinct need."""
+    cols = [sum(1 << y for y, h in enumerate(have) if h >> e & 1) for e in range(n)]
+    full = (1 << len(have)) - 1
+    rows = {a: reduce(and_, [cols[e] for e in iter_bits(a)], full) for a in set(need)}
+    return [rows[a] for a in need]
 
 
 def build_poset(matroid: Matroid, kind: str) -> Poset:
-    """Materialize one of the active orders; cached per matroid and kind."""
+    """Materialize one of the active orders; cached per matroid and kind.
+
+    Basis orders are containments (extint: IP(A) ∩ EP(B) = ∅ iff IP(A) ⊆
+    B∪EA(B)).  On independent sets a row is containment (of complements when
+    flipped) among sets with the same related basis, and containment of
+    I∖IA(I)∪EA(I) among the others.
+    """
     key = ("poset", kind)
     hit = matroid._cache.get(key)
     if hit is not None:
         return hit
+    n = matroid.n
     if kind in ("ext-bases", "int-bases", "extint-bases"):
         elements = matroid.bases
-        base_kind = kind.split("-")[0]
-        rel = lambda a, b: compare_bases(matroid, base_kind, a, b)
-    elif kind == "extint-ind":
-        elements = matroid.independent_sets
-        rel = lambda a, b: leq_extint_ind(matroid, a, b)
-    elif kind == "flip-ind":
-        elements = matroid.independent_sets
-        rel = lambda a, b: leq_flip_ind(matroid, a, b)
-    elif kind == "nbc-extint":
-        elements = nbc_sets(matroid)
-        rel = lambda a, b: leq_extint_ind(matroid, a, b)
+        profs = [activity_profile(matroid, b) for b in elements]
+        closed = [b | p.ea for b, p in zip(elements, profs)]
+        if kind == "ext-bases":
+            rows = _containment_rows(elements, closed, n)
+        elif kind == "int-bases":
+            rows = _containment_rows([b & ~p.ia for b, p in zip(elements, profs)], elements, n)
+        else:
+            rows = _containment_rows([p.ip for p in profs], closed, n)
+    elif kind in ("extint-ind", "flip-ind", "nbc-extint"):
+        elements = nbc_sets(matroid) if kind == "nbc-extint" else matroid.independent_sets
+        keys, bases, group = [], [], {}
+        for y, i in enumerate(elements):
+            p = activity_profile(matroid, i)
+            keys.append((i & ~p.ia) | p.ea)
+            bases.append(related_basis(matroid, i))
+            group[bases[-1]] = group.get(bases[-1], 0) | 1 << y
+        sets = [matroid.full_mask & ~i for i in elements] if kind == "flip-ind" else elements
+        within = _containment_rows(sets, sets, n)
+        across = _containment_rows(keys, keys, n)
+        rows = [w & group[b] | a & ~group[b] for w, a, b in zip(within, across, bases)]
     else:
         raise ValueError(f"unknown poset kind {kind!r}")
-    rows = tuple(
-        sum(1 << j for j, b in enumerate(elements) if rel(a, b)) for a in elements
-    )
-    poset = Poset(elements, rows)
+    poset = Poset(elements, tuple(rows))
     matroid._cache[key] = poset
     return poset
 

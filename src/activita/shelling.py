@@ -7,17 +7,8 @@ F_i ∩ F_k ⊆ F_j ∩ F_k = F_k ∖ e.  The restriction set R_k collects the
 vertices v of F_k whose deletion leaves a face of an earlier facet; the
 pairwise condition is then equivalent to R_k not being contained in any
 earlier facet, i.e. to R_k being a new face at step k (the literal
-quantifier form is kept as a brute-force oracle).
-
-The verifier decides this by counting faces.  R_k is the union of F_k ∖ G
-over the facets G placed before F_k that share a ridge with it, read from
-``SimplicialComplex.neighbours``.  The faces new at step k lie in
-[R_k, F_k] and those of all steps partition the complex, so
-Σ_k 2^(d−|R_k|) equals the face count iff every R_k is new, i.e. iff the
-order is a shelling.  One order of s facets of size d costs O(s·d) plus its
-neighbour pairs; the O(s²) scan over earlier facets runs only when the count
-differs, to name the first failing pair.  Property (H) reads the first facet
-containing each ridge from the same index.
+quantifier form is kept as a brute-force oracle).  :func:`verify_shelling`
+decides this by counting faces.
 
 The witness construction produces, for independent sets I, K with
 K not below I in the external/internal order, an earlier independent set J
@@ -31,12 +22,7 @@ from dataclasses import dataclass
 from .activity import activity_profile, crapo_decompose_independent, related_basis
 from .bitsets import iter_bits, min_elem, submasks, subset_str
 from .complexes import Facet, SimplicialComplex, facet_F
-from .errors import (
-    ComparablePair,
-    EquivalenceMismatch,
-    NotAPermutation,
-    WitnessNotFound,
-)
+from .errors import ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid
 from .orders import build_poset
 
@@ -52,10 +38,10 @@ class ShellingReport:
     verdict: bool
     failing_pair: tuple[int, int] | None
     restrictions: list[int]
-    h_from_restrictions: tuple[int, ...] | None
-    matches_complex_h: bool | None
-    property_h: bool | None
-    h_complex: bool | None
+    h_from_restrictions: tuple[int, ...] | None = None
+    matches_complex_h: bool | None = None
+    property_h: bool | None = None
+    h_complex: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -80,8 +66,9 @@ def verify_shelling(
     vertex v of R_k lies in F_k ∖ v, a face of an earlier facet) and the new
     faces of all steps partition the complex, so Σ_k 2^(d−|R_k|) is at least
     the face count, with equality iff each R_k is new, which is the pairwise
-    condition R_k ⊄ F_i for all i < k.  On a shortfall the scan over earlier
-    facets names the first failing pair (i, k).
+    condition R_k ⊄ F_i for all i < k.  That costs O(s·d) plus the neighbour
+    pairs; only on a shortfall does an O(s²) scan name the first failing
+    pair (i, k).
     """
     if sorted(order) != sorted(cx.facets):
         raise NotAPermutation("order is not a permutation of the complex's facets")
@@ -99,29 +86,13 @@ def verify_shelling(
         for k, rk in enumerate(restrictions):
             for i in range(k):
                 if rk & ~order[i] == 0:
-                    return ShellingReport(
-                        verdict=False,
-                        failing_pair=(i, k),
-                        restrictions=restrictions[:k],
-                        h_from_restrictions=None,
-                        matches_complex_h=None,
-                        property_h=None,
-                        h_complex=None,
-                    )
+                    return ShellingReport(False, failing_pair=(i, k), restrictions=restrictions[:k])
         raise EquivalenceMismatch("face count and pairwise scan disagree")
     h = [0] * (d + 1)
     for r in restrictions:
         h[r.bit_count()] += 1
     h_tuple = tuple(h) if order else ()
-    report = ShellingReport(
-        verdict=True,
-        failing_pair=None,
-        restrictions=restrictions,
-        h_from_restrictions=h_tuple,
-        matches_complex_h=h_tuple == cx.fh.h,
-        property_h=None,
-        h_complex=None,
-    )
+    report = ShellingReport(True, None, restrictions, h_tuple, h_tuple == cx.fh.h)
     if check_properties:
         report.property_h = property_H_check(cx, order, restrictions)
         report.h_complex = h_complex_check(restrictions)

@@ -9,6 +9,7 @@ of extensions explodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .activity import (
     activity_profile,
@@ -19,16 +20,20 @@ from .activity import (
     nbc_sets,
     related_basis,
 )
-from .bitsets import iter_bits, subset_label, subset_str
+from .bitsets import elems_of, iter_bits, subset_label, subset_str
 from .complexes import build_complex, induced_subcomplex
 from .errors import ActivitaError
 from .matroid import Matroid
 from .orders import (
+    BASIS_ORDER_KINDS,
     POSET_KINDS,
     Poset,
     boolean_interval,
     build_poset,
+    compare_bases,
     flip_involution,
+    leq_extint_ind,
+    leq_flip_ind,
     linear_extensions,
     meet_join_ind,
     poset_meet_join,
@@ -81,12 +86,10 @@ def check_matroid_axioms(name: str, m: Matroid) -> list[Finding]:
     )
     uniq = True
     for b in m.bases:
-        outside = m.full_mask & ~b
-        for e in range(1, m.n + 1):
-            if outside >> (e - 1) & 1:
-                fund = m.fundamental_circuit(b, e)
-                inside = [c for c in m.circuits if c & ~(b | 1 << (e - 1)) == 0]
-                uniq &= inside == [fund]
+        for e in elems_of(m.full_mask & ~b):
+            fund = m.fundamental_circuit(b, e)
+            inside = [c for c in m.circuits if c & ~(b | 1 << (e - 1)) == 0]
+            uniq &= inside == [fund]
     out.append(_finding(name, "fundamental-circuit-unique", uniq))
     if m.n <= 7:
         table = [m.rank_of(s) for s in range(1 << m.n)]
@@ -181,19 +184,37 @@ def poset_axiom_violation(poset: Poset, n: int) -> str:
     return ""
 
 
+def _row_disagreement(poset: Poset, rel, n: int) -> str:
+    """The first pair on which a row differs from ``rel``, or ""."""
+    elems = poset.elements
+    for a, row in zip(elems, poset.up_rows):
+        diff = row ^ sum(1 << y for y, b in enumerate(elems) if rel(a, b))
+        if diff:
+            b = elems[(diff & -diff).bit_length() - 1]
+            return f"row disagrees with its definition on {subset_label(a, n)}, {subset_label(b, n)}"
+    return ""
+
+
 def check_posets(name: str, m: Matroid) -> list[Finding]:
-    """``poset-axioms``: the six orders are partial orders, and each basis
-    order, built from one form of its definition, agrees with the others.
-    The basis posets' rows are indexed like ``m.bases``, so one pass over
-    base pairs also serves ``extint-refines-ext-int``."""
+    """``poset-axioms``: the six orders are partial orders, every row agrees
+    with the order's definition, and each basis order with its equivalent
+    forms.  The basis posets' rows are indexed like ``m.bases``, so one pass
+    over base pairs also serves ``extint-refines-ext-int``."""
     out = []
     try:
         posets = {kind: build_poset(m, kind) for kind in POSET_KINDS}
     except ActivitaError as exc:
         return [_finding(name, "poset-axioms", False, str(exc))]
+    ind = posets["extint-ind"]
+    definitions = {
+        **{f"{k}-bases": partial(compare_bases, m, k) for k in BASIS_ORDER_KINDS},
+        "extint-ind": partial(leq_extint_ind, m),
+        "flip-ind": partial(leq_flip_ind, m),
+        "nbc-extint": ind.leq,  # extint-ind restricted to nbc sets
+    }
     detail = ""
     for kind, poset in posets.items():
-        violation = poset_axiom_violation(poset, m.n)
+        violation = poset_axiom_violation(poset, m.n) or _row_disagreement(poset, definitions[kind], m.n)
         if violation:
             detail = f"{kind}: {violation}"
             break
@@ -219,7 +240,6 @@ def check_posets(name: str, m: Matroid) -> list[Finding]:
             refines &= (not e or c) and (not i or c)
     out.append(_finding(name, "poset-axioms", not detail, detail))
     out.append(_finding(name, "extint-refines-ext-int", refines))
-    ind = posets["extint-ind"]
     bases_match = all(
         ind.leq(a, b) == posets["extint-bases"].leq(a, b)
         for a in m.bases

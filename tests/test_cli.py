@@ -203,17 +203,37 @@ class TestVerifyCommand:
             ('{"type": "linear", "p": 2, "matrix": [[1, 1.5]]}', []),
             ('{"type": "uniform", "r": 1, "n": 2}', ["--cap", "0"]),
             ('{"type": "uniform", "r": 1, "n": 2}', ["--cap", "-1"]),
+            # a second matroid named "bad", and m5 beside the built-in m5
+            ('{"type": "uniform", "r": 1, "n": 2}', ["{tmp}/other/bad.json"]),
+            ('{"type": "uniform", "r": 1, "n": 2}', ["{tmp}/m5.json", "--builtin"]),
+            ('{"type": "uniform", "r": 1, "n": 2}', ["ACTIVITA_CORPUS_DIR={tmp}/other"]),
         ],
         ids=[
             "unequal-cardinality", "bool-int", "float-vertex", "int-subset",
             "str-entry", "float-entry", "cap-zero", "cap-negative",
+            "duplicate-file-name", "duplicate-builtin-name", "duplicate-env-name",
         ],
     )
-    def test_bad_spec_is_usage_error(self, runner, tmp_path, spec, args):
+    def test_bad_spec_is_usage_error(self, runner, tmp_path, monkeypatch, spec, args):
         bad = tmp_path / "bad.json"
-        bad.write_text(spec)
-        result = runner.invoke(main, ["verify", str(bad), "--no-builtin", *args])
+        (tmp_path / "other").mkdir()
+        for path in (bad, tmp_path / "other" / "bad.json", tmp_path / "m5.json"):
+            path.write_text(spec)
+        argv = ["verify", str(bad), "--no-builtin"]
+        for arg in (a.format(tmp=tmp_path) for a in args):
+            if arg.startswith("ACTIVITA_CORPUS_DIR="):
+                monkeypatch.setenv(*arg.split("=", 1))
+            else:
+                argv.append(arg)
+        result = runner.invoke(main, argv)
         assert result.exit_code == 2
+        if "{tmp}" in "".join(args):  # the error names the matroid and both sources
+            if "--builtin" in args:
+                name, sources = "m5", ("the built-in corpus", str(tmp_path / "m5.json"))
+            else:
+                name, sources = "bad", (str(bad), str(tmp_path / "other" / "bad.json"))
+            assert f"duplicate matroid name {name!r}" in result.output
+            assert all(source in result.output for source in sources)
 
     def test_full_corpus_default_settings_under_budget(self, runner):
         import time

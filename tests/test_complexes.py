@@ -13,7 +13,6 @@ from activita.complexes import (
     COMPLEX_KINDS,
     SimplicialComplex,
     build_complex,
-    f_vector_by_inclusion_exclusion,
     facet_F,
     facet_G,
     independence_complex,
@@ -22,6 +21,7 @@ from activita.complexes import (
 from activita.errors import NotIndependent, NotNBC, NotPure
 from activita.matroid import from_bases, graphic, uniform
 from activita.tutte import BiPoly
+from test_oracles import f_vector_by_inclusion_exclusion
 
 ps5 = lambda s: parse_subset(s, 5)
 

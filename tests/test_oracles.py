@@ -1,5 +1,7 @@
-"""The O(n) and O(1) lookups against the basis scans they replaced, and the
-lattice-law sweep that the ``lattice-laws`` certificate replaced.
+"""The O(n) and O(1) lookups against the basis scans they replaced, the
+column-bitset posets and their covers against the per-pair build and the
+down-row scan they replaced, the lattice-law sweep that the ``lattice-laws``
+certificate replaced, and the inclusion-exclusion f-vector oracle.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -7,16 +9,27 @@ self-loops give loops, bridges and lone nonzero columns give coloops, and an
 all-zero matrix or a graph of self-loops gives rank 0.
 """
 
+from math import comb
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activita.activity import (
     crapo_decompose_independent,
     crapo_decompose_subset,
+    nbc_sets,
     related_basis,
 )
+from activita.bitsets import iter_bits
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
-from activita.orders import meet_join_ind
+from activita.orders import (
+    POSET_KINDS,
+    build_poset,
+    compare_bases,
+    leq_extint_ind,
+    leq_flip_ind,
+    meet_join_ind,
+)
 from activita.suite import check_lattice
 
 
@@ -69,6 +82,65 @@ def test_related_basis_matches_crapo_scan(m):
 def test_is_independent_matches_basis_scan(m):
     for s in range(1 << m.n):
         assert m.is_independent(s) == any(s & ~b == 0 for b in m.bases)
+
+
+def per_pair_rows(m, kind):
+    """The poset rows built with one comparison per ordered pair."""
+    if kind.endswith("-bases"):
+        elements = m.bases
+        rel = lambda a, b: compare_bases(m, kind.split("-")[0], a, b)
+    else:
+        elements = nbc_sets(m) if kind == "nbc-extint" else m.independent_sets
+        rel = lambda a, b: (leq_flip_ind if kind == "flip-ind" else leq_extint_ind)(m, a, b)
+    return tuple(sum(1 << j for j, b in enumerate(elements) if rel(a, b)) for a in elements)
+
+
+def down_row_covers(up_rows):
+    """Covers (i, j): no k strictly between, tested on the transposed rows."""
+    down = [0] * len(up_rows)
+    for i, row in enumerate(up_rows):
+        for j in iter_bits(row):
+            down[j] |= 1 << i
+    out = []
+    for i, row in enumerate(up_rows):
+        strict = row & ~(1 << i)
+        for j in iter_bits(strict):
+            if not strict & down[j] & ~(1 << j):
+                out.append((i, j))
+    return tuple(sorted(out))
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_column_rows_and_covers_match_per_pair_build(m):
+    for kind in POSET_KINDS:
+        poset = build_poset(m, kind)
+        assert poset.up_rows == per_pair_rows(m, kind), kind
+        assert poset.cover_index_pairs == down_row_covers(poset.up_rows), kind
+
+
+def f_vector_by_inclusion_exclusion(cx) -> tuple[int, ...]:
+    """f-vector by inclusion-exclusion over facet intersections.
+
+    Exponential in the number of facets; an independent oracle for small
+    complexes rather than a production path.
+    """
+    if not cx.facets:
+        return ()
+    d = cx.facet_size
+    f = [0] * (d + 1)
+    s = len(cx.facets)
+    for pick in range(1, 1 << s):
+        inter = (1 << len(cx.vertices)) - 1
+        for j in range(s):
+            if pick >> j & 1:
+                inter &= cx.facets[j]
+        sign = -1 if pick.bit_count() % 2 == 0 else 1
+        k = inter.bit_count()
+        for i in range(min(k, d) + 1):
+            f[i] += sign * comb(k, i)
+    return tuple(f)
 
 
 def lattice_laws_hold(m) -> bool:

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from activita.activity import related_basis
-from activita.bitsets import iter_bits, parse_subset, subset_str
+from activita.bitsets import iter_bits, parse_subset, subset_label, subset_str
 from activita.errors import LatticeFailure, NotACover, NotIndependent
 from activita.matroid import uniform
 from activita.orders import (
@@ -28,6 +28,20 @@ from activita.suite import check_lattice, check_posets, poset_axiom_violation
 from test_oracles import lattice_laws_hold
 
 ps5 = lambda s: parse_subset(s, 5)
+
+
+def is_extension(poset, order) -> bool:
+    """True iff the listed elements form an order-preserving permutation."""
+    if sorted(order) != sorted(poset.elements):
+        return False
+    placed = 0
+    for e in order:
+        i = poset.index[e]
+        if poset.down_rows[i] & ~placed & ~(1 << i):
+            return False
+        placed |= 1 << i
+    return True
+
 
 # cover relations of the three basis orders, straight from the Hasse figures
 EXTINT_COVERS = {
@@ -202,6 +216,29 @@ class TestPosetAxioms:
         axioms = [f for f in check_posets("m5", m5_matroid) if f.check == "poset-axioms"]
         assert [(f.ok, f.detail) for f in axioms] == [(False, f"flip-ind: {violation}")]
 
+    @pytest.mark.parametrize("kind", ["extint-ind", "nbc-extint", "ext-bases"])
+    def test_dropped_cover_fails_the_definition_comparison(self, m5_matroid, monkeypatch, kind):
+        # without one cover pair the rows are still a partial order, so only
+        # the comparison with the order's definition can catch it
+        import activita.suite as suite
+
+        real = suite.build_poset
+        poset = real(m5_matroid, kind)
+        i, j = poset.cover_index_pairs[0]
+        rows = list(poset.up_rows)
+        rows[i] &= ~(1 << j)
+        mutant = Poset(poset.elements, tuple(rows))
+        assert poset_axiom_violation(mutant, 5) == ""
+        monkeypatch.setattr(
+            suite, "build_poset", lambda m, k: mutant if k == kind else real(m, k)
+        )
+        found = {f.check: f for f in check_posets("m5", m5_matroid)}
+        pair = f"{subset_label(poset.elements[i], 5)}, {subset_label(poset.elements[j], 5)}"
+        assert (found["poset-axioms"].ok, found["poset-axioms"].detail) == (
+            False, f"{kind}: row disagrees with its definition on {pair}"
+        )
+        assert found["extint-refines-ext-int"].ok
+
 
 def make_poset(elements, pairs):
     """Tiny helper: poset from explicit strict relations (plus reflexivity)."""
@@ -266,13 +303,13 @@ class TestLinearExtensions:
         assert s1.orders == s2.orders
         assert s1.orders != s3.orders
         for order in s1.orders:
-            assert p.is_extension(order)
+            assert is_extension(p, order)
 
     def test_first_extension_is_extension(self, corpus):
         for m in corpus.values():
             for kind in ("extint-ind", "flip-ind", "nbc-extint"):
                 p = build_poset(m, kind)
-                assert p.is_extension(first_extension(p))
+                assert is_extension(p, first_extension(p))
 
     def test_random_seeds_give_valid_extensions(self, m5_matroid):
         import random as _random
@@ -287,7 +324,7 @@ class TestLinearExtensions:
         def check(seed):
             from activita.orders import random_extension
 
-            assert p.is_extension(random_extension(p, _random.Random(seed)))
+            assert is_extension(p, random_extension(p, _random.Random(seed)))
 
         check()
 
