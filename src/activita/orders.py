@@ -350,24 +350,21 @@ def boolean_interval(matroid: Matroid, b: int, c: int) -> tuple[int, ...]:
     """The interval (B, C] for a basis cover B ⋖ C, as a boolean block.
 
     Returns {S ∪ IP(C) : S ⊆ IA(C)} sorted by mask, after verifying both that
-    C covers B and that the set really equals the order interval.
+    C covers B, i.e. B < C with up(B) ∧ down(C) = {B, C} in the bases poset,
+    and that the set equals up(B) ∧ down(C) ∖ {B} in the ``extint-ind`` rows.
     """
     bases_poset = build_poset(matroid, "extint-bases")
-    if (b, c) not in bases_poset.covers():
+    x, y = bases_poset.index.get(b), bases_poset.index.get(c)
+    if None in (x, y) or bases_poset.up_rows[x] & bases_poset.down_rows[y] & ~(1 << x) != 1 << y:
         raise NotACover(
             f"{subset_str(c, matroid.n)} does not cover {subset_str(b, matroid.n)}"
         )
     prof = activity_profile(matroid, c)
     block = tuple(sorted(s | prof.ip for s in submasks(prof.ia)))
-    ind_poset = build_poset(matroid, "extint-ind")
-    interval = tuple(
-        sorted(
-            e
-            for e in ind_poset.elements
-            if ind_poset.leq(b, e) and e != b and ind_poset.leq(e, c)
-        )
-    )
-    if block != interval:
+    ind = build_poset(matroid, "extint-ind")
+    x, y = ind.index[b], ind.index[c]
+    interval = ind.up_rows[x] & ind.down_rows[y] & ~(1 << x)
+    if block != tuple(ind.elements[z] for z in iter_bits(interval)):
         raise EquivalenceMismatch(
             f"boolean block differs from order interval above {subset_str(b, matroid.n)}"
         )

@@ -17,12 +17,13 @@ and ground element c with F(I) ∩ F(K) ⊆ F(J) ∩ F(K) = F(K) ∖ z_c.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .activity import activity_profile, crapo_decompose_independent, related_basis
 from .bitsets import iter_bits, min_elem, submasks, subset_str
 from .complexes import Facet, SimplicialComplex, facet_F
-from .errors import ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
+from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid
 from .orders import build_poset
 
@@ -208,18 +209,12 @@ def _meet(f: Facet, g: Facet) -> tuple[int, int, int]:
     return f.xs & g.xs, f.ys & g.ys, f.zs & g.zs
 
 
-def _star_equation_holds(
-    matroid: Matroid, i: int, j: int, k: int, c: int
-) -> bool:
+def _star_equation_holds(matroid: Matroid, i: int, j: int, k: int, c: int) -> bool:
     """F(I)∩F(K) ⊆ F(J)∩F(K) = F(K)∖z_c, computed on facet supports."""
-    fi = facet_F(matroid, i)
-    fj = facet_F(matroid, j)
-    fk = facet_F(matroid, k)
-    target = (fk.xs, fk.ys, fk.zs & ~(1 << (c - 1)))
+    fi, fj, fk = (facet_F(matroid, s) for s in (i, j, k))
     inter_jk = _meet(fj, fk)
-    inter_ik = _meet(fi, fk)
-    return inter_jk == target and all(
-        a & ~b == 0 for a, b in zip(inter_ik, inter_jk)
+    return inter_jk == (fk.xs, fk.ys, fk.zs & ~(1 << (c - 1))) and all(
+        a & ~b == 0 for a, b in zip(_meet(fi, fk), inter_jk)
     )
 
 
@@ -227,10 +222,10 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
     """Find (B, c) with B = C∖c∪b satisfying the basis-exchange witness lemma.
 
     Searches c over IP(C) ∩ EP(A) from the largest down and b ascending; the
-    first pair satisfying all the lemma's conditions wins.  Also verifies the
-    facet equation F(A)∩F(C) ⊆ F(B)∩F(C) = F(C)∖z_c for the chosen pair.
-    The search and both checks depend on (A, C) alone, so the pair found is
-    memoized per matroid.
+    first pair satisfying all the lemma's conditions wins, memoized per
+    matroid.  The lemma's conclusions F(A)∩F(C) ⊆ F(B)∩F(C) = F(C)∖z_c and
+    IA(C) ⊆ IA(B) are the witness checks of the pairs (A, C) and
+    (A, C∖IA(C)), which :func:`witness_groups` makes whenever it uses (B, c).
     """
     cache = matroid._cache.setdefault("basis_witness", {})
     hit = cache.get((a, c_basis))
@@ -262,15 +257,6 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
                 continue
             if not pb.ep & cbit:
                 continue
-            if not _star_equation_holds(matroid, a, basis_b, c_basis, c):
-                raise WitnessNotFound(
-                    f"facet equation fails for basis witness around "
-                    f"{subset_str(c_basis, matroid.n)}"
-                )
-            if pc.ia & ~pb.ia:
-                raise WitnessNotFound(
-                    "internal activity does not grow along the witness exchange"
-                )
             cache[a, c_basis] = basis_b, c
             return basis_b, c
     raise WitnessNotFound(
@@ -287,6 +273,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
     smallest element of K∖I from K; unrelated pairs run the basis-exchange
     search between the related bases and transport the deletion set Y.
     The returned witness always satisfies J < K and the facet equation.
+    This is the per-pair definition that :func:`witness_groups` must agree with.
     """
     a = related_basis(matroid, i)
     c_basis = related_basis(matroid, k)
@@ -313,20 +300,91 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
     return witness
 
 
-def verify_shelling_by_witnesses(matroid: Matroid, order: tuple[int, ...]) -> bool:
-    """Certify an extension order of the augmented complex constructively.
+def _pair_error(matroid: Matroid, i: int, k: int) -> ActivitaError:
+    """The error :func:`shelling_witness` raises on a failing pair, naming it."""
+    pair = f"pair {subset_str(i, matroid.n) or 'empty'}, {subset_str(k, matroid.n) or 'empty'}"
+    try:
+        shelling_witness(matroid, i, k)
+    except ActivitaError as exc:
+        return WitnessNotFound(f"{pair}: {exc}")
+    return EquivalenceMismatch(f"{pair}: the grouped witness check fails, shelling_witness passes")
 
-    For every pair I before K the witness (J, c) satisfies the facet equation
-    with J strictly below K, hence F(J) precedes F(K) in the order; that is
-    exactly the pairwise shelling condition, independently of the generic
-    verifier's restriction-set bookkeeping.
+
+def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witness]]]]:
+    """The witnesses of all pairs I, K with K ≰ I, checked once per group of pairs.
+
+    Yields each independent set K with its groups: a bitset over
+    ``matroid.independent_sets`` and the (J, c) that :func:`shelling_witness`
+    gives every I in it.  With C = RB(K) and Y = C∖K, that witness depends on
+    I only through A = RB(I) ≠ C, giving (B, c) = ``_basis_witness(A, C)`` and
+    J = B∖Y, or, for I related to C, through c = min(K∖I), giving J = K∖c (a
+    running AND of the columns {I : e ∈ I} over e ∈ K).  So a group checks
+    once what :func:`shelling_witness` checks per pair: Y ⊆ IA(B), J ≤ K,
+    J ≠ K and F(J)∩F(K) = F(K)∖z_c.  Given that equation, F(I)∩F(K) ⊆
+    F(J)∩F(K) iff z_c ∉ F(I)∩F(K): one AND with the column {I : z_c ∈ F(I)}.
+    O(|I|·(#bases + r)) group steps in all; a failure raises the error of
+    :func:`shelling_witness` on one failing pair, naming the pair.
     """
-    pos = {e: idx for idx, e in enumerate(order)}
-    for ki, k in enumerate(order):
-        for i in order[:ki]:
-            w = shelling_witness(matroid, i, k)
-            if pos[w.J] >= ki:
-                return False
+    ind = build_poset(matroid, "extint-ind")
+    elems = ind.elements
+    facets = [facet_F(matroid, i) for i in elems]
+    blocks: dict[int, int] = {}
+    for x, i in enumerate(elems):
+        a = related_basis(matroid, i)
+        blocks[a] = blocks.get(a, 0) | 1 << x
+    in_col = [sum(1 << x for x, i in enumerate(elems) if i >> e & 1) for e in range(matroid.n)]
+    z_col = [sum(1 << x for x, f in enumerate(facets) if f.zs >> e & 1) for e in range(matroid.n)]
+    for y, (k, fk) in enumerate(zip(elems, facets)):
+        c_basis = related_basis(matroid, k)
+        deleted, groups = c_basis & ~k, []
+        for a, block in blocks.items():
+            group = block & ~ind.up_rows[y]
+            if a == c_basis:  # related: what the loop leaves contains K
+                for e in iter_bits(k):
+                    if group & ~in_col[e]:
+                        groups.append((group & ~in_col[e], Witness(k ^ 1 << e, e + 1, "related")))
+                    group &= in_col[e]
+            elif group:
+                try:
+                    basis_b, c = _basis_witness(matroid, a, c_basis)
+                except WitnessNotFound:
+                    raise _pair_error(matroid, elems[min_elem(group) - 1], k) from None
+                groups.append((group, Witness(basis_b & ~deleted, c, "unrelated", basis_b)))
+        for group, w in groups:
+            cbit, x = 1 << (w.c - 1), ind.index.get(w.J)
+            good = (
+                x is not None and w.J != k and ind.up_rows[x] >> y & 1
+                and (w.B is None or not deleted & ~activity_profile(matroid, w.B).ia)
+                and _meet(facet_F(matroid, w.J), fk) == (fk.xs, fk.ys, fk.zs & ~cbit)
+            )
+            bad = group & z_col[w.c - 1] if fk.zs & cbit else 0
+            if not good or bad:
+                raise _pair_error(matroid, elems[min_elem(bad if good else group) - 1], k)
+        yield k, groups
+
+
+def verify_shelling_by_witnesses(matroid: Matroid, order: tuple[int, ...]) -> bool:
+    """Certify a linear extension of the ``extint-ind`` order constructively.
+
+    For every pair I before K (so K ≰ I) the witness (J, c) of
+    :func:`witness_groups` satisfies the facet equation with J strictly below
+    K; the order is certified iff each such J comes before K, which is the
+    pairwise shelling condition, independently of the generic verifier's
+    restriction-set bookkeeping.  Placing some I ≥ K before K is not certified.
+    """
+    ind = build_poset(matroid, "extint-ind")
+    if sorted(order) != sorted(ind.elements):
+        raise NotAPermutation("order is not a permutation of the independent sets")
+    before, placed = {}, 0
+    for e in order:
+        before[e] = placed
+        placed |= 1 << ind.index[e]
+    for k, groups in witness_groups(matroid):
+        early = before[k]
+        if early & ind.up_rows[ind.index[k]] or any(
+            group & early and not early >> ind.index[w.J] & 1 for group, w in groups
+        ):
+            return False
     return True
 
 

@@ -1,7 +1,8 @@
 """The O(n) and O(1) lookups against the basis scans they replaced, the
 column-bitset posets and their covers against the per-pair build and the
 down-row scan they replaced, the lattice-law sweep that the ``lattice-laws``
-certificate replaced, and the inclusion-exclusion f-vector oracle.
+certificate replaced, the grouped witness pass against the per-pair
+``shelling_witness``, and the inclusion-exclusion f-vector oracle.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -21,6 +22,7 @@ from activita.activity import (
     related_basis,
 )
 from activita.bitsets import iter_bits
+from activita.corpus import builtin_corpus
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
     POSET_KINDS,
@@ -30,6 +32,7 @@ from activita.orders import (
     leq_flip_ind,
     meet_join_ind,
 )
+from activita.shelling import shelling_witness, witness_groups
 from activita.suite import check_lattice
 
 
@@ -185,3 +188,35 @@ def test_lattice_laws_on_w4():
 def test_lattice_certificate_and_law_sweep(m):
     assert check_lattice("m", m)[0].ok
     assert lattice_laws_hold(m)
+
+
+def assert_groups_match_per_pair_witnesses(m):
+    """The groups of each K partition {I : K ≰ I}, and every I in a group gets
+    the group's witness from ``shelling_witness``."""
+    ind = build_poset(m, "extint-ind")
+    elems = ind.elements
+    ks = []
+    for k, groups in witness_groups(m):
+        y = ind.index[k]
+        covered = 0
+        for group, w in groups:
+            assert group and not group & covered
+            covered |= group
+            for x in iter_bits(group):
+                assert shelling_witness(m, elems[x], k) == w
+        assert covered == ((1 << len(elems)) - 1) & ~ind.up_rows[y]
+        ks.append(k)
+    assert tuple(ks) == elems
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=40, deadline=None)
+def test_witness_groups_match_shelling_witness(m):
+    assert_groups_match_per_pair_witnesses(m)
+
+
+def test_witness_groups_match_shelling_witness_on_corpus_and_w4():
+    w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
+    for m in [*builtin_corpus().values(), w4]:
+        assert_groups_match_per_pair_witnesses(m)

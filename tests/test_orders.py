@@ -458,6 +458,12 @@ class TestBooleanInterval:
         with pytest.raises(NotACover):
             boolean_interval(m5_matroid, ps5("345"), ps5("124"))
 
+    def test_equal_reversed_or_non_bases_are_not_covers(self, m5_matroid):
+        # 345 ⋖ 135 is a cover; 34 is independent but not a basis
+        for b, c in (("345", "345"), ("135", "345"), ("34", "135"), ("345", "34")):
+            with pytest.raises(NotACover):
+                boolean_interval(m5_matroid, ps5(b), ps5(c))
+
     def test_every_cover(self, corpus):
         # boolean_interval verifies the block/interval equality internally
         for m in corpus.values():

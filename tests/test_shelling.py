@@ -301,6 +301,12 @@ class TestWitnessCertification:
             order = first_extension(build_poset(m, "extint-ind"))
             assert verify_shelling_by_witnesses(m, order)
 
+    def test_order_that_is_no_extension_is_not_certified(self, m5_matroid):
+        order = first_extension(build_poset(m5_matroid, "extint-ind"))
+        assert not verify_shelling_by_witnesses(m5_matroid, order[::-1])
+        with pytest.raises(NotAPermutation):
+            verify_shelling_by_witnesses(m5_matroid, order[1:])
+
 
 class TestRandomMatroids:
     """The shelling theorems hold on randomly generated matroids, not just

@@ -1,10 +1,13 @@
 """The verification-suite driver: finding shapes, degenerate matroids, and
-mutants that each turn one finding of the sampled-shelling driver to FAIL."""
+mutants that each turn one finding of the sampled-shelling driver or of the
+witness checks to FAIL."""
 
 import pytest
 
+import activita.shelling as shelling
 import activita.suite as suite
 from activita.bitsets import parse_subset
+from activita.errors import WitnessNotFound
 from activita.matroid import from_bases, graphic, relabel, uniform
 from activita.shelling import flip_restrictions
 from activita.suite import run_suite
@@ -154,3 +157,75 @@ def test_an_order_that_does_not_shell_fails_every_sampled_finding(
     falsify("verdict")(monkeypatch)
     findings = {f.check: f.ok for f in check("m5", m5_matroid, 10, 0)}
     assert {name for name, ok in findings.items() if not ok} == failing
+
+
+M5_A, M5_C = parse_subset("235", 5), parse_subset("134", 5)  # the paper's unrelated example
+
+
+def basis_witness_mutant(change):
+    """Replace ``_basis_witness(A, C)`` on m5's A = 235, C = 134 by ``change(B, c)``."""
+
+    def patch(monkeypatch):
+        real = shelling._basis_witness
+
+        def mutated(m, a, c_basis):
+            b, c = real(m, a, c_basis)
+            return change(b, c) if (a, c_basis) == (M5_A, M5_C) else (b, c)
+
+        monkeypatch.setattr(shelling, "_basis_witness", mutated)
+
+    return patch
+
+
+def no_exchange_witness(b, c):
+    raise WitnessNotFound("no exchange witness")
+
+
+def drop_empty_nbc_set(monkeypatch):
+    real = suite.nbc_sets
+    monkeypatch.setattr(suite, "nbc_sets", lambda m: real(m)[1:])  # sorted by mask: ∅ first
+
+
+def exchange_down_in_place(monkeypatch):
+    monkeypatch.setattr(suite, "exchange_down_basis", lambda m, a_basis, a: a_basis)
+
+
+WITNESS_MUTANTS = {
+    # finding: (mutant, the findings it fails, a sibling that still passes)
+    "witness-all-pairs": (
+        basis_witness_mutant(lambda b, c: (b, 1 if c != 1 else 2)),  # the wrong exchanged element
+        {"witness-all-pairs", "witness-nbc-closure"},
+        "downward-exchange-lemma",
+    ),
+    "witness-nbc-closure": (drop_empty_nbc_set, {"witness-nbc-closure"}, "witness-all-pairs"),
+    "downward-exchange-lemma": (
+        exchange_down_in_place, {"downward-exchange-lemma"}, "witness-all-pairs"
+    ),
+}
+
+
+@pytest.mark.parametrize("finding", WITNESS_MUTANTS)
+def test_witness_mutant_fails_its_finding(m5_matroid, monkeypatch, finding):
+    mutant, failing, sibling = WITNESS_MUTANTS[finding]
+    mutant(monkeypatch)
+    findings = {f.check: f.ok for f in suite.check_witnesses("m5", m5_matroid)}
+    assert finding in failing
+    assert {name for name, ok in findings.items() if not ok} == failing
+    assert findings[sibling]
+
+
+def test_wrong_witness_names_the_pair_and_the_oracle_message(m5_matroid, monkeypatch):
+    WITNESS_MUTANTS["witness-all-pairs"][0](monkeypatch)
+    [finding] = [f for f in suite.check_witnesses("m5", m5_matroid) if f.check == "witness-all-pairs"]
+    assert finding.detail == "pair 23, 14: constructed witness violates the facet equation"
+
+
+def test_witness_error_fails_the_first_order_certificate(m5_matroid, monkeypatch):
+    # an error raised by the witness pass is a failing finding, not a crashed suite
+    basis_witness_mutant(no_exchange_witness)(monkeypatch)
+    findings = {f.check: f for f in suite.check_shelling_main("m5", m5_matroid, 10, 0)}
+    certificate = findings["witness-certifies-first-order"]
+    assert not certificate.ok and findings["shelling-extint"].ok
+    assert certificate.detail == "pair 23, 14: no exchange witness"
+    failed = {f.check for f in run_suite({"m5": m5_matroid}, cap=10, seed=0) if not f.ok}
+    assert failed == {"witness-certifies-first-order", "witness-all-pairs", "witness-nbc-closure"}
