@@ -1,5 +1,6 @@
 """Activity complexes: facets, purity, induced subcomplexes, f/h-vectors."""
 
+import sys
 import time
 from math import comb
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activita.activity import related_basis
-from activita.bitsets import MAX_GROUND, parse_subset, submasks, subset_str
+from activita.bitsets import MAX_GROUND, parse_subset, subset_str
 from activita.complexes import (
     COMPLEX_KINDS,
     SimplicialComplex,
@@ -21,7 +22,7 @@ from activita.complexes import (
 from activita.errors import NotIndependent, NotNBC, NotPure
 from activita.matroid import from_bases, graphic, uniform
 from activita.tutte import BiPoly
-from test_oracles import f_vector_by_inclusion_exclusion
+from test_oracles import f_of, f_vector_by_inclusion_exclusion, faces_by_submask_walk
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -153,7 +154,7 @@ class TestBuildComplex:
             )
 
     def test_antichain_enforced(self):
-        with pytest.raises(NotPure):
+        with pytest.raises(NotPure, match="facet sizes"):
             SimplicialComplex((("z", 1), ("z", 2)), (0b01, 0b11))
 
     def test_loopy_matroid_has_void_nbc_complexes(self):
@@ -214,20 +215,6 @@ class TestFHVectors:
     def test_m5_augmented_h_vector(self, m5_matroid):
         cx = build_complex(m5_matroid, "augmented-ea")
         assert cx.fh.h == (1, 5, 10, 8, 0, 0, 0, 0, 0)
-
-
-def faces_by_submask_walk(facets) -> set[int]:
-    """Every submask of every facet, deduplicated in a set."""
-    return {sub for g in facets for sub in submasks(g)}
-
-
-def f_of(faces: set[int]) -> tuple[int, ...]:
-    if not faces:
-        return ()
-    f = [0] * (max(g.bit_count() for g in faces) + 1)
-    for g in faces:
-        f[g.bit_count()] += 1
-    return tuple(f)
 
 
 def assert_faces_match_walk(cx: SimplicialComplex) -> None:
@@ -299,3 +286,18 @@ class TestFaceCounts:
         pair = pure_complex(n + 1, [full, (full >> 1) | 1 << n])
         assert pair.fh.f == tuple(2 * comb(n, i) - comb(n - 1, i) for i in range(n + 1))
         assert time.perf_counter() - start < 1.0
+
+    def test_simplex_boundary_on_192_vertices(self):
+        # every facet misses one vertex, so no facet holds the union; the
+        # recursion runs one frame per vertex under the default limit
+        n = 3 * MAX_GROUND
+        full = (1 << n) - 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            start = time.perf_counter()
+            boundary = pure_complex(n, [full ^ 1 << v for v in range(n)])
+            assert boundary.fh.f == tuple(comb(n, i) for i in range(n))
+            assert time.perf_counter() - start < 1.0
+        finally:
+            sys.setrecursionlimit(limit)

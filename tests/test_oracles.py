@@ -2,7 +2,8 @@
 column-bitset posets and their covers against the per-pair build and the
 down-row scan they replaced, the lattice-law sweep that the ``lattice-laws``
 certificate replaced, the grouped witness pass against the per-pair
-``shelling_witness``, and the inclusion-exclusion f-vector oracle.
+``shelling_witness``, and the f-vector oracles: inclusion-exclusion, the
+submask walk and the memoized Shannon expansion that the ZDD count replaced.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -10,6 +11,7 @@ self-loops give loops, bridges and lone nonzero columns give coloops, and an
 all-zero matrix or a graph of self-loops gives rank 0.
 """
 
+from itertools import zip_longest
 from math import comb
 
 from hypothesis import example, given, settings
@@ -21,7 +23,8 @@ from activita.activity import (
     nbc_sets,
     related_basis,
 )
-from activita.bitsets import iter_bits
+from activita.bitsets import iter_bits, submasks
+from activita.complexes import build_complex, face_counts
 from activita.corpus import builtin_corpus
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
@@ -144,6 +147,98 @@ def f_vector_by_inclusion_exclusion(cx) -> tuple[int, ...]:
         for i in range(min(k, d) + 1):
             f[i] += sign * comb(k, i)
     return tuple(f)
+
+
+def faces_by_submask_walk(facets) -> set[int]:
+    """Every submask of every facet, deduplicated in a set."""
+    return {sub for g in facets for sub in submasks(g)}
+
+
+def f_of(faces: set[int]) -> tuple[int, ...]:
+    if not faces:
+        return ()
+    f = [0] * (max(g.bit_count() for g in faces) + 1)
+    for g in faces:
+        f[g.bit_count()] += 1
+    return tuple(f)
+
+
+def face_counts_by_shannon_expansion(facets) -> tuple[int, ...]:
+    """f_0..f_d of the complex generated by ``facets`` (f_0 counts the empty face).
+
+    Shannon expansion on the lowest vertex v of the family's union: the faces
+    of 𝓕 are those of {F∖v : F ∈ 𝓕} plus v joined to those of
+    {F∖v : v ∈ F ∈ 𝓕}, whose counts shift up by one.  Families are memoized
+    as frozensets, and one containing its own union is a simplex, counted by
+    binomials.  The expansion runs on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.  No facets give ().
+    """
+    memo: dict[frozenset[int], tuple[int, ...]] = {frozenset(): ()}
+    root = frozenset(facets)
+    stack = [root]
+    while stack:
+        family = stack[-1]
+        if family in memo:
+            stack.pop()
+            continue
+        union = 0
+        for g in family:
+            union |= g
+        if union in family:
+            k = union.bit_count()
+            memo[family] = tuple(comb(k, i) for i in range(k + 1))
+            stack.pop()
+            continue
+        v = union & -union
+        without = frozenset(g & ~v for g in family)
+        with_v = frozenset(g ^ v for g in family if g & v)
+        pending = [sub for sub in (without, with_v) if sub not in memo]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        shifted = (0, *memo[with_v])
+        memo[family] = tuple(a + b for a, b in zip_longest(memo[without], shifted, fillvalue=0))
+    return memo[root]
+
+
+WALK_BUDGET = 1 << 17  # submask steps the walk may take on one family
+
+
+def assert_face_counts_match_oracles(facets) -> None:
+    """The ZDD count against the Shannon expansion, and against the submask
+    walk where that takes at most ``WALK_BUDGET`` steps."""
+    f = face_counts(facets)
+    assert f == face_counts_by_shannon_expansion(facets)
+    if sum(1 << g.bit_count() for g in set(facets)) <= WALK_BUDGET:
+        assert f == f_of(faces_by_submask_walk(facets))
+
+
+@st.composite
+def set_families(draw):
+    """Up to 60 subsets of at most 16 vertices: any sizes, nested members, the
+    empty set and repeats allowed, so not the facets of a pure complex."""
+    size, count = draw(st.integers(1, 16)), draw(st.integers(0, 60))
+    return draw(st.lists(st.integers(0, (1 << size) - 1), min_size=count, max_size=count))
+
+
+@given(set_families())
+@example([])
+@example([0])
+@example([0, 0b1011, 0b0011, 0b1011])  # the empty set, a nested pair, a repeat
+@example([0b1, 0b10, 0b100, 0b111])  # one member holds all the others
+@example([(1 << 16) - 1, 0b101])
+@settings(max_examples=200, deadline=None)
+def test_face_counts_of_any_family_match_oracles(facets):
+    assert_face_counts_match_oracles(facets)
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_face_counts_of_augmented_complexes_match_oracles(m):
+    for kind in ("augmented-ea", "augmented-nbc"):
+        assert_face_counts_match_oracles(build_complex(m, kind).facets)
 
 
 def lattice_laws_hold(m) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from activita import complexes
 from activita.activity import activity_profile, is_nbc, nbc_sets
 from activita.bitsets import mask_of, parse_subset, submasks, subset_str
 from activita.complexes import (
@@ -15,6 +16,7 @@ from activita.complexes import (
     build_complex,
     independence_complex,
 )
+from activita.corpus import m5
 from activita.errors import (
     ComparablePair,
     EquivalenceMismatch,
@@ -483,6 +485,21 @@ class TestNeighbourIndexedVerifier:
         cx.fh = FHVector(f=(1, 2, 2), h=(1, 1, 1))
         with pytest.raises(EquivalenceMismatch):
             verify_shelling(cx, [0b11])
+
+    def test_face_count_one_short_raises_on_a_true_shelling(self, monkeypatch):
+        # the verdict rests on face_counts: a count that drops one top face
+        # must not let a true shelling of m5's augmented-ea complex pass
+        ext = first_extension(build_poset(m5(), "extint-ind"))
+        assert verify_shelling(*aug_order(m5(), ext)).verdict
+        counts = complexes.face_counts
+
+        def one_face_short(facets):
+            f = counts(facets)
+            return (*f[:-1], f[-1] - 1)
+
+        monkeypatch.setattr(complexes, "face_counts", one_face_short)
+        with pytest.raises(EquivalenceMismatch, match="face count"):
+            verify_shelling(*aug_order(m5(), ext))
 
     def test_empty_complex(self):
         cx = SimplicialComplex((("z", 1),), ())
