@@ -56,8 +56,8 @@ from .shelling import (
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,
-    verify_shelling_by_witnesses,
     verify_shelling_pairwise,
+    witness_pass,
 )
 from .specio import parse_spec, spec_dict
 from .suite import Finding, run_suite

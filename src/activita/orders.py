@@ -9,9 +9,9 @@ flip involution.
 Each order has one definition here, and :func:`build_poset` materializes it
 once per matroid as rows that are ANDs of column bitsets, O(m·n) big-int
 operations on m elements; other code reads the relation from that poset.
-The suite's ``poset-axioms`` checks every row against the definition, the
-equivalent forms and the poset axioms, and ``lattice-laws`` the lattice
-bounds, instead of every call.
+The suite's ``poset-axioms`` checks every row against the definition (by
+related-basis blocks on independent sets), the equivalent forms and the
+poset axioms, and ``lattice-laws`` the lattice bounds, once per matroid.
 """
 
 from __future__ import annotations
@@ -54,12 +54,21 @@ def compare_bases(matroid: Matroid, kind: str, a: int, b: int) -> bool:
     return pa.ip & pb.ep == 0
 
 
-def _active_leq(matroid: Matroid, i: int, k: int) -> bool:
-    """I∖IA(I)∪EA(I) ⊆ K∖IA(K)∪EA(K): how sets with different related bases
-    compare in both orders on independent sets."""
-    pi = activity_profile(matroid, i)
-    pk = activity_profile(matroid, k)
-    return ((i & ~pi.ia) | pi.ea) & ~((k & ~pk.ia) | pk.ea) == 0
+def _key(matroid: Matroid, s: int) -> int:
+    """key(S) = S∖IA(S)∪EA(S): sets with different related bases compare by
+    containment of their keys in both orders on independent sets."""
+    p = activity_profile(matroid, s)
+    return (s & ~p.ia) | p.ea
+
+
+def _related_blocks(matroid: Matroid, elements: Sequence[int]) -> tuple[list[int], dict[int, int]]:
+    """The related basis of each element, and each basis's block: the bitset
+    of the elements related to it."""
+    bases, blocks = [], {}
+    for y, i in enumerate(elements):
+        bases.append(related_basis(matroid, i))
+        blocks[bases[-1]] = blocks.get(bases[-1], 0) | 1 << y
+    return bases, blocks
 
 
 def leq_extint_ind(matroid: Matroid, i: int, k: int) -> bool:
@@ -70,14 +79,14 @@ def leq_extint_ind(matroid: Matroid, i: int, k: int) -> bool:
     """
     if related_basis(matroid, i) == related_basis(matroid, k):
         return i & ~k == 0
-    return _active_leq(matroid, i, k)
+    return _key(matroid, i) & ~_key(matroid, k) == 0
 
 
 def leq_flip_ind(matroid: Matroid, i: int, k: int) -> bool:
     """Variant of the order on independent sets with each boolean block flipped."""
     if related_basis(matroid, i) == related_basis(matroid, k):
         return k & ~i == 0
-    return _active_leq(matroid, i, k)
+    return _key(matroid, i) & ~_key(matroid, k) == 0
 
 
 # -- materialized posets ---------------------------------------------------------
@@ -190,16 +199,12 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
             rows = _containment_rows([p.ip for p in profs], closed, n)
     elif kind in ("extint-ind", "flip-ind", "nbc-extint"):
         elements = nbc_sets(matroid) if kind == "nbc-extint" else matroid.independent_sets
-        keys, bases, group = [], [], {}
-        for y, i in enumerate(elements):
-            p = activity_profile(matroid, i)
-            keys.append((i & ~p.ia) | p.ea)
-            bases.append(related_basis(matroid, i))
-            group[bases[-1]] = group.get(bases[-1], 0) | 1 << y
+        bases, blocks = _related_blocks(matroid, elements)
+        keys = [_key(matroid, i) for i in elements]
         sets = [matroid.full_mask & ~i for i in elements] if kind == "flip-ind" else elements
         within = _containment_rows(sets, sets, n)
         across = _containment_rows(keys, keys, n)
-        rows = [w & group[b] | a & ~group[b] for w, a, b in zip(within, across, bases)]
+        rows = [w & blocks[b] | a & ~blocks[b] for w, a, b in zip(within, across, bases)]
     else:
         raise ValueError(f"unknown poset kind {kind!r}")
     poset = Poset(elements, tuple(rows))

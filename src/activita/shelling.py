@@ -20,12 +20,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .activity import activity_profile, crapo_decompose_independent, related_basis
+from .activity import activity_profile, crapo_decompose_independent, nbc_sets, related_basis
 from .bitsets import iter_bits, min_elem, submasks, subset_str
 from .complexes import Facet, SimplicialComplex, facet_F
 from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid
-from .orders import build_poset
+from .orders import _related_blocks, build_poset
 
 
 @dataclass
@@ -328,14 +328,10 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     ind = build_poset(matroid, "extint-ind")
     elems = ind.elements
     facets = [facet_F(matroid, i) for i in elems]
-    blocks: dict[int, int] = {}
-    for x, i in enumerate(elems):
-        a = related_basis(matroid, i)
-        blocks[a] = blocks.get(a, 0) | 1 << x
+    related, blocks = _related_blocks(matroid, elems)
     in_col = [sum(1 << x for x, i in enumerate(elems) if i >> e & 1) for e in range(matroid.n)]
     z_col = [sum(1 << x for x, f in enumerate(facets) if f.zs >> e & 1) for e in range(matroid.n)]
-    for y, (k, fk) in enumerate(zip(elems, facets)):
-        c_basis = related_basis(matroid, k)
+    for y, (k, fk, c_basis) in enumerate(zip(elems, facets, related)):
         deleted, groups = c_basis & ~k, []
         for a, block in blocks.items():
             group = block & ~ind.up_rows[y]
@@ -363,29 +359,35 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
         yield k, groups
 
 
-def verify_shelling_by_witnesses(matroid: Matroid, order: tuple[int, ...]) -> bool:
-    """Certify a linear extension of the ``extint-ind`` order constructively.
-
-    For every pair I before K (so K ≰ I) the witness (J, c) of
-    :func:`witness_groups` satisfies the facet equation with J strictly below
-    K; the order is certified iff each such J comes before K, which is the
-    pairwise shelling condition, independently of the generic verifier's
-    restriction-set bookkeeping.  Placing some I ≥ K before K is not certified.
+def witness_pass(matroid: Matroid, order: tuple[int, ...] | None = None) -> tuple[str, bool, bool]:
+    """One pass over :func:`witness_groups`.  Returns the error of the first
+    failing group, naming a pair, or ""; whether every group of nbc sets I, K
+    has an nbc witness J; and whether ``order`` is certified on every K before
+    the failure: no I ≥ K comes before K, and the witness (J, c) of each I
+    before K satisfies the facet equation with J < K, so J coming before K is
+    the pairwise shelling condition, checked apart from the generic verifier.
     """
     ind = build_poset(matroid, "extint-ind")
-    if sorted(order) != sorted(ind.elements):
+    if order is not None and sorted(order) != sorted(ind.elements):
         raise NotAPermutation("order is not a permutation of the independent sets")
     before, placed = {}, 0
-    for e in order:
+    for e in order or ():
         before[e] = placed
         placed |= 1 << ind.index[e]
-    for k, groups in witness_groups(matroid):
-        early = before[k]
-        if early & ind.up_rows[ind.index[k]] or any(
-            group & early and not early >> ind.index[w.J] & 1 for group, w in groups
-        ):
-            return False
-    return True
+    nbc = set(nbc_sets(matroid))
+    nbc_mask = sum(1 << x for x, i in enumerate(ind.elements) if i in nbc)
+    error, nbc_closed, certified = "", True, order is not None
+    try:
+        for k, groups in witness_groups(matroid):
+            if k in nbc:
+                nbc_closed &= all(w.J in nbc for group, w in groups if group & nbc_mask)
+            early = before.get(k, 0)
+            certified = certified and not early & ind.up_rows[ind.index[k]] and not any(
+                group & early and not early >> ind.index[w.J] & 1 for group, w in groups
+            )
+    except ActivitaError as exc:
+        error = str(exc)
+    return error, nbc_closed, certified
 
 
 def exchange_down_basis(matroid: Matroid, a_basis: int, a: int) -> int:

@@ -28,6 +28,9 @@ from .orders import (
     BASIS_ORDER_KINDS,
     POSET_KINDS,
     Poset,
+    _containment_rows,
+    _key,
+    _related_blocks,
     boolean_interval,
     build_poset,
     compare_bases,
@@ -43,9 +46,8 @@ from .shelling import (
     flip_restrictions,
     restriction_sets_bruteforce,
     verify_shelling,
-    verify_shelling_by_witnesses,
     verify_shelling_pairwise,
-    witness_groups,
+    witness_pass,
 )
 from .tutte import (
     BiPoly,
@@ -65,17 +67,13 @@ class Finding:
     detail: str = ""
 
 
-def _finding(name: str, check: str, ok: bool, detail: str = "") -> Finding:
-    return Finding(matroid=name, check=check, ok=ok, detail=detail)
-
-
 # -- matroid and activity structure ------------------------------------------------
 
 
 def check_matroid_axioms(name: str, m: Matroid) -> list[Finding]:
     out = [
-        _finding(name, "dual-involution", m.dual.dual.bases == m.bases),
-        _finding(name, "circuits-not-in-bases", all(c & ~b for c in m.circuits for b in m.bases)),
+        Finding(name, "dual-involution", m.dual.dual.bases == m.bases),
+        Finding(name, "circuits-not-in-bases", all(c & ~b for c in m.circuits for b in m.bases)),
     ]
     uniq = True
     for b in m.bases:
@@ -83,14 +81,14 @@ def check_matroid_axioms(name: str, m: Matroid) -> list[Finding]:
             fund = m.fundamental_circuit(b, e)
             inside = [c for c in m.circuits if c & ~(b | 1 << (e - 1)) == 0]
             uniq &= inside == [fund]
-    out.append(_finding(name, "fundamental-circuit-unique", uniq))
+    out.append(Finding(name, "fundamental-circuit-unique", uniq))
     if m.n <= 7:
         subsets = range(1 << m.n)
         table = [m.rank_of(s) for s in subsets]
         mono = all(table[s] <= table[s | 1 << e] for s in subsets for e in range(m.n))
         sub = all(table[s | t] + table[s & t] <= table[s] + table[t] for s in subsets for t in subsets)
-        out.append(_finding(name, "rank-monotone", mono))
-        out.append(_finding(name, "rank-submodular", sub))
+        out.append(Finding(name, "rank-monotone", mono))
+        out.append(Finding(name, "rank-submodular", sub))
     return out
 
 
@@ -106,10 +104,10 @@ def check_activity(name: str, m: Matroid) -> list[Finding]:
     exchange = all(activity_profile(m, b) == activity_profile_by_exchange(m, b) for b in m.bases)
     nbc_ok = all(is_nbc(m, i) == (activity_profile(m, i).ea == 0) for i in m.independent_sets)
     return [
-        _finding(name, "activity-partition", partition),
-        _finding(name, "activity-duality", duality),
-        _finding(name, "activity-exchange-crosscheck", exchange),
-        _finding(name, "nbc-iff-no-external-activity", nbc_ok),
+        Finding(name, "activity-partition", partition),
+        Finding(name, "activity-duality", duality),
+        Finding(name, "activity-exchange-crosscheck", exchange),
+        Finding(name, "nbc-iff-no-external-activity", nbc_ok),
     ]
 
 
@@ -118,18 +116,18 @@ def check_crapo(name: str, m: Matroid) -> list[Finding]:
     try:
         seen_subset = all(crapo_decompose_subset(m, s) is not None for s in range(1 << m.n))
     except ActivitaError as exc:
-        out.append(_finding(name, "crapo-partition-subsets", False, str(exc)))
+        out.append(Finding(name, "crapo-partition-subsets", False, str(exc)))
     else:
-        out.append(_finding(name, "crapo-partition-subsets", seen_subset))
+        out.append(Finding(name, "crapo-partition-subsets", seen_subset))
     try:
         ok_ind = True
         for i in m.independent_sets:
             dec = crapo_decompose_independent(m, i)
             ok_ind &= dec == crapo_decompose_subset(m, i)
     except ActivitaError as exc:
-        out.append(_finding(name, "crapo-partition-independent", False, str(exc)))
+        out.append(Finding(name, "crapo-partition-independent", False, str(exc)))
     else:
-        out.append(_finding(name, "crapo-partition-independent", ok_ind))
+        out.append(Finding(name, "crapo-partition-independent", ok_ind))
     related_ok = True
     for i in m.independent_sets:
         b = related_basis(m, i)
@@ -137,7 +135,7 @@ def check_crapo(name: str, m: Matroid) -> list[Finding]:
         related_ok &= pi.ea == pb.ea and pi.ip == pb.ip
         related_ok &= ((i & ~pi.ia) | pi.ea) == ((b & ~pb.ia) | pb.ea)
         related_ok &= (i | pi.ep) == (b | pb.ep)
-    out.append(_finding(name, "related-basis-activities", related_ok))
+    out.append(Finding(name, "related-basis-activities", related_ok))
     return out
 
 
@@ -159,27 +157,32 @@ def poset_axiom_violation(poset: Poset, n: int) -> str:
     return ""
 
 
-def _row_disagreement(poset: Poset, rel, n: int) -> str:
-    """The first pair on which a row differs from ``rel``, or ""."""
-    elems = poset.elements
-    for a, row in zip(elems, poset.up_rows):
-        diff = row ^ sum(1 << y for y, b in enumerate(elems) if rel(a, b))
-        if diff:
-            b = elems[(diff & -diff).bit_length() - 1]
-            return f"row disagrees with its definition on {subset_label(a, n)}, {subset_label(b, n)}"
+def _row_disagreement(elems, rows, expected, n: int, what: str) -> str:
+    """``what`` on "a, b" for the first row a, and its lowest bit b, where
+    ``rows`` and ``expected`` differ, or ""."""
+    for a, row, want in zip(elems, rows, expected):
+        if row != want:
+            low = (row ^ want) & -(row ^ want)
+            return f"{what} on {subset_label(a, n)}, {subset_label(elems[low.bit_length() - 1], n)}"
     return ""
 
 
 def check_posets(name: str, m: Matroid) -> list[Finding]:
     """``poset-axioms``: the six orders are partial orders, every row agrees
-    with the order's definition, and each basis order with its equivalent
-    forms.  The basis posets' rows are indexed like ``m.bases``, so one pass
-    over base pairs also serves ``extint-refines-ext-int``."""
-    out = []
+    with the order's definition, and the basis orders with their equivalent
+    forms.  ``extint-ind`` and ``flip-ind`` compare sets with the same related
+    basis by containment and others by key(I) ⊆ key(K), key(S) = S∖IA(S)∪EA(S),
+    so they are certified by related-basis blocks.  The finding requires key(I)
+    = key(RB(I)) for every I (Las Vergnas, "Active orders for matroid bases",
+    2001), or names I.  Then the definition's row of I in the block of A is
+    ``rel`` inside it and, outside, the union of the blocks of the bases C ≠ A
+    with key(A) ⊆ key(C): each row is the definition's own row, at Σ|block|²
+    calls of ``rel``, and a failure names the pair a per-pair scan names.
+    """
     try:
         posets = {kind: build_poset(m, kind) for kind in POSET_KINDS}
     except ActivitaError as exc:
-        return [_finding(name, "poset-axioms", False, str(exc))]
+        return [Finding(name, "poset-axioms", False, str(exc))]
     ind = posets["extint-ind"]
     definitions = {
         **{f"{k}-bases": partial(compare_bases, m, k) for k in BASIS_ORDER_KINDS},
@@ -187,41 +190,59 @@ def check_posets(name: str, m: Matroid) -> list[Finding]:
         "flip-ind": partial(leq_flip_ind, m),
         "nbc-extint": ind.leq,  # extint-ind restricted to nbc sets
     }
+    related, blocks = _related_blocks(m, ind.elements)
+    keys = [_key(m, b) for b in m.bases]
+    above = {  # basis A: the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C)
+        a: sum(blocks[c] for c, kc in zip(m.bases, keys) if c != a and not ka & ~kc)
+        for a, ka in zip(m.bases, keys)
+    }
+    key_break = next(
+        (f"key of {subset_label(i, m.n)} is not that of its related basis {subset_label(a, m.n)}"
+         for i, a in zip(ind.elements, related) if _key(m, i) != _key(m, a)),
+        "",
+    )
     detail = ""
     for kind, poset in posets.items():
-        violation = poset_axiom_violation(poset, m.n) or _row_disagreement(poset, definitions[kind], m.n)
+        elems, rel, blocked = poset.elements, definitions[kind], kind in ("extint-ind", "flip-ind")
+        if blocked:  # rel inside each block, the blocks above it outside
+            expected = (
+                above[a] | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
+                for i, a in zip(elems, related)
+            )
+        else:
+            expected = (sum(1 << y for y, b in enumerate(elems) if rel(a, b)) for a in elems)
+        violation = (
+            poset_axiom_violation(poset, m.n)
+            or blocked and key_break
+            or _row_disagreement(
+                elems, poset.up_rows, expected, m.n, "row disagrees with its definition"
+            )
+        )
         if violation:
             detail = f"{kind}: {violation}"
             break
-    ext, inn, both = (posets[k].up_rows for k in ("ext-bases", "int-bases", "extint-bases"))
     profiles = [activity_profile(m, b) for b in m.bases]
-    refines = True
-    for x, (a, pa) in enumerate(zip(m.bases, profiles)):
-        a_int = a & ~pa.ia
-        a_ext, a_both, a_act = a | pa.ea, a_int | pa.ea, pa.ip | pa.ea
-        for y, (b, pb) in enumerate(zip(m.bases, profiles)):
-            e, i, c = ext[x] >> y & 1 == 1, inn[x] >> y & 1 == 1, both[x] >> y & 1 == 1
-            b_int = b & ~pb.ia
-            # ext: A∪EA(A) ⊆ B∪EA(B); int: A∖IA(A) ⊆ B∖IA(B); extint:
-            # (A∖IA(A))∪EA(A) ⊆ (B∖IA(B))∪EA(B) and IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
-            forms = (
-                e == (a_ext & ~(b | pb.ea) == 0)
-                and i == (a_int & ~b_int == 0)
-                and c == (a_both & ~(b_int | pb.ea) == 0) == (a_act & ~(pb.ip | pb.ea) == 0)
-            )
-            if not (forms or detail):
-                pair = f"{subset_label(a, m.n)}, {subset_label(b, m.n)}"
-                detail = f"equivalent forms of the basis orders disagree on {pair}"
-            refines &= (not e or c) and (not i or c)
-    out.append(_finding(name, "poset-axioms", not detail, detail))
-    out.append(_finding(name, "extint-refines-ext-int", refines))
-    bases_match = all(
-        ind.leq(a, b) == posets["extint-bases"].leq(a, b)
-        for a in m.bases
-        for b in m.bases
+    ext, inn, both = (posets[k].up_rows for k in ("ext-bases", "int-bases", "extint-bases"))
+    forms = [0] * len(m.bases)  # where a basis order and one of its equivalent forms differ
+    for rows, sets in (
+        (ext, [b | p.ea for b, p in zip(m.bases, profiles)]),  # A∪EA(A) ⊆ B∪EA(B)
+        (inn, [b & ~p.ia for b, p in zip(m.bases, profiles)]),  # A∖IA(A) ⊆ B∖IA(B)
+        (both, keys),  # key(A) ⊆ key(B)
+        (both, [p.ip | p.ea for p in profiles]),  # IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
+    ):
+        wants = _containment_rows(sets, sets, m.n)
+        forms = [f | row ^ want for f, row, want in zip(forms, rows, wants)]
+    detail = detail or _row_disagreement(
+        m.bases, forms, [0] * len(forms), m.n, "equivalent forms of the basis orders disagree"
     )
-    out.append(_finding(name, "ind-order-restricts-to-bases", bases_match))
-    return out
+    at = [ind.index[b] for b in m.bases]
+    restricted = [sum(1 << y for y, j in enumerate(at) if ind.up_rows[i] >> j & 1) for i in at]
+    refines = all(not (e | i) & ~c for e, i, c in zip(ext, inn, both))
+    return [
+        Finding(name, "poset-axioms", not detail, detail),
+        Finding(name, "extint-refines-ext-int", refines),
+        Finding(name, "ind-order-restricts-to-bases", restricted == list(both)),
+    ]
 
 
 def check_boolean_intervals(name: str, m: Matroid) -> list[Finding]:
@@ -229,8 +250,8 @@ def check_boolean_intervals(name: str, m: Matroid) -> list[Finding]:
         for b, c in build_poset(m, "extint-bases").covers():
             boolean_interval(m, b, c)
     except ActivitaError as exc:
-        return [_finding(name, "boolean-intervals", False, str(exc))]
-    return [_finding(name, "boolean-intervals", True)]
+        return [Finding(name, "boolean-intervals", False, str(exc))]
+    return [Finding(name, "boolean-intervals", True)]
 
 
 def check_lattice(name: str, m: Matroid) -> list[Finding]:
@@ -251,7 +272,7 @@ def check_lattice(name: str, m: Matroid) -> list[Finding]:
         ind = build_poset(m, "extint-ind")
         violation = poset_axiom_violation(ind, m.n)
         if violation:
-            return [_finding(name, "lattice-laws", False, f"extint-ind: {violation}")]
+            return [Finding(name, "lattice-laws", False, f"extint-ind: {violation}")]
         for i in m.independent_sets:
             for k in m.independent_sets:
                 if meet_join_ind(m, i, k) != poset_meet_join(ind, i, k):
@@ -259,10 +280,10 @@ def check_lattice(name: str, m: Matroid) -> list[Finding]:
                         f"closed-form meet/join disagrees with poset bounds on "
                         f"{subset_label(i, m.n)}, {subset_label(k, m.n)}"
                     )
-                    return [_finding(name, "lattice-laws", False, detail)]
+                    return [Finding(name, "lattice-laws", False, detail)]
     except ActivitaError as exc:
-        return [_finding(name, "lattice-laws", False, str(exc))]
-    return [_finding(name, "lattice-laws", True)]
+        return [Finding(name, "lattice-laws", False, str(exc))]
+    return [Finding(name, "lattice-laws", True)]
 
 
 def check_flip_involution(name: str, m: Matroid) -> list[Finding]:
@@ -282,7 +303,7 @@ def check_flip_involution(name: str, m: Matroid) -> list[Finding]:
     # is independent, and with |flip(I)| = |Y_I| + |IP(B_I)| above, the sorted
     # lists of |I| and of |Y_I| + |IP(B_I)| are equal.
     ok &= image == set(elems)
-    return [_finding(name, "flip-involution", ok)]
+    return [Finding(name, "flip-involution", ok)]
 
 
 # -- shellings --------------------------------------------------------------------
@@ -321,9 +342,9 @@ def _sampled_shelling(
         if keep:
             kept.append(report.restrictions)
     tag = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
-    out = [_finding(name, names[0], shelled, tag)]
+    out = [Finding(name, names[0], shelled, tag)]
     for check, ok in zip(names[1:], (formula, prop_h, h_cx, h_match)):
-        out.append(_finding(name, check, shelled and ok))
+        out.append(Finding(name, check, shelled and ok))
     return out, sample.orders, kept
 
 
@@ -343,12 +364,12 @@ def check_shelling_main(name: str, m: Matroid, cap: int, seed: int) -> list[Find
         report = verify_shelling(cx, order, check_properties=False)
         agree, _ = verify_shelling_pairwise(cx, order)
         ok = report.restrictions == restriction_sets_bruteforce(order) and agree == report.verdict
-        out.append(_finding(name, "restriction-bruteforce-crosscheck", ok))
-    try:
-        ok, detail = out[0].ok and verify_shelling_by_witnesses(m, orders[0]), ""
-    except ActivitaError as exc:
-        ok, detail = False, str(exc)
-    out.append(_finding(name, "witness-certifies-first-order", ok, detail))
+        out.append(Finding(name, "restriction-bruteforce-crosscheck", ok))
+    error, nbc_closed, certified = witness_pass(m, orders[0])
+    m._cache["witness_pass"] = error, nbc_closed  # read by check_witnesses
+    shelled = out[0].ok and certified  # a witness error after a failed K is not named
+    detail = error if shelled else ""
+    out.append(Finding(name, "witness-certifies-first-order", shelled and not error, detail))
     return out
 
 
@@ -361,7 +382,7 @@ def check_shelling_flip(name: str, m: Matroid, cap: int, seed: int) -> list[Find
     )
     bipolys = [bivariate_restriction_polynomial(m, r) for r in kept]
     stable = all(p == bipolys[0] for p in bipolys)
-    out.append(_finding(name, "bivariate-order-invariant", out[0].ok and stable))
+    out.append(Finding(name, "bivariate-order-invariant", out[0].ok and stable))
     return out
 
 
@@ -378,8 +399,8 @@ def check_nbc_suite(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]
         == sorted(build_complex(m, "ea").facets)
     )
     out = [
-        _finding(name, "nbc-facet-count", len(cx.facets) == len(sets) == tutte.evaluate(2, 0)),
-        _finding(name, "nbc-induced-subcomplexes", induced),
+        Finding(name, "nbc-facet-count", len(cx.facets) == len(sets) == tutte.evaluate(2, 0)),
+        Finding(name, "nbc-induced-subcomplexes", induced),
     ]
     out += _sampled_shelling(
         name, m, cap, seed, ("augmented-nbc", "nbc-extint"),
@@ -388,7 +409,7 @@ def check_nbc_suite(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]
     )[0]
     q_plus_1 = BiPoly({(0, 0): 1, (1, 0): 1})
     h_ok = h_polynomial(cx.fh.h) == tutte.subst(q_plus_1, BiPoly.zero())
-    out.append(_finding(name, "nbc-h-identity", h_ok))
+    out.append(Finding(name, "nbc-h-identity", h_ok))
     return out
 
 
@@ -399,19 +420,12 @@ def check_witnesses(name: str, m: Matroid) -> list[Finding]:
     """The witness construction succeeds on every pair I, K with K ≰ I (one
     check per group of :func:`witness_groups`), stays inside nbc sets when the
     pair is nbc, and the downward exchange lemma holds for every internally
-    passive element of every basis."""
-    nbc = set(nbc_sets(m))
-    nbc_mask = sum(1 << x for x, i in enumerate(m.independent_sets) if i in nbc)
-    nbc_ok, detail = True, ""
-    try:
-        for k, groups in witness_groups(m):
-            if k in nbc:
-                nbc_ok &= all(w.J in nbc for group, w in groups if group & nbc_mask)
-    except ActivitaError as exc:
-        detail = str(exc)
+    passive element of every basis.  The first two reuse the
+    :func:`witness_pass` of :func:`check_shelling_main`, if it ran on ``m``."""
+    error, nbc_closed = m._cache.get("witness_pass") or witness_pass(m)[:2]
     out = [
-        _finding(name, "witness-all-pairs", not detail, detail),
-        _finding(name, "witness-nbc-closure", not detail and nbc_ok),
+        Finding(name, "witness-all-pairs", not error, error),
+        Finding(name, "witness-nbc-closure", not error and nbc_closed),
     ]
     bases_poset = build_poset(m, "extint-bases")
     down_ok = True
@@ -421,7 +435,7 @@ def check_witnesses(name: str, m: Matroid) -> list[Finding]:
             d_basis = exchange_down_basis(m, a_basis, a)
             down_ok &= bases_poset.leq(d_basis, a_basis) and d_basis != a_basis
             down_ok &= prof.ia & ~activity_profile(m, d_basis).ia == 0
-    out.append(_finding(name, "downward-exchange-lemma", down_ok))
+    out.append(Finding(name, "downward-exchange-lemma", down_ok))
     return out
 
 
@@ -438,13 +452,13 @@ def check_tutte(name: str, m: Matroid) -> list[Finding]:
     )
     report = identity_report(m)
     return [
-        _finding(name, "tutte-oracle-agreement", by_act == tutte_by_deletion_contraction(m)),
-        _finding(name, "tutte-duality", tutte_by_activities(m.dual) == swapped),
-        _finding(name, "tutte-evaluations", evals_ok),
-        _finding(name, "h-identity", report.h_matches),
-        _finding(name, "nbc-h-identity-report", report.nbc_matches),
-        _finding(name, "bivariate-identity", report.bivariate_matches),
-        _finding(name, "bivariate-collapse", report.collapse_matches),
+        Finding(name, "tutte-oracle-agreement", by_act == tutte_by_deletion_contraction(m)),
+        Finding(name, "tutte-duality", tutte_by_activities(m.dual) == swapped),
+        Finding(name, "tutte-evaluations", evals_ok),
+        Finding(name, "h-identity", report.h_matches),
+        Finding(name, "nbc-h-identity-report", report.nbc_matches),
+        Finding(name, "bivariate-identity", report.bivariate_matches),
+        Finding(name, "bivariate-collapse", report.collapse_matches),
     ]
 
 

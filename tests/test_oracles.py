@@ -1,6 +1,7 @@
 """The O(n) and O(1) lookups against the basis scans they replaced, the
 column-bitset posets and their covers against the per-pair build and the
-down-row scan they replaced, the lattice-law sweep that the ``lattice-laws``
+down-row scan they replaced, the ``poset-axioms`` block certificate against
+the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
 certificate replaced, the grouped witness pass against the per-pair
 ``shelling_witness``, and the f-vector oracles: inclusion-exclusion, the
 submask walk and the memoized Shannon expansion that the ZDD count replaced.
@@ -11,9 +12,11 @@ self-loops give loops, bridges and lone nonzero columns give coloops, and an
 all-zero matrix or a graph of self-loops gives rank 0.
 """
 
+import random
 from itertools import zip_longest
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +26,14 @@ from activita.activity import (
     nbc_sets,
     related_basis,
 )
-from activita.bitsets import iter_bits, submasks
+import activita.suite as suite
+from activita.bitsets import iter_bits, submasks, subset_label
 from activita.complexes import build_complex, face_counts
 from activita.corpus import builtin_corpus
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
     POSET_KINDS,
+    Poset,
     build_poset,
     compare_bases,
     leq_extint_ind,
@@ -36,7 +41,7 @@ from activita.orders import (
     meet_join_ind,
 )
 from activita.shelling import shelling_witness, witness_groups
-from activita.suite import check_lattice
+from activita.suite import check_lattice, check_posets, poset_axiom_violation
 
 
 @st.composite
@@ -66,10 +71,18 @@ EDGE_CASES = (
 )
 
 
-def with_edge_cases(test):
-    for m in EDGE_CASES:
-        test = example(m)(test)
-    return test
+def edge_cases(*args):
+    """Add each of EDGE_CASES, followed by ``args``, as an explicit example."""
+
+    def add(test):
+        for m in EDGE_CASES:
+            test = example(m, *args)(test)
+        return test
+
+    return add
+
+
+with_edge_cases = edge_cases()
 
 
 @with_edge_cases
@@ -99,6 +112,53 @@ def per_pair_rows(m, kind):
         elements = nbc_sets(m) if kind == "nbc-extint" else m.independent_sets
         rel = lambda a, b: (leq_flip_ind if kind == "flip-ind" else leq_extint_ind)(m, a, b)
     return tuple(sum(1 << j for j, b in enumerate(elements) if rel(a, b)) for a in elements)
+
+
+def per_pair_poset_detail(m) -> str:
+    """The ``poset-axioms`` detail of the six orders' axioms and of every row
+    checked against its definition pair by pair: the scan that the block
+    certificate replaced.  The basis orders' equivalent forms, which hold on
+    every matroid, are left out."""
+    for kind in POSET_KINDS:
+        poset = suite.build_poset(m, kind)
+        violation = poset_axiom_violation(poset, m.n)
+        wrong = [
+            (a, row ^ want)
+            for a, row, want in zip(poset.elements, poset.up_rows, per_pair_rows(m, kind))
+            if row != want
+        ]
+        if wrong and not violation:
+            a, diff = wrong[0]
+            b = poset.elements[(diff & -diff).bit_length() - 1]
+            pair = f"{subset_label(a, m.n)}, {subset_label(b, m.n)}"
+            violation = f"row disagrees with its definition on {pair}"
+        if violation:
+            return f"{kind}: {violation}"
+    return ""
+
+
+@edge_cases(0)
+@given(small_matroids(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_block_certificate_matches_per_pair_scan(m, seed):
+    def poset_axioms():
+        [f] = [f for f in check_posets("m", m) if f.check == "poset-axioms"]
+        return f.ok, f.detail
+
+    assert poset_axioms() == (True, "") and per_pair_poset_detail(m) == ""
+    rng = random.Random(seed)
+    kind = rng.choice(("extint-ind", "flip-ind"))
+    real = build_poset(m, kind)
+    rows, x = list(real.up_rows), rng.randrange(len(real.up_rows))
+    for _ in range(2):  # flip one bit of one row, then a second bit of that row
+        rows[x] ^= 1 << rng.randrange(len(rows))
+        mutant = Poset(real.elements, tuple(rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                suite, "build_poset", lambda m, k: mutant if k == kind else build_poset(m, k)
+            )
+            detail = per_pair_poset_detail(m)
+            assert poset_axioms() == (not detail, detail)
 
 
 def down_row_covers(up_rows):

@@ -239,6 +239,74 @@ class TestPosetAxioms:
         )
         assert found["extint-refines-ext-int"].ok
 
+    @pytest.mark.parametrize("kind", ["extint-ind", "flip-ind"])
+    def test_two_dropped_covers_name_the_lower_pair(self, m5_matroid, monkeypatch, kind):
+        # both covers above one element go, so its row differs from the
+        # definition in two bits, and the detail names the lower one
+        import activita.suite as suite
+
+        real = suite.build_poset
+        poset = real(m5_matroid, kind)
+        uppers = {}
+        for i, j in poset.cover_index_pairs:
+            uppers.setdefault(i, []).append(j)
+        i, (j, k) = next((i, js[:2]) for i, js in uppers.items() if len(js) > 1)
+        rows = list(poset.up_rows)
+        rows[i] &= ~(1 << j | 1 << k)
+        mutant = Poset(poset.elements, tuple(rows))
+        assert poset_axiom_violation(mutant, 5) == ""
+        monkeypatch.setattr(
+            suite, "build_poset", lambda m, kd: mutant if kd == kind else real(m, kd)
+        )
+        [found] = [f for f in check_posets("m5", m5_matroid) if f.check == "poset-axioms"]
+        pair = f"{subset_label(poset.elements[i], 5)}, {subset_label(poset.elements[min(j, k)], 5)}"
+        assert found.detail == f"{kind}: row disagrees with its definition on {pair}"
+
+    def test_broken_key_identity_fails_the_block_certificate(self, monkeypatch):
+        # EA(12) = 3 loses 3, so key(12) is no longer key(125); the rows and the
+        # definitions both read the new key and agree pair by pair, and the
+        # order stays a partial order, so only the block certificate sees it
+        import activita.orders as orders
+        from dataclasses import replace
+
+        from activita.corpus import m5
+        from test_oracles import per_pair_rows
+
+        real = orders.activity_profile
+
+        def ea_loses_3(m, s):
+            p = real(m, s)
+            return replace(p, ea=p.ea & ~0b100, ep=p.ep | 0b100) if s == ps5("12") else p
+
+        monkeypatch.setattr(orders, "activity_profile", ea_loses_3)
+        m = m5()
+        for kind in ("extint-ind", "flip-ind"):
+            assert build_poset(m, kind).up_rows == per_pair_rows(m, kind)
+        found = {f.check: f for f in check_posets("m5", m)}
+        assert (found["poset-axioms"].ok, found["poset-axioms"].detail) == (
+            False, "extint-ind: key of 12 is not that of its related basis 125"
+        )
+        assert found["extint-refines-ext-int"].ok
+
+    def test_dropped_basis_bit_fails_the_restriction_to_bases(self, m5_matroid, monkeypatch):
+        # 345 and 124, the bottom and top bases, lie in different blocks
+        import activita.suite as suite
+
+        real = suite.build_poset
+        poset = real(m5_matroid, "extint-ind")
+        rows = list(poset.up_rows)
+        rows[poset.index[ps5("345")]] &= ~(1 << poset.index[ps5("124")])
+        mutant = Poset(poset.elements, tuple(rows))
+        monkeypatch.setattr(
+            suite, "build_poset", lambda m, k: mutant if k == "extint-ind" else real(m, k)
+        )
+        found = {f.check: f.ok for f in check_posets("m5", m5_matroid)}
+        assert found == {
+            "poset-axioms": False,
+            "extint-refines-ext-int": True,
+            "ind-order-restricts-to-bases": False,
+        }
+
 
 def make_poset(elements, pairs):
     """Tiny helper: poset from explicit strict relations (plus reflexivity)."""

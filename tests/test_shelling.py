@@ -33,13 +33,13 @@ from activita.orders import (
 from activita.shelling import (
     ShellingReport,
     exchange_down_basis,
-    verify_shelling_by_witnesses,
     h_complex_check,
     property_H_check,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,
     verify_shelling_pairwise,
+    witness_pass,
 )
 
 ps5 = lambda s: parse_subset(s, 5)
@@ -301,13 +301,14 @@ class TestWitnessCertification:
     def test_first_extension_certified(self, m5_matroid, corpus):
         for m in (m5_matroid, corpus["u24"]):
             order = first_extension(build_poset(m, "extint-ind"))
-            assert verify_shelling_by_witnesses(m, order)
+            assert witness_pass(m, order) == ("", True, True)
 
     def test_order_that_is_no_extension_is_not_certified(self, m5_matroid):
         order = first_extension(build_poset(m5_matroid, "extint-ind"))
-        assert not verify_shelling_by_witnesses(m5_matroid, order[::-1])
+        assert witness_pass(m5_matroid, order[::-1]) == ("", True, False)
+        assert witness_pass(m5_matroid) == ("", True, False)  # no order, nothing certified
         with pytest.raises(NotAPermutation):
-            verify_shelling_by_witnesses(m5_matroid, order[1:])
+            witness_pass(m5_matroid, order[1:])
 
 
 class TestRandomMatroids:

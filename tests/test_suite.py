@@ -7,6 +7,7 @@ import pytest
 import activita.shelling as shelling
 import activita.suite as suite
 from activita.bitsets import parse_subset
+from activita.corpus import m5
 from activita.errors import WitnessNotFound
 from activita.matroid import from_bases, graphic, relabel, uniform
 from activita.shelling import flip_restrictions
@@ -62,12 +63,52 @@ def test_suite_accepts_relabeled_matroid(m5_matroid):
     assert all(f.ok for f in findings), [f for f in findings if not f.ok]
 
 
-def test_full_suite_on_wheel_w4():
+W4_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)]
+WITNESS_FINDINGS = {"witness-all-pairs", "witness-nbc-closure", "downward-exchange-lemma"}
+
+
+def count_witness_steps(monkeypatch) -> list[int]:
+    """Count the steps taken on ``witness_groups``: one per K it yields, and
+    one more that ends a pass."""
+    real, steps = shelling.witness_groups, [0]
+
+    def counted(m):
+        for item in real(m):
+            steps[0] += 1
+            yield item
+        steps[0] += 1
+
+    monkeypatch.setattr(shelling, "witness_groups", counted)
+    monkeypatch.setattr(suite, "witness_groups", counted, raising=False)
+    return steps
+
+
+def test_full_suite_on_wheel_w4(monkeypatch):
     # the wheel with four spokes: 8 elements, 134 independent sets
-    w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
+    steps = count_witness_steps(monkeypatch)
+    w4 = graphic(5, W4_EDGES)
     assert len(w4.independent_sets) == 134
     findings = run_suite({"W4": w4}, cap=20)
     assert findings and all(f.ok for f in findings), [f for f in findings if not f.ok]
+    # one witness pass serves the first-order certificate and the witness findings
+    assert steps == [135]
+    alone = suite.check_witnesses("W4", graphic(5, W4_EDGES))
+    assert steps == [270]
+    in_suite = [(f.check, f.ok, f.detail) for f in findings if f.check in WITNESS_FINDINGS]
+    assert [(f.check, f.ok, f.detail) for f in alone] == in_suite
+
+
+def test_witness_pass_runs_when_the_first_order_does_not_shell(monkeypatch):
+    # shelling-extint fails, so the first order's certificate fails without
+    # a look at the witnesses, but the pass still runs once for check_witnesses
+    steps = count_witness_steps(monkeypatch)
+    falsify("verdict")(monkeypatch)
+    matroid = m5()
+    main = {f.check: f.ok for f in suite.check_shelling_main("m5", matroid, 10, 0)}
+    assert not main["shelling-extint"] and not main["witness-certifies-first-order"]
+    assert steps == [len(matroid.independent_sets) + 1]
+    assert all(f.ok for f in suite.check_witnesses("m5", matroid))
+    assert steps == [len(matroid.independent_sets) + 1]
 
 
 def corrupt_second_report(field, value):
@@ -182,8 +223,8 @@ def no_exchange_witness(b, c):
 
 
 def drop_empty_nbc_set(monkeypatch):
-    real = suite.nbc_sets
-    monkeypatch.setattr(suite, "nbc_sets", lambda m: real(m)[1:])  # sorted by mask: ∅ first
+    real = shelling.nbc_sets
+    monkeypatch.setattr(shelling, "nbc_sets", lambda m: real(m)[1:])  # sorted by mask: ∅ first
 
 
 def exchange_down_in_place(monkeypatch):
@@ -204,28 +245,32 @@ WITNESS_MUTANTS = {
 }
 
 
+# The witness mutants run on a fresh m5: the witness pass a matroid has seen
+# is kept on it, and the shared fixture must not keep a mutated one.
+
+
 @pytest.mark.parametrize("finding", WITNESS_MUTANTS)
-def test_witness_mutant_fails_its_finding(m5_matroid, monkeypatch, finding):
+def test_witness_mutant_fails_its_finding(monkeypatch, finding):
     mutant, failing, sibling = WITNESS_MUTANTS[finding]
     mutant(monkeypatch)
-    findings = {f.check: f.ok for f in suite.check_witnesses("m5", m5_matroid)}
+    findings = {f.check: f.ok for f in suite.check_witnesses("m5", m5())}
     assert finding in failing
     assert {name for name, ok in findings.items() if not ok} == failing
     assert findings[sibling]
 
 
-def test_wrong_witness_names_the_pair_and_the_oracle_message(m5_matroid, monkeypatch):
+def test_wrong_witness_names_the_pair_and_the_oracle_message(monkeypatch):
     WITNESS_MUTANTS["witness-all-pairs"][0](monkeypatch)
-    [finding] = [f for f in suite.check_witnesses("m5", m5_matroid) if f.check == "witness-all-pairs"]
+    [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
     assert finding.detail == "pair 23, 14: constructed witness violates the facet equation"
 
 
-def test_witness_error_fails_the_first_order_certificate(m5_matroid, monkeypatch):
+def test_witness_error_fails_the_first_order_certificate(monkeypatch):
     # an error raised by the witness pass is a failing finding, not a crashed suite
     basis_witness_mutant(no_exchange_witness)(monkeypatch)
-    findings = {f.check: f for f in suite.check_shelling_main("m5", m5_matroid, 10, 0)}
+    findings = {f.check: f for f in suite.check_shelling_main("m5", m5(), 10, 0)}
     certificate = findings["witness-certifies-first-order"]
     assert not certificate.ok and findings["shelling-extint"].ok
     assert certificate.detail == "pair 23, 14: no exchange witness"
-    failed = {f.check for f in run_suite({"m5": m5_matroid}, cap=10, seed=0) if not f.ok}
+    failed = {f.check for f in run_suite({"m5": m5()}, cap=10, seed=0) if not f.ok}
     assert failed == {"witness-certifies-first-order", "witness-all-pairs", "witness-nbc-closure"}
