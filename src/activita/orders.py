@@ -9,9 +9,9 @@ flip involution.
 Each order has one definition here, and :func:`build_poset` materializes it
 once per matroid as rows that are ANDs of column bitsets, O(m·n) big-int
 operations on m elements; other code reads the relation from that poset.
-The suite's ``poset-axioms`` checks every row against the definition (by
+:func:`poset_certificate` checks every row against the definition (by
 related-basis blocks on independent sets), the equivalent forms and the
-poset axioms, and ``lattice-laws`` the lattice bounds, once per matroid.
+poset axioms for the suite's ``poset-axioms`` finding, once per matroid.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import random
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import and_
 
 from .activity import activity_profile, nbc_sets, related_basis
-from .bitsets import iter_bits, submasks, subset_str
+from .bitsets import iter_bits, submasks, subset_label, subset_str
 from .errors import EquivalenceMismatch, LatticeFailure, NotABasis, NotACover
 from .matroid import Matroid
 
@@ -212,6 +212,98 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
     return poset
 
 
+# -- the poset-axioms certificate ------------------------------------------------
+
+
+def poset_axiom_violation(poset: Poset, n: int) -> str:
+    """The first failure of reflexivity, antisymmetry or transitivity, or ""."""
+    rows, elems = poset.up_rows, poset.elements
+    for i, row in enumerate(rows):
+        a = subset_label(elems[i], n)
+        if not row >> i & 1:
+            return f"not reflexive at {a}"
+        for j in iter_bits(row & ~(1 << i)):
+            if rows[j] >> i & 1:
+                return f"not antisymmetric on {a}, {subset_label(elems[j], n)}"
+            if rows[j] & ~row:
+                return f"not transitive from {a} through {subset_label(elems[j], n)}"
+    return ""
+
+
+def _row_disagreement(elems, rows, expected, n: int, what: str) -> str:
+    """``what`` on "a, b" for the first row a, and its lowest bit b, where
+    ``rows`` and ``expected`` differ, or ""."""
+    for a, row, want in zip(elems, rows, expected):
+        if row != want:
+            low = (row ^ want) & -(row ^ want)
+            return f"{what} on {subset_label(a, n)}, {subset_label(elems[low.bit_length() - 1], n)}"
+    return ""
+
+
+def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
+    """The detail of the suite's ``poset-axioms`` finding on the posets of
+    :data:`POSET_KINDS`, keyed by kind, or "" when it passes: the six orders
+    are partial orders, every row agrees with the order's definition, and the
+    basis orders with their equivalent forms.  ``extint-ind`` and ``flip-ind``
+    compare sets with the same related basis by containment and others by
+    key(I) ⊆ key(K), key(S) = S∖IA(S)∪EA(S), so they are certified by
+    related-basis blocks.  The finding requires key(I) = key(RB(I)) for every
+    I (Las Vergnas, "Active orders for matroid bases", 2001), or names I.
+    Then the definition's row of I in the block of A is ``rel`` inside it
+    and, outside, the union of the blocks of the bases C ≠ A with key(A) ⊆
+    key(C): each row is the definition's own row, at Σ|block|² calls of
+    ``rel``, and a failure names the pair a per-pair scan names.
+    """
+    n, bases, ind = matroid.n, matroid.bases, posets["extint-ind"]
+    definitions = {
+        **{f"{k}-bases": partial(compare_bases, matroid, k) for k in BASIS_ORDER_KINDS},
+        "extint-ind": partial(leq_extint_ind, matroid),
+        "flip-ind": partial(leq_flip_ind, matroid),
+        "nbc-extint": ind.leq,  # extint-ind restricted to nbc sets
+    }
+    related, blocks = _related_blocks(matroid, ind.elements)
+    keys = [_key(matroid, b) for b in bases]
+    above = {  # basis A: the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C)
+        a: sum(blocks[c] for c, kc in zip(bases, keys) if c != a and not ka & ~kc)
+        for a, ka in zip(bases, keys)
+    }
+    key_break = next(
+        (f"key of {subset_label(i, n)} is not that of its related basis {subset_label(a, n)}"
+         for i, a in zip(ind.elements, related) if _key(matroid, i) != _key(matroid, a)),
+        "",
+    )
+    for kind, poset in posets.items():
+        elems, rel, blocked = poset.elements, definitions[kind], kind in ("extint-ind", "flip-ind")
+        if blocked:  # rel inside each block, the blocks above it outside
+            expected = (
+                above[a] | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
+                for i, a in zip(elems, related)
+            )
+        else:
+            expected = (sum(1 << y for y, b in enumerate(elems) if rel(a, b)) for a in elems)
+        violation = (
+            poset_axiom_violation(poset, n)
+            or blocked and key_break
+            or _row_disagreement(
+                elems, poset.up_rows, expected, n, "row disagrees with its definition"
+            )
+        )
+        if violation:
+            return f"{kind}: {violation}"
+    profiles = [activity_profile(matroid, b) for b in bases]
+    forms = [0] * len(bases)  # where a basis order and one of its equivalent forms differ
+    for kind, sets in (
+        ("ext-bases", [b | p.ea for b, p in zip(bases, profiles)]),  # A∪EA(A) ⊆ B∪EA(B)
+        ("int-bases", [b & ~p.ia for b, p in zip(bases, profiles)]),  # A∖IA(A) ⊆ B∖IA(B)
+        ("extint-bases", keys),  # key(A) ⊆ key(B)
+        ("extint-bases", [p.ip | p.ea for p in profiles]),  # IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
+    ):
+        wants = _containment_rows(sets, sets, n)
+        forms = [f | row ^ want for f, row, want in zip(forms, posets[kind].up_rows, wants)]
+    what = "equivalent forms of the basis orders disagree"
+    return _row_disagreement(bases, forms, [0] * len(forms), n, what)
+
+
 # -- linear extensions -----------------------------------------------------------
 
 
@@ -225,30 +317,33 @@ class ExtensionSample:
 
 
 def _enumerate_extensions(poset: Poset, limit: int):
-    """Backtracking enumeration, choosing the minimal available element first."""
+    """Backtracking enumeration, choosing the minimal available element first,
+    on an explicit stack: for each placed prefix, the bitsets of the placed,
+    the available and the not yet tried elements."""
     m = len(poset.elements)
-    down = poset.down_rows
-    full = (1 << m) - 1
-    found: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def rec(placed: int) -> bool:
-        if placed == full:
+    up, down = poset.up_rows, poset.down_rows
+    found, prefix = [], [0] * m
+    avail = sum(1 << i for i in range(m) if not down[i] & ~(1 << i))
+    stack = [(0, avail, avail)]
+    while stack:
+        placed, avail, untried = stack.pop()
+        if len(stack) == m:
             found.append(tuple(poset.elements[i] for i in prefix))
-            return len(found) <= limit
-        for i in range(m):
-            bit = 1 << i
-            if placed & bit or down[i] & ~placed & ~bit:
-                continue
-            prefix.append(i)
-            ok = rec(placed | bit)
-            prefix.pop()
-            if not ok:
-                return False
-        return True
-
-    completed = rec(0)
-    return found, completed
+            if len(found) > limit:
+                return found, False
+        elif untried:
+            low = untried & -untried
+            stack.append((placed, avail, untried ^ low))
+            prefix[len(stack) - 1] = i = low.bit_length() - 1
+            placed, avail = placed | low, avail ^ low
+            above = up[i] & ~placed
+            while above:  # j unplaced: nothing above j is available
+                j = (above & -above).bit_length() - 1
+                if not down[j] & ~placed & ~(1 << j):
+                    avail |= 1 << j
+                above &= ~(up[j] | 1 << j)
+            stack.append((placed, avail, avail))
+    return found, True
 
 
 def first_extension(poset: Poset) -> tuple[int, ...]:

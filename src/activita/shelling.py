@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .activity import activity_profile, crapo_decompose_independent, nbc_sets, related_basis
-from .bitsets import iter_bits, min_elem, submasks, subset_str
+from .bitsets import iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import Facet, SimplicialComplex, facet_F
 from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid
@@ -98,6 +98,35 @@ def verify_shelling(
         report.property_h = property_H_check(cx, order, restrictions)
         report.h_complex = h_complex_check(restrictions)
     return report
+
+
+def verify_orders(
+    cx: SimplicialComplex, orders: list[tuple[int, ...]], closed_form: dict[int, int] | None,
+    check_properties: bool,
+) -> tuple[tuple[bool, ...], list[list[int]]]:
+    """Fold :func:`verify_shelling` over orders of facet tags, up to the first
+    that does not shell.  Returns the restriction sets of the orders that
+    shell and five flags: every order shells; its restriction sets equal
+    ``closed_form`` (tag → restriction set), if given; property (H); the
+    restrictions form an h-complex; their h-vector is the complex's.  Each
+    flag after the first also requires every order to shell; the middle two
+    are checked only with ``check_properties``.
+    """
+    shelled = formula = prop_h = h_cx = h_match = True
+    restrictions = []
+    for order in orders:
+        report = verify_shelling(cx, [cx.facet_by_tag[t] for t in order], check_properties)
+        if not report.verdict:
+            shelled = False
+            break
+        if closed_form is not None:
+            formula &= report.restrictions == [closed_form[t] for t in order]
+        if check_properties:
+            prop_h &= bool(report.property_h)
+            h_cx &= bool(report.h_complex)
+        h_match &= bool(report.matches_complex_h)
+        restrictions.append(report.restrictions)
+    return (shelled, *(shelled and ok for ok in (formula, prop_h, h_cx, h_match))), restrictions
 
 
 def verify_shelling_pairwise(
@@ -302,7 +331,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
 
 def _pair_error(matroid: Matroid, i: int, k: int) -> ActivitaError:
     """The error :func:`shelling_witness` raises on a failing pair, naming it."""
-    pair = f"pair {subset_str(i, matroid.n) or 'empty'}, {subset_str(k, matroid.n) or 'empty'}"
+    pair = f"pair {subset_label(i, matroid.n)}, {subset_label(k, matroid.n)}"
     try:
         shelling_witness(matroid, i, k)
     except ActivitaError as exc:

@@ -1,15 +1,14 @@
 """The theorem-verification suite run over a corpus of matroids.
 
-Each check function returns Finding records; run_suite drives all of them.
-Checks are exhaustive where the ground set allows it (everything in the
-built-in corpus) and sampled via seeded linear extensions where the number
-of extensions explodes.
+Every check takes (name, m, cap, seed) and returns Finding records, and
+run_suite calls each the same way.  A check builds the objects, runs the
+certificates of their layers (orders.poset_certificate, shelling.verify_orders)
+and names the findings; shellings use every linear extension, or cap samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .activity import (
     activity_profile,
@@ -20,31 +19,26 @@ from .activity import (
     nbc_sets,
     related_basis,
 )
-from .bitsets import elems_of, iter_bits, subset_label
+from .bitsets import elems_of, subset_label
 from .complexes import build_complex, induced_subcomplex
 from .errors import ActivitaError
 from .matroid import Matroid
 from .orders import (
-    BASIS_ORDER_KINDS,
     POSET_KINDS,
-    Poset,
-    _containment_rows,
-    _key,
-    _related_blocks,
     boolean_interval,
     build_poset,
-    compare_bases,
     flip_involution,
-    leq_extint_ind,
-    leq_flip_ind,
     linear_extensions,
     meet_join_ind,
+    poset_axiom_violation,
+    poset_certificate,
     poset_meet_join,
 )
 from .shelling import (
     exchange_down_basis,
     flip_restrictions,
     restriction_sets_bruteforce,
+    verify_orders,
     verify_shelling,
     verify_shelling_pairwise,
     witness_pass,
@@ -70,7 +64,7 @@ class Finding:
 # -- matroid and activity structure ------------------------------------------------
 
 
-def check_matroid_axioms(name: str, m: Matroid) -> list[Finding]:
+def check_matroid_axioms(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     out = [
         Finding(name, "dual-involution", m.dual.dual.bases == m.bases),
         Finding(name, "circuits-not-in-bases", all(c & ~b for c in m.circuits for b in m.bases)),
@@ -92,7 +86,7 @@ def check_matroid_axioms(name: str, m: Matroid) -> list[Finding]:
     return out
 
 
-def check_activity(name: str, m: Matroid) -> list[Finding]:
+def check_activity(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     full = m.full_mask
     partition = duality = True
     for s in range(1 << m.n):
@@ -111,7 +105,7 @@ def check_activity(name: str, m: Matroid) -> list[Finding]:
     ]
 
 
-def check_crapo(name: str, m: Matroid) -> list[Finding]:
+def check_crapo(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     out = []
     try:
         seen_subset = all(crapo_decompose_subset(m, s) is not None for s in range(1 << m.n))
@@ -142,99 +136,15 @@ def check_crapo(name: str, m: Matroid) -> list[Finding]:
 # -- posets, lattice, blocks -----------------------------------------------------
 
 
-def poset_axiom_violation(poset: Poset, n: int) -> str:
-    """The first failure of reflexivity, antisymmetry or transitivity, or ""."""
-    rows, elems = poset.up_rows, poset.elements
-    for i, row in enumerate(rows):
-        a = subset_label(elems[i], n)
-        if not row >> i & 1:
-            return f"not reflexive at {a}"
-        for j in iter_bits(row & ~(1 << i)):
-            if rows[j] >> i & 1:
-                return f"not antisymmetric on {a}, {subset_label(elems[j], n)}"
-            if rows[j] & ~row:
-                return f"not transitive from {a} through {subset_label(elems[j], n)}"
-    return ""
-
-
-def _row_disagreement(elems, rows, expected, n: int, what: str) -> str:
-    """``what`` on "a, b" for the first row a, and its lowest bit b, where
-    ``rows`` and ``expected`` differ, or ""."""
-    for a, row, want in zip(elems, rows, expected):
-        if row != want:
-            low = (row ^ want) & -(row ^ want)
-            return f"{what} on {subset_label(a, n)}, {subset_label(elems[low.bit_length() - 1], n)}"
-    return ""
-
-
-def check_posets(name: str, m: Matroid) -> list[Finding]:
-    """``poset-axioms``: the six orders are partial orders, every row agrees
-    with the order's definition, and the basis orders with their equivalent
-    forms.  ``extint-ind`` and ``flip-ind`` compare sets with the same related
-    basis by containment and others by key(I) ⊆ key(K), key(S) = S∖IA(S)∪EA(S),
-    so they are certified by related-basis blocks.  The finding requires key(I)
-    = key(RB(I)) for every I (Las Vergnas, "Active orders for matroid bases",
-    2001), or names I.  Then the definition's row of I in the block of A is
-    ``rel`` inside it and, outside, the union of the blocks of the bases C ≠ A
-    with key(A) ⊆ key(C): each row is the definition's own row, at Σ|block|²
-    calls of ``rel``, and a failure names the pair a per-pair scan names.
-    """
+def check_posets(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+    """``poset-axioms`` is :func:`poset_certificate` on the six orders."""
     try:
         posets = {kind: build_poset(m, kind) for kind in POSET_KINDS}
     except ActivitaError as exc:
         return [Finding(name, "poset-axioms", False, str(exc))]
+    detail = poset_certificate(m, posets)
     ind = posets["extint-ind"]
-    definitions = {
-        **{f"{k}-bases": partial(compare_bases, m, k) for k in BASIS_ORDER_KINDS},
-        "extint-ind": partial(leq_extint_ind, m),
-        "flip-ind": partial(leq_flip_ind, m),
-        "nbc-extint": ind.leq,  # extint-ind restricted to nbc sets
-    }
-    related, blocks = _related_blocks(m, ind.elements)
-    keys = [_key(m, b) for b in m.bases]
-    above = {  # basis A: the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C)
-        a: sum(blocks[c] for c, kc in zip(m.bases, keys) if c != a and not ka & ~kc)
-        for a, ka in zip(m.bases, keys)
-    }
-    key_break = next(
-        (f"key of {subset_label(i, m.n)} is not that of its related basis {subset_label(a, m.n)}"
-         for i, a in zip(ind.elements, related) if _key(m, i) != _key(m, a)),
-        "",
-    )
-    detail = ""
-    for kind, poset in posets.items():
-        elems, rel, blocked = poset.elements, definitions[kind], kind in ("extint-ind", "flip-ind")
-        if blocked:  # rel inside each block, the blocks above it outside
-            expected = (
-                above[a] | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
-                for i, a in zip(elems, related)
-            )
-        else:
-            expected = (sum(1 << y for y, b in enumerate(elems) if rel(a, b)) for a in elems)
-        violation = (
-            poset_axiom_violation(poset, m.n)
-            or blocked and key_break
-            or _row_disagreement(
-                elems, poset.up_rows, expected, m.n, "row disagrees with its definition"
-            )
-        )
-        if violation:
-            detail = f"{kind}: {violation}"
-            break
-    profiles = [activity_profile(m, b) for b in m.bases]
     ext, inn, both = (posets[k].up_rows for k in ("ext-bases", "int-bases", "extint-bases"))
-    forms = [0] * len(m.bases)  # where a basis order and one of its equivalent forms differ
-    for rows, sets in (
-        (ext, [b | p.ea for b, p in zip(m.bases, profiles)]),  # A∪EA(A) ⊆ B∪EA(B)
-        (inn, [b & ~p.ia for b, p in zip(m.bases, profiles)]),  # A∖IA(A) ⊆ B∖IA(B)
-        (both, keys),  # key(A) ⊆ key(B)
-        (both, [p.ip | p.ea for p in profiles]),  # IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
-    ):
-        wants = _containment_rows(sets, sets, m.n)
-        forms = [f | row ^ want for f, row, want in zip(forms, rows, wants)]
-    detail = detail or _row_disagreement(
-        m.bases, forms, [0] * len(forms), m.n, "equivalent forms of the basis orders disagree"
-    )
     at = [ind.index[b] for b in m.bases]
     restricted = [sum(1 << y for y, j in enumerate(at) if ind.up_rows[i] >> j & 1) for i in at]
     refines = all(not (e | i) & ~c for e, i, c in zip(ext, inn, both))
@@ -245,7 +155,7 @@ def check_posets(name: str, m: Matroid) -> list[Finding]:
     ]
 
 
-def check_boolean_intervals(name: str, m: Matroid) -> list[Finding]:
+def check_boolean_intervals(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     try:
         for b, c in build_poset(m, "extint-bases").covers():
             boolean_interval(m, b, c)
@@ -254,7 +164,7 @@ def check_boolean_intervals(name: str, m: Matroid) -> list[Finding]:
     return [Finding(name, "boolean-intervals", True)]
 
 
-def check_lattice(name: str, m: Matroid) -> list[Finding]:
+def check_lattice(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     """``lattice-laws``: the closed-form meet and join of independent sets
     are the lattice operations of the ``extint-ind`` order.
 
@@ -286,7 +196,7 @@ def check_lattice(name: str, m: Matroid) -> list[Finding]:
     return [Finding(name, "lattice-laws", True)]
 
 
-def check_flip_involution(name: str, m: Matroid) -> list[Finding]:
+def check_flip_involution(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     elems = m.independent_sets
     image = set()
     ok = True
@@ -311,44 +221,21 @@ def check_flip_involution(name: str, m: Matroid) -> list[Finding]:
 
 def _sampled_shelling(
     name: str, m: Matroid, cap: int, seed: int, kinds: tuple[str, str],
-    names: tuple[str, ...], closed_form: dict[int, int] | None = None, keep: bool = False,
+    names: tuple[str, ...], closed_form: dict[int, int] | None = None,
 ) -> tuple[list[Finding], list[tuple[int, ...]], list[list[int]]]:
-    """Shell the complex ``kinds[0]`` along sampled extensions of the poset ``kinds[1]``.
-
-    ``names`` names the findings of a prefix of five flags, folded over the
-    orders up to the first that does not shell: the order shells; its
-    restriction sets equal ``closed_form`` (element → restriction set);
-    property (H); the restrictions form an h-complex; their h-vector is the
-    complex's.  Each flag after the first also requires every order to shell.
-    Returns the findings, the orders and, with ``keep``, their restriction sets.
-    """
+    """Shell the complex ``kinds[0]`` along sampled extensions of the poset
+    ``kinds[1]``, naming a prefix of the flags of :func:`verify_orders`;
+    property (H) and the h-complex are checked only when named.  Returns the
+    findings, the orders and the restriction sets of the orders that shell."""
     cx = build_complex(m, kinds[0])
     sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=seed)
-    properties = len(names) > 2  # property (H) and the h-complex only when named
-    shelled = formula = prop_h = h_cx = h_match = True
-    kept = []
-    for order in sample.orders:
-        facets = [cx.facet_by_tag[t] for t in order]
-        report = verify_shelling(cx, facets, check_properties=properties)
-        if not report.verdict:
-            shelled = False
-            break
-        if closed_form is not None:
-            formula &= report.restrictions == [closed_form[i] for i in order]
-        if properties:
-            prop_h &= bool(report.property_h)
-            h_cx &= bool(report.h_complex)
-        h_match &= bool(report.matches_complex_h)
-        if keep:
-            kept.append(report.restrictions)
-    tag = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
-    out = [Finding(name, names[0], shelled, tag)]
-    for check, ok in zip(names[1:], (formula, prop_h, h_cx, h_match)):
-        out.append(Finding(name, check, shelled and ok))
-    return out, sample.orders, kept
+    flags, restrictions = verify_orders(cx, sample.orders, closed_form, len(names) > 2)
+    out = [Finding(name, check, ok) for check, ok in zip(names, flags)]
+    out[0].detail = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
+    return out, sample.orders, restrictions
 
 
-def check_shelling_main(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]:
+def check_shelling_main(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     """Every (sampled) extension of the independent-set order shells the complex,
     with restriction sets z_I, property (H), and an h-complex matching the
     independence complex."""
@@ -373,12 +260,12 @@ def check_shelling_main(name: str, m: Matroid, cap: int, seed: int) -> list[Find
     return out
 
 
-def check_shelling_flip(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]:
+def check_shelling_flip(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     """Extensions of the flipped order also shell the complex (checked
     empirically; the restriction sets follow the two-variable closed form)."""
     out, _, kept = _sampled_shelling(
         name, m, cap, seed, ("augmented-ea", "flip-ind"),
-        ("shelling-flip", "restriction-sets-flip"), flip_restrictions(m), keep=True,
+        ("shelling-flip", "restriction-sets-flip"), flip_restrictions(m),
     )
     bipolys = [bivariate_restriction_polynomial(m, r) for r in kept]
     stable = all(p == bipolys[0] for p in bipolys)
@@ -386,12 +273,12 @@ def check_shelling_flip(name: str, m: Matroid, cap: int, seed: int) -> list[Find
     return out
 
 
-def check_shelling_ea(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]:
+def check_shelling_ea(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     """Extensions of the basis order shell the external activity complex."""
     return _sampled_shelling(name, m, cap, seed, ("ea", "extint-bases"), ("shelling-ea",))[0]
 
 
-def check_nbc_suite(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]:
+def check_nbc_suite(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     cx, tutte, sets = build_complex(m, "augmented-nbc"), tutte_by_activities(m), nbc_sets(m)
     induced = (
         sorted(induced_subcomplex(cx, "z").facets) == sorted(build_complex(m, "nbc").facets)
@@ -416,7 +303,7 @@ def check_nbc_suite(name: str, m: Matroid, cap: int, seed: int) -> list[Finding]
 # -- witnesses --------------------------------------------------------------------
 
 
-def check_witnesses(name: str, m: Matroid) -> list[Finding]:
+def check_witnesses(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     """The witness construction succeeds on every pair I, K with K ≰ I (one
     check per group of :func:`witness_groups`), stays inside nbc sets when the
     pair is nbc, and the downward exchange lemma holds for every internally
@@ -442,7 +329,7 @@ def check_witnesses(name: str, m: Matroid) -> list[Finding]:
 # -- tutte ------------------------------------------------------------------------
 
 
-def check_tutte(name: str, m: Matroid) -> list[Finding]:
+def check_tutte(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     by_act = tutte_by_activities(m)
     swapped = BiPoly({(t, q): v for (q, t), v in by_act.coeffs.items()})
     evals_ok = (
@@ -480,17 +367,6 @@ ALL_CHECKS = (
     check_tutte,
 )
 
-_SAMPLED = {check_shelling_main, check_shelling_flip, check_shelling_ea, check_nbc_suite}
-
-
-def run_suite(
-    corpus: dict[str, Matroid], cap: int = 200, seed: int = 0
-) -> list[Finding]:
-    findings: list[Finding] = []
-    for name, m in corpus.items():
-        for check in ALL_CHECKS:
-            if check in _SAMPLED:
-                findings.extend(check(name, m, cap, seed))
-            else:
-                findings.extend(check(name, m))
-    return findings
+def run_suite(corpus: dict[str, Matroid], cap: int = 200, seed: int = 0) -> list[Finding]:
+    """Every check, in ``ALL_CHECKS`` order, on every matroid of ``corpus``."""
+    return [f for name, m in corpus.items() for c in ALL_CHECKS for f in c(name, m, cap, seed)]

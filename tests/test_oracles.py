@@ -3,8 +3,10 @@ column-bitset posets and their covers against the per-pair build and the
 down-row scan they replaced, the ``poset-axioms`` block certificate against
 the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
 certificate replaced, the grouped witness pass against the per-pair
-``shelling_witness``, and the f-vector oracles: inclusion-exclusion, the
-submask walk and the memoized Shannon expansion that the ZDD count replaced.
+``shelling_witness``, the f-vector oracles: inclusion-exclusion, the
+submask walk and the memoized Shannon expansion that the ZDD count replaced,
+and the recursive enumeration of linear extensions that the explicit stack
+replaced.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -26,6 +28,7 @@ from activita.activity import (
     nbc_sets,
     related_basis,
 )
+import activita.orders as orders
 import activita.suite as suite
 from activita.bitsets import iter_bits, submasks, subset_label
 from activita.complexes import build_complex, face_counts
@@ -39,9 +42,10 @@ from activita.orders import (
     leq_extint_ind,
     leq_flip_ind,
     meet_join_ind,
+    poset_axiom_violation,
 )
 from activita.shelling import shelling_witness, witness_groups
-from activita.suite import check_lattice, check_posets, poset_axiom_violation
+from activita.suite import check_lattice, check_posets
 
 
 @st.composite
@@ -375,3 +379,59 @@ def test_witness_groups_match_shelling_witness_on_corpus_and_w4():
     w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
     for m in [*builtin_corpus().values(), w4]:
         assert_groups_match_per_pair_witnesses(m)
+
+
+def recursive_extensions(poset, limit):
+    """The recursive backtracking enumeration that the explicit stack replaced:
+    the minimal available element first, stopping after ``limit + 1`` orders,
+    with whether it got through all of them first."""
+    m = len(poset.elements)
+    down = poset.down_rows
+    full = (1 << m) - 1
+    found, prefix = [], []
+
+    def rec(placed):
+        if placed == full:
+            found.append(tuple(poset.elements[i] for i in prefix))
+            return len(found) <= limit
+        for i in range(m):
+            bit = 1 << i
+            if placed & bit or down[i] & ~placed & ~bit:
+                continue
+            prefix.append(i)
+            ok = rec(placed | bit)
+            prefix.pop()
+            if not ok:
+                return False
+        return True
+
+    return found, rec(0)
+
+
+@st.composite
+def small_posets(draw):
+    """Partial orders on at most 7 distinct masks: the transitive closure of
+    random pairs, each oriented by a random ranking, so that the element
+    indices need not be a linear extension."""
+    m = draw(st.integers(0, 7))
+    rank = draw(st.permutations(range(m)))
+    up = [1 << i for i in range(m)]
+    if m:
+        for i, j in draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))):
+            if rank[i] < rank[j]:
+                up[i] |= 1 << j
+    for _ in range(m):
+        for i in range(m):
+            for j in iter_bits(up[i]):
+                up[i] |= up[j]
+    elements = draw(st.lists(st.integers(0, 127), min_size=m, max_size=m, unique=True))
+    return Poset(tuple(elements), tuple(up))
+
+
+@given(small_posets(), st.sampled_from([0, 1, 2, 7, 100, 5039, 5040]))
+@example(Poset((), ()), 0)
+@example(Poset(tuple(range(7)), tuple(1 << i for i in range(7))), 5039)  # 7! = 5040 orders
+@example(Poset(tuple(range(7)), tuple(1 << i for i in range(7))), 5040)
+@settings(max_examples=150, deadline=None)
+def test_explicit_stack_extensions_match_recursion(poset, limit):
+    assert orders._enumerate_extensions(poset, limit) == recursive_extensions(poset, limit)

@@ -1,6 +1,7 @@
 """Active orders: comparisons, Hasse diagrams, extensions, lattice, flips."""
 
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -21,10 +22,11 @@ from activita.orders import (
     leq_flip_ind,
     linear_extensions,
     meet_join_ind,
+    poset_axiom_violation,
     poset_meet_join,
     random_extension,
 )
-from activita.suite import check_lattice, check_posets, poset_axiom_violation
+from activita.suite import check_lattice, check_posets
 from test_oracles import lattice_laws_hold
 
 ps5 = lambda s: parse_subset(s, 5)
@@ -372,6 +374,14 @@ class TestLinearExtensions:
         assert s1.orders != s3.orders
         for order in s1.orders:
             assert is_extension(p, order)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        n = 2000
+        assert sys.getrecursionlimit() < n
+        chain = Poset(tuple(range(n)), tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
+        assert first_extension(chain) == chain.elements
+        sample = linear_extensions(chain, cap=1)
+        assert (sample.orders, sample.exhaustive, sample.total) == ([chain.elements], True, 1)
 
     def test_first_extension_is_extension(self, corpus):
         for m in corpus.values():

@@ -1,12 +1,14 @@
 """The verification-suite driver: finding shapes, degenerate matroids, and
-mutants that each turn one finding of the sampled-shelling driver or of the
-witness checks to FAIL."""
+mutants that each turn one finding of the shelling checks or of the witness
+checks to FAIL."""
 
 import pytest
 
 import activita.shelling as shelling
 import activita.suite as suite
+from activita.activity import related_basis
 from activita.bitsets import parse_subset
+from activita.complexes import SimplicialComplex
 from activita.corpus import m5
 from activita.errors import WitnessNotFound
 from activita.matroid import from_bases, graphic, relabel, uniform
@@ -112,11 +114,11 @@ def test_witness_pass_runs_when_the_first_order_does_not_shell(monkeypatch):
 
 
 def corrupt_second_report(field, value):
-    """Set one field of the second report that ``suite.verify_shelling`` returns,
-    so the corruption sits on an order after the first."""
+    """Set one field of the second report that ``shelling.verify_shelling``
+    returns, so the corruption sits on an order after the first."""
 
     def patch(monkeypatch):
-        real = suite.verify_shelling
+        real = shelling.verify_shelling
         reports = []
 
         def corrupted(cx, order, check_properties=True):
@@ -126,7 +128,7 @@ def corrupt_second_report(field, value):
                 setattr(report, field, value(report))
             return report
 
-        monkeypatch.setattr(suite, "verify_shelling", corrupted)
+        monkeypatch.setattr(shelling, "verify_shelling", corrupted)
 
     return patch
 
@@ -144,38 +146,72 @@ def falsify(field):
     return corrupt_second_report(field, lambda report: False)
 
 
+def bruteforce_drops_the_last_set(monkeypatch):
+    real = suite.restriction_sets_bruteforce
+    monkeypatch.setattr(suite, "restriction_sets_bruteforce", lambda order: real(order)[:-1])
+
+
+def count_an_nbc_set_twice(monkeypatch):
+    real = suite.nbc_sets
+    monkeypatch.setattr(suite, "nbc_sets", lambda m: real(m) + real(m)[:1])
+
+
+def drop_an_induced_facet(monkeypatch):
+    real = suite.induced_subcomplex
+
+    def dropped(cx, flavors):
+        sub = real(cx, flavors)
+        return SimplicialComplex(sub.vertices, sub.facets[1:])
+
+    monkeypatch.setattr(suite, "induced_subcomplex", dropped)
+
+
+def u24():
+    # 11 independent sets: the brute-force crosscheck runs on at most 12 facets
+    return uniform(2, 4)
+
+
 REVERSED = corrupt_second_report("restrictions", lambda report: report.restrictions[::-1])
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
 MUTANTS = {
-    # finding: (check, mutant, the findings it fails, a sibling that still passes)
-    "restriction-sets-z": (MAIN, REVERSED, {"restriction-sets-z"}, "shelling-extint"),
-    "property-H": (MAIN, falsify("property_h"), {"property-H"}, "shelling-extint"),
-    "h-complex": (MAIN, falsify("h_complex"), {"h-complex"}, "shelling-extint"),
+    # finding: (matroid, check, mutant, the findings it fails, a sibling that still passes)
+    "restriction-sets-z": (m5, MAIN, REVERSED, {"restriction-sets-z"}, "shelling-extint"),
+    "property-H": (m5, MAIN, falsify("property_h"), {"property-H"}, "shelling-extint"),
+    "h-complex": (m5, MAIN, falsify("h_complex"), {"h-complex"}, "shelling-extint"),
     "h-vector-from-restrictions": (
-        MAIN, falsify("matches_complex_h"), {"h-vector-from-restrictions"}, "shelling-extint"
+        m5, MAIN, falsify("matches_complex_h"), {"h-vector-from-restrictions"}, "shelling-extint"
+    ),
+    "restriction-bruteforce-crosscheck": (
+        u24, MAIN, bruteforce_drops_the_last_set, {"restriction-bruteforce-crosscheck"},
+        "restriction-sets-z",
     ),
     "restriction-sets-flip": (
-        FLIP, wrong_flip_closed_form, {"restriction-sets-flip"}, "shelling-flip"
+        m5, FLIP, wrong_flip_closed_form, {"restriction-sets-flip"}, "shelling-flip"
     ),
     # equal restriction sets give equal polynomials, so a report whose
     # polynomial differs also fails the closed form
     "bivariate-order-invariant": (
+        m5,
         FLIP,
         corrupt_second_report("restrictions", lambda report: [0] * len(report.restrictions)),
         {"restriction-sets-flip", "bivariate-order-invariant"},
         "shelling-flip",
     ),
-    "restriction-sets-nbc": (NBC, REVERSED, {"restriction-sets-nbc"}, "shelling-nbc"),
-    "property-H-nbc": (NBC, falsify("property_h"), {"property-H-nbc"}, "shelling-nbc"),
-    "h-complex-nbc": (NBC, falsify("h_complex"), {"h-complex-nbc"}, "shelling-nbc"),
+    "nbc-facet-count": (m5, NBC, count_an_nbc_set_twice, {"nbc-facet-count"}, "shelling-nbc"),
+    "nbc-induced-subcomplexes": (
+        m5, NBC, drop_an_induced_facet, {"nbc-induced-subcomplexes"}, "nbc-facet-count"
+    ),
+    "restriction-sets-nbc": (m5, NBC, REVERSED, {"restriction-sets-nbc"}, "shelling-nbc"),
+    "property-H-nbc": (m5, NBC, falsify("property_h"), {"property-H-nbc"}, "shelling-nbc"),
+    "h-complex-nbc": (m5, NBC, falsify("h_complex"), {"h-complex-nbc"}, "shelling-nbc"),
 }
 
 
 @pytest.mark.parametrize("finding", MUTANTS)
-def test_shelling_mutant_fails_its_finding(m5_matroid, monkeypatch, finding):
-    check, mutant, failing, sibling = MUTANTS[finding]
+def test_shelling_mutant_fails_its_finding(monkeypatch, finding):
+    matroid, check, mutant, failing, sibling = MUTANTS[finding]
     mutant(monkeypatch)
-    findings = {f.check: f.ok for f in check("m5", m5_matroid, 10, 0)}
+    findings = {f.check: f.ok for f in check("m", matroid(), 10, 0)}
     assert finding in failing
     assert {name for name, ok in findings.items() if not ok} == failing
     assert findings[sibling]
@@ -203,15 +239,15 @@ def test_an_order_that_does_not_shell_fails_every_sampled_finding(
 M5_A, M5_C = parse_subset("235", 5), parse_subset("134", 5)  # the paper's unrelated example
 
 
-def basis_witness_mutant(change):
-    """Replace ``_basis_witness(A, C)`` on m5's A = 235, C = 134 by ``change(B, c)``."""
+def basis_witness_mutant(change, pair=(M5_A, M5_C)):
+    """Replace ``_basis_witness(A, C)`` on m5's (A, C) = ``pair`` by ``change(B, c)``."""
 
     def patch(monkeypatch):
         real = shelling._basis_witness
 
         def mutated(m, a, c_basis):
             b, c = real(m, a, c_basis)
-            return change(b, c) if (a, c_basis) == (M5_A, M5_C) else (b, c)
+            return change(b, c) if (a, c_basis) == pair else (b, c)
 
         monkeypatch.setattr(shelling, "_basis_witness", mutated)
 
@@ -263,6 +299,16 @@ def test_wrong_witness_names_the_pair_and_the_oracle_message(monkeypatch):
     WITNESS_MUTANTS["witness-all-pairs"][0](monkeypatch)
     [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
     assert finding.detail == "pair 23, 14: constructed witness violates the facet equation"
+
+
+def test_a_failing_group_holding_the_empty_set_names_it(monkeypatch):
+    # A = RB(∅) = 345 meets C = 135 first at K = 1, in the group of A's block,
+    # whose first set is ∅
+    a_basis = related_basis(m5(), 0)
+    basis_witness_mutant(no_exchange_witness, (a_basis, parse_subset("135", 5)))(monkeypatch)
+    [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
+    assert a_basis == parse_subset("345", 5)
+    assert finding.detail == "pair ∅, 1: no exchange witness"
 
 
 def test_witness_error_fails_the_first_order_certificate(monkeypatch):
