@@ -17,7 +17,7 @@ from .errors import (
     NotABasis,
     NotIndependent,
 )
-from .matroid import Matroid
+from .matroid import Matroid, memoized
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,13 @@ def externally_active(matroid: Matroid, subset: int) -> int:
     return active
 
 
+@memoized
 def activity_profile(matroid: Matroid, subset: int) -> ActivityProfile:
     """All four activity sets of a subset, memoized per matroid."""
-    cache = matroid._cache.setdefault("profiles", {})
-    hit = cache.get(subset)
-    if hit is not None:
-        return hit
     full = matroid.full_mask
     ea = externally_active(matroid, subset)
     ia = externally_active(matroid.dual, full & ~subset)
-    prof = ActivityProfile(ea=ea, ep=full & ~subset & ~ea, ia=ia, ip=subset & ~ia)
-    cache[subset] = prof
-    return prof
+    return ActivityProfile(ea=ea, ep=full & ~subset & ~ea, ia=ia, ip=subset & ~ia)
 
 
 def activity_profile_by_exchange(matroid: Matroid, basis: int) -> ActivityProfile:
@@ -124,6 +119,7 @@ def crapo_decompose_independent(matroid: Matroid, indep: int) -> CrapoDecomposit
     return CrapoDecomposition(basis=basis, x=0, y=basis & ~indep)
 
 
+@memoized
 def related_basis(matroid: Matroid, indep: int) -> int:
     """The basis internally related to an independent set, memoized.
 
@@ -135,29 +131,20 @@ def related_basis(matroid: Matroid, indep: int) -> int:
     uniqueness of Crapo's decomposition I = B∖Y with Y ⊆ IA(B) (Crapo 1969;
     Björner 1992) this B is the related basis.  O(n) independence tests.
     """
-    cache = matroid._cache.setdefault("related", {})
-    hit = cache.get(indep)
-    if hit is None:
-        if not matroid.is_independent(indep):
-            raise NotIndependent(subset_str(indep, matroid.n))
-        hit = indep
-        for e in range(matroid.n, 0, -1):
-            bit = 1 << (e - 1)
-            if not hit & bit and matroid.is_independent(hit | bit):
-                hit |= bit
-        cache[indep] = hit
-    return hit
+    if not matroid.is_independent(indep):
+        raise NotIndependent(subset_str(indep, matroid.n))
+    basis = indep
+    for e in range(matroid.n, 0, -1):
+        bit = 1 << (e - 1)
+        if not basis & bit and matroid.is_independent(basis | bit):
+            basis |= bit
+    return basis
 
 
+@memoized
 def broken_circuits(matroid: Matroid) -> tuple[int, ...]:
     """Circuits with their maximum element removed, deduplicated, sorted, memoized."""
-    cache = matroid._cache.get("broken_circuits")
-    if cache is None:
-        cache = tuple(
-            sorted({circ ^ (1 << (max_elem(circ) - 1)) for circ in matroid.circuits})
-        )
-        matroid._cache["broken_circuits"] = cache
-    return cache
+    return tuple(sorted({circ ^ (1 << (max_elem(circ) - 1)) for circ in matroid.circuits}))
 
 
 def is_nbc(matroid: Matroid, subset: int) -> bool:
@@ -165,12 +152,7 @@ def is_nbc(matroid: Matroid, subset: int) -> bool:
     return all(bc & ~subset for bc in broken_circuits(matroid))
 
 
+@memoized
 def nbc_sets(matroid: Matroid) -> tuple[int, ...]:
-    """All nbc sets, sorted by mask value (always independent sets)."""
-    cache = matroid._cache.get("nbc_sets")
-    if cache is None:
-        cache = tuple(
-            s for s in matroid.independent_sets if is_nbc(matroid, s)
-        )
-        matroid._cache["nbc_sets"] = cache
-    return cache
+    """All nbc sets, sorted by mask value (always independent sets), memoized."""
+    return tuple(s for s in matroid.independent_sets if is_nbc(matroid, s))

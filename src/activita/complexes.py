@@ -32,7 +32,7 @@ from .activity import (
 )
 from .bitsets import subset_str, submasks
 from .errors import NotNBC, NotPure
-from .matroid import Matroid
+from .matroid import Matroid, memoized
 
 COMPLEX_KINDS = ("augmented-ea", "ea", "nbc", "augmented-nbc")
 
@@ -243,6 +243,7 @@ def _h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 # -- matroid facets ---------------------------------------------------------------
 
 
+@memoized
 def facet_F(matroid: Matroid, indep: int) -> Facet:
     """Facet of the augmented external activity complex for an independent set.
 
@@ -252,15 +253,9 @@ def facet_F(matroid: Matroid, indep: int) -> Facet:
     and Y = B∖I; the suite's ``related-basis-activities`` finding checks
     those conditions on every independent set.
     """
-    cache = matroid._cache.setdefault("facets", {})
-    hit = cache.get(indep)
-    if hit is not None:
-        return hit
     y = crapo_decompose_independent(matroid, indep).y
     prof = activity_profile(matroid, indep)
-    facet = Facet(xs=indep | prof.ep, ys=y, zs=indep | prof.ea, tag=indep)
-    cache[indep] = facet
-    return facet
+    return Facet(xs=indep | prof.ep, ys=y, zs=indep | prof.ea, tag=indep)
 
 
 def facet_G(matroid: Matroid, subset: int) -> Facet:
@@ -283,12 +278,9 @@ def _facet_mask(n: int, flavors: str, facet: Facet) -> int:
     return mask
 
 
+@memoized
 def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
-    """Build one of the four activity complexes; cached per matroid."""
-    key = ("complex", kind)
-    hit = matroid._cache.get(key)
-    if hit is not None:
-        return hit
+    """Build one of the four activity complexes; memoized per matroid and kind."""
     if kind not in COMPLEX_KINDS:
         raise ValueError(f"unknown complex kind {kind!r}")
     flavors = _FLAVORS[kind]
@@ -312,7 +304,6 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
     expected_dim = matroid.rank - 1 + (matroid.n if kind.endswith("ea") else 0)
     if cx.facets and cx.dimension != expected_dim:
         raise NotPure(f"{kind} complex has dimension {cx.dimension}, expected {expected_dim}")
-    matroid._cache[key] = cx
     return cx
 
 

@@ -6,11 +6,15 @@ axiom is verified exhaustively, so every Matroid instance is a genuine
 matroid.  Rank, independence, circuits, fundamental circuits and duality are
 derived from the bases list.  Instances are immutable after construction;
 lazily cached fields are idempotent, so sharing across workers is safe.
+What the other layers derive once per matroid (activity profiles, related
+bases, posets, complexes, witnesses) is kept by :func:`memoized`, the only
+reader and writer of a matroid's ``_cache``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import defaultdict
+from functools import cached_property, wraps
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -39,8 +43,8 @@ class Matroid:
         self.bases = tuple(sorted(set(bases)))
         self.rank = self.bases[0].bit_count() if self.bases else 0
         self.provenance = provenance
-        # cross-module memo space (activity profiles, posets, ...)
-        self._cache: dict = {}
+        # one dict of results per memoized function, keyed by its argument
+        self._cache: defaultdict = defaultdict(dict)
 
     # -- basic queries ---------------------------------------------------
 
@@ -159,6 +163,22 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)}, {self.provenance})"
+
+
+def memoized(fn):
+    """Keep ``fn(matroid, key)``, or ``fn(matroid)`` when no key is given, on
+    the matroid; a call that raises keeps nothing.  A hit is tested with
+    ``is None``, since results such as 0 and () are valid."""
+
+    @wraps(fn)
+    def memo(matroid: Matroid, key=None):
+        results = matroid._cache[memo]  # the module-level name, so a matroid still pickles
+        hit = results.get(key)
+        if hit is None:
+            hit = results[key] = fn(matroid) if key is None else fn(matroid, key)
+        return hit
+
+    return memo
 
 
 # -- constructors -------------------------------------------------------------

@@ -26,7 +26,7 @@ from operator import and_
 from .activity import activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, submasks, subset_label, subset_str
 from .errors import EquivalenceMismatch, LatticeFailure, NotABasis, NotACover
-from .matroid import Matroid
+from .matroid import Matroid, memoized
 
 BASIS_ORDER_KINDS = ("ext", "int", "extint")
 POSET_KINDS = ("ext-bases", "int-bases", "extint-bases", "extint-ind", "flip-ind", "nbc-extint")
@@ -151,18 +151,14 @@ class Poset:
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
-        """Length of the longest chain below each element (for Hasse ranking)."""
-        lower: list[list[int]] = [[] for _ in self.elements]
-        for i, j in self.cover_index_pairs:
-            lower[j].append(i)
-        h = [-1] * len(self.elements)
-
-        def height(j: int) -> int:
-            if h[j] < 0:
-                h[j] = 1 + max((height(i) for i in lower[j]), default=-1)
-            return h[j]
-
-        return tuple(height(j) for j in range(len(self.elements)))
+        """Length of the longest chain below each element (for Hasse ranking),
+        pushed up the strict up-rows along a linear extension: an element
+        comes after every element whose up-set is larger."""
+        h = [0] * len(self.elements)
+        for i in sorted(range(len(h)), key=lambda i: -self.up_rows[i].bit_count()):
+            for j in iter_bits(self.up_rows[i] & ~(1 << i)):
+                h[j] = max(h[j], h[i] + 1)
+        return tuple(h)
 
 
 def _containment_rows(need: Sequence[int], have: Sequence[int], n: int) -> list[int]:
@@ -174,18 +170,15 @@ def _containment_rows(need: Sequence[int], have: Sequence[int], n: int) -> list[
     return [rows[a] for a in need]
 
 
+@memoized
 def build_poset(matroid: Matroid, kind: str) -> Poset:
-    """Materialize one of the active orders; cached per matroid and kind.
+    """Materialize one of the active orders; memoized per matroid and kind.
 
     Basis orders are containments (extint: IP(A) ∩ EP(B) = ∅ iff IP(A) ⊆
     B∪EA(B)).  On independent sets a row is containment (of complements when
     flipped) among sets with the same related basis, and containment of
     I∖IA(I)∪EA(I) among the others.
     """
-    key = ("poset", kind)
-    hit = matroid._cache.get(key)
-    if hit is not None:
-        return hit
     n = matroid.n
     if kind in ("ext-bases", "int-bases", "extint-bases"):
         elements = matroid.bases
@@ -207,9 +200,7 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
         rows = [w & blocks[b] | a & ~blocks[b] for w, a, b in zip(within, across, bases)]
     else:
         raise ValueError(f"unknown poset kind {kind!r}")
-    poset = Poset(elements, tuple(rows))
-    matroid._cache[key] = poset
-    return poset
+    return Poset(elements, tuple(rows))
 
 
 # -- the poset-axioms certificate ------------------------------------------------

@@ -24,7 +24,7 @@ from .activity import activity_profile, crapo_decompose_independent, nbc_sets, r
 from .bitsets import iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import Facet, SimplicialComplex, facet_F
 from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
-from .matroid import Matroid
+from .matroid import Matroid, memoized
 from .orders import _related_blocks, build_poset
 
 
@@ -247,8 +247,10 @@ def _star_equation_holds(matroid: Matroid, i: int, j: int, k: int, c: int) -> bo
     )
 
 
-def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
-    """Find (B, c) with B = C∖c∪b satisfying the basis-exchange witness lemma.
+@memoized
+def _basis_witness(matroid: Matroid, pair: tuple[int, int]) -> tuple[int, int]:
+    """Find (B, c) with B = C∖c∪b satisfying the basis-exchange witness lemma
+    for the pair (A, C) of bases.
 
     Searches c over IP(C) ∩ EP(A) from the largest down and b ascending; the
     first pair satisfying all the lemma's conditions wins, memoized per
@@ -256,10 +258,7 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
     IA(C) ⊆ IA(B) are the witness checks of the pairs (A, C) and
     (A, C∖IA(C)), which :func:`witness_groups` makes whenever it uses (B, c).
     """
-    cache = matroid._cache.setdefault("basis_witness", {})
-    hit = cache.get((a, c_basis))
-    if hit is not None:
-        return hit
+    a, c_basis = pair
     pa = activity_profile(matroid, a)
     pc = activity_profile(matroid, c_basis)
     bases_poset = build_poset(matroid, "extint-bases")
@@ -286,7 +285,6 @@ def _basis_witness(matroid: Matroid, a: int, c_basis: int) -> tuple[int, int]:
                 continue
             if not pb.ep & cbit:
                 continue
-            cache[a, c_basis] = basis_b, c
             return basis_b, c
     raise WitnessNotFound(
         f"no exchange witness for bases {subset_str(a, matroid.n)}, "
@@ -316,7 +314,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         j = k & ~(1 << (c - 1))
         witness = Witness(J=j, c=c, case="related")
     else:
-        basis_b, c = _basis_witness(matroid, a, c_basis)
+        basis_b, c = _basis_witness(matroid, (a, c_basis))
         y = c_basis & ~k
         if y & ~activity_profile(matroid, basis_b).ia:
             raise WitnessNotFound("deleted set is not internally active in the new basis")
@@ -345,7 +343,7 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     Yields each independent set K with its groups: a bitset over
     ``matroid.independent_sets`` and the (J, c) that :func:`shelling_witness`
     gives every I in it.  With C = RB(K) and Y = C∖K, that witness depends on
-    I only through A = RB(I) ≠ C, giving (B, c) = ``_basis_witness(A, C)`` and
+    I only through A = RB(I) ≠ C, giving (B, c) = ``_basis_witness((A, C))`` and
     J = B∖Y, or, for I related to C, through c = min(K∖I), giving J = K∖c (a
     running AND of the columns {I : e ∈ I} over e ∈ K).  So a group checks
     once what :func:`shelling_witness` checks per pair: Y ⊆ IA(B), J ≤ K,
@@ -371,7 +369,7 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
                     group &= in_col[e]
             elif group:
                 try:
-                    basis_b, c = _basis_witness(matroid, a, c_basis)
+                    basis_b, c = _basis_witness(matroid, (a, c_basis))
                 except WitnessNotFound:
                     raise _pair_error(matroid, elems[min_elem(group) - 1], k) from None
                 groups.append((group, Witness(basis_b & ~deleted, c, "unrelated", basis_b)))
@@ -388,35 +386,24 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
         yield k, groups
 
 
-def witness_pass(matroid: Matroid, order: tuple[int, ...] | None = None) -> tuple[str, bool, bool]:
-    """One pass over :func:`witness_groups`.  Returns the error of the first
-    failing group, naming a pair, or ""; whether every group of nbc sets I, K
-    has an nbc witness J; and whether ``order`` is certified on every K before
-    the failure: no I ≥ K comes before K, and the witness (J, c) of each I
-    before K satisfies the facet equation with J < K, so J coming before K is
-    the pairwise shelling condition, checked apart from the generic verifier.
+@memoized
+def witness_pass(matroid: Matroid) -> tuple[str, bool]:
+    """One pass over :func:`witness_groups`, memoized per matroid.  Returns
+    the error of the first failing group, naming a pair, or "", and whether
+    every group of nbc sets I, K has an nbc witness J.  With no error, each
+    witness (J, c) of a pair I, K satisfies the facet equation with J < K, so
+    every linear extension of the order on independent sets is a shelling.
     """
-    ind = build_poset(matroid, "extint-ind")
-    if order is not None and sorted(order) != sorted(ind.elements):
-        raise NotAPermutation("order is not a permutation of the independent sets")
-    before, placed = {}, 0
-    for e in order or ():
-        before[e] = placed
-        placed |= 1 << ind.index[e]
     nbc = set(nbc_sets(matroid))
-    nbc_mask = sum(1 << x for x, i in enumerate(ind.elements) if i in nbc)
-    error, nbc_closed, certified = "", True, order is not None
+    nbc_mask = sum(1 << x for x, i in enumerate(matroid.independent_sets) if i in nbc)
+    error, nbc_closed = "", True
     try:
         for k, groups in witness_groups(matroid):
             if k in nbc:
                 nbc_closed &= all(w.J in nbc for group, w in groups if group & nbc_mask)
-            early = before.get(k, 0)
-            certified = certified and not early & ind.up_rows[ind.index[k]] and not any(
-                group & early and not early >> ind.index[w.J] & 1 for group, w in groups
-            )
     except ActivitaError as exc:
         error = str(exc)
-    return error, nbc_closed, certified
+    return error, nbc_closed
 
 
 def exchange_down_basis(matroid: Matroid, a_basis: int, a: int) -> int:

@@ -252,9 +252,11 @@ def check_shelling_main(name: str, m: Matroid, cap: int = 200, seed: int = 0) ->
         agree, _ = verify_shelling_pairwise(cx, order)
         ok = report.restrictions == restriction_sets_bruteforce(order) and agree == report.verdict
         out.append(Finding(name, "restriction-bruteforce-crosscheck", ok))
-    error, nbc_closed, certified = witness_pass(m, orders[0])
-    m._cache["witness_pass"] = error, nbc_closed  # read by check_witnesses
-    shelled = out[0].ok and certified  # a witness error after a failed K is not named
+    # an extension of extint-ind shells if the witness pass finds no error: J < K
+    ind, early, shelled = build_poset(m, "extint-ind"), 0, out[0].ok
+    for x in (ind.index[k] for k in orders[0]):
+        shelled, early = shelled and not early & ind.up_rows[x], early | 1 << x
+    error = witness_pass(m)[0]
     detail = error if shelled else ""
     out.append(Finding(name, "witness-certifies-first-order", shelled and not error, detail))
     return out
@@ -307,9 +309,9 @@ def check_witnesses(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> lis
     """The witness construction succeeds on every pair I, K with K ≰ I (one
     check per group of :func:`witness_groups`), stays inside nbc sets when the
     pair is nbc, and the downward exchange lemma holds for every internally
-    passive element of every basis.  The first two reuse the
-    :func:`witness_pass` of :func:`check_shelling_main`, if it ran on ``m``."""
-    error, nbc_closed = m._cache.get("witness_pass") or witness_pass(m)[:2]
+    passive element of every basis.  The first two read the memoized
+    :func:`witness_pass`, which runs once per matroid whichever check asks first."""
+    error, nbc_closed = witness_pass(m)
     out = [
         Finding(name, "witness-all-pairs", not error, error),
         Finding(name, "witness-nbc-closure", not error and nbc_closed),

@@ -1,4 +1,7 @@
-"""Constructors, rank/independence, circuits, duality, and axiom checks."""
+"""Constructors, rank/independence, circuits, duality, axiom checks and the
+per-matroid memo."""
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +14,18 @@ from activita.errors import (
     ExchangeAxiomViolated,
     NoEdges,
     NotABasis,
+    NotIndependent,
     NotPrime,
     RankOutOfRange,
     UnequalCardinality,
 )
+from activita.activity import broken_circuits, related_basis
+from activita.corpus import m5
 from activita.matroid import (
     from_bases,
     graphic,
     linear_over_prime_field,
+    memoized,
     relabel,
     uniform,
 )
@@ -271,3 +278,62 @@ def test_random_linear_matroid_activity_invariants(subset_bits, matrix):
     assert prof.ia == dual_prof.ea
     dec = crapo_decompose_subset(m, s)  # unique, or it raises
     assert s == (dec.basis & ~dec.y) | dec.x
+
+
+class TestMemoized:
+    def test_one_dict_per_function_and_matroid(self):
+        calls = []
+
+        @memoized
+        def double(m, x):
+            calls.append(("double", x))
+            return 2 * x
+
+        @memoized
+        def triple(m, x):
+            calls.append(("triple", x))
+            return 3 * x
+
+        a, b = m5(), m5()
+        assert a == b
+        got = [double(a, 1), double(a, 1), triple(a, 1), double(b, 1), double(a, 2)]
+        assert got == [2, 2, 3, 2, 4]
+        assert calls == [("double", 1), ("triple", 1), ("double", 1), ("double", 2)]
+
+    def test_falsy_results_are_hits(self):
+        calls = []
+
+        @memoized
+        def nothing(m):
+            calls.append(m)
+            return ()
+
+        m = uniform(2, 2)
+        assert nothing(m) == nothing(m) == ()
+        assert calls == [m]
+        # a rank-0 related basis is 0, and a free matroid has no broken circuits
+        assert related_basis(uniform(0, 2), 0) == 0 and broken_circuits(m) == ()
+
+    def test_a_raising_call_keeps_nothing(self):
+        calls = []
+
+        @memoized
+        def flaky(m, x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise NotIndependent("first call")
+            return x
+
+        m = m5()
+        with pytest.raises(NotIndependent):
+            flaky(m, 7)
+        assert flaky(m, 7) == 7 and calls == [7, 7]
+        for _ in range(2):
+            with pytest.raises(NotIndependent):
+                related_basis(m, ps5("1234"))
+
+    def test_a_matroid_with_memoized_results_pickles(self):
+        m = m5()
+        related_basis(m, ps5("1"))
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and related_basis(copy, ps5("1")) == related_basis(m, ps5("1"))

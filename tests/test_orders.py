@@ -335,6 +335,33 @@ def make_poset(elements, pairs):
     return Poset(tuple(elements), tuple(rows))
 
 
+def heights_by_relaxation(poset):
+    """Longest chain below each element: relax h(j) = 1 + max h(i) over the
+    elements i strictly below j, once per element."""
+    rows = poset.up_rows
+    below = [[i for i, row in enumerate(rows) if i != j and row >> j & 1] for j in range(len(rows))]
+    h = [0] * len(rows)
+    for _ in rows:
+        h = [max((h[i] + 1 for i in b), default=0) for b in below]
+    return tuple(h)
+
+
+class TestHeights:
+    def test_heights_are_the_longest_chains_below(self, corpus):
+        for m in corpus.values():
+            for kind in POSET_KINDS:
+                p = build_poset(m, kind)
+                assert p.heights == heights_by_relaxation(p)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # the up-rows list the top element first, so a walk down the covers
+        # from it would nest once per element
+        n = 1500
+        assert sys.getrecursionlimit() < n
+        chain = Poset(tuple(range(n)), tuple((1 << (i + 1)) - 1 for i in range(n)))
+        assert chain.heights == tuple(range(n - 1, -1, -1))
+
+
 class TestLinearExtensions:
     def test_chain(self):
         p = make_poset([1, 2, 4], [(1, 2), (2, 4)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import activita.suite as suite
 from activita import complexes
 from activita.activity import activity_profile, is_nbc, nbc_sets
 from activita.bitsets import mask_of, parse_subset, submasks, subset_str
@@ -41,6 +42,7 @@ from activita.shelling import (
     verify_shelling_pairwise,
     witness_pass,
 )
+from test_orders import is_extension
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -297,18 +299,41 @@ class TestWorkedExampleFacets:
         assert inter_jk == (fk.xs, fk.ys, fk.zs & ~ps5("4"))
 
 
-class TestWitnessCertification:
-    def test_first_extension_certified(self, m5_matroid, corpus):
-        for m in (m5_matroid, corpus["u24"]):
-            order = first_extension(build_poset(m, "extint-ind"))
-            assert witness_pass(m, order) == ("", True, True)
+def shell_main_with_first_order(monkeypatch, m, first):
+    """``check_shelling_main`` on ``m`` with its first sampled order replaced
+    by ``first(poset)``; returns the findings by name and that order."""
+    real, used = suite.linear_extensions, []
 
-    def test_order_that_is_no_extension_is_not_certified(self, m5_matroid):
-        order = first_extension(build_poset(m5_matroid, "extint-ind"))
-        assert witness_pass(m5_matroid, order[::-1]) == ("", True, False)
-        assert witness_pass(m5_matroid) == ("", True, False)  # no order, nothing certified
-        with pytest.raises(NotAPermutation):
-            witness_pass(m5_matroid, order[1:])
+    def sample(poset, cap=200, seed=0):
+        out = real(poset, cap=cap, seed=seed)
+        used.append(first(poset))
+        out.orders[0] = used[0]
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suite, "linear_extensions", sample)
+        return {f.check: f for f in suite.check_shelling_main("m", m, 10, 0)}, used[0]
+
+
+class TestWitnessCertification:
+    def test_first_extension_certified(self, monkeypatch, m5_matroid, corpus):
+        for m in (m5_matroid, corpus["u24"]):
+            findings, order = shell_main_with_first_order(monkeypatch, m, first_extension)
+            assert is_extension(build_poset(m, "extint-ind"), order)
+            assert witness_pass(m) == ("", True)
+            assert findings["witness-certifies-first-order"].ok
+
+    def test_order_that_is_no_extension_is_not_certified(self, monkeypatch):
+        # the reversed first extension of m5 still shells, but is no extension
+        m = m5()
+        reverse = lambda poset: first_extension(poset)[::-1]
+        findings, order = shell_main_with_first_order(monkeypatch, m, reverse)
+        assert not is_extension(build_poset(m, "extint-ind"), order)
+        assert findings["shelling-extint"].ok
+        certificate = findings["witness-certifies-first-order"]
+        assert (certificate.ok, certificate.detail) == (False, "")
+        witnesses = {f.check: f.ok for f in suite.check_witnesses("m", m)}
+        assert witnesses["witness-all-pairs"]
 
 
 class TestRandomMatroids:

@@ -1,6 +1,8 @@
 """The verification-suite driver: finding shapes, degenerate matroids, and
-mutants that each turn one finding of the shelling checks or of the witness
-checks to FAIL."""
+mutants that each turn one finding of the activity, Crapo, shelling or
+witness checks to FAIL."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +102,14 @@ def test_full_suite_on_wheel_w4(monkeypatch):
     assert [(f.check, f.ok, f.detail) for f in alone] == in_suite
 
 
+def test_one_witness_pass_whichever_check_comes_first(monkeypatch):
+    steps = count_witness_steps(monkeypatch)
+    w4 = graphic(5, W4_EDGES)
+    assert all(f.ok for f in suite.check_witnesses("W4", w4))
+    assert all(f.ok for f in suite.check_shelling_main("W4", w4, 20, 0))
+    assert steps == [135]
+
+
 def test_witness_pass_runs_when_the_first_order_does_not_shell(monkeypatch):
     # shelling-extint fails, so the first order's certificate fails without
     # a look at the witnesses, but the pass still runs once for check_witnesses
@@ -166,6 +176,37 @@ def drop_an_induced_facet(monkeypatch):
     monkeypatch.setattr(suite, "induced_subcomplex", dropped)
 
 
+def decompose_without_deletions(monkeypatch):
+    real = suite.crapo_decompose_independent
+    wrong = lambda m, i: replace(real(m, i), y=0)
+    monkeypatch.setattr(suite, "crapo_decompose_independent", wrong)
+
+
+def move_an_element_on_the_dual(monkeypatch):
+    """Move the lowest element of EA ∪ EP across, on the dual's profiles only."""
+    real = suite.activity_profile
+
+    def moved(m, s):
+        prof = real(m, s)
+        if m.provenance != "dual-of":
+            return prof
+        low = (prof.ea | prof.ep) & -(prof.ea | prof.ep)
+        return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
+
+    monkeypatch.setattr(suite, "activity_profile", moved)
+
+
+def exchange_finds_no_internal_activity(monkeypatch):
+    real = suite.activity_profile_by_exchange
+    wrong = lambda m, b: replace(real(m, b), ia=0, ip=b)
+    monkeypatch.setattr(suite, "activity_profile_by_exchange", wrong)
+
+
+def empty_set_is_not_nbc(monkeypatch):
+    real = suite.is_nbc
+    monkeypatch.setattr(suite, "is_nbc", lambda m, s: real(m, s) and s != 0)
+
+
 def u24():
     # 11 independent sets: the brute-force crosscheck runs on at most 12 facets
     return uniform(2, 4)
@@ -173,8 +214,23 @@ def u24():
 
 REVERSED = corrupt_second_report("restrictions", lambda report: report.restrictions[::-1])
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
+ACTIVITY, CRAPO = suite.check_activity, suite.check_crapo
 MUTANTS = {
     # finding: (matroid, check, mutant, the findings it fails, a sibling that still passes)
+    "crapo-partition-independent": (
+        m5, CRAPO, decompose_without_deletions, {"crapo-partition-independent"},
+        "crapo-partition-subsets",
+    ),
+    "activity-duality": (
+        m5, ACTIVITY, move_an_element_on_the_dual, {"activity-duality"}, "activity-partition"
+    ),
+    "activity-exchange-crosscheck": (
+        m5, ACTIVITY, exchange_finds_no_internal_activity, {"activity-exchange-crosscheck"},
+        "activity-partition",
+    ),
+    "nbc-iff-no-external-activity": (
+        m5, ACTIVITY, empty_set_is_not_nbc, {"nbc-iff-no-external-activity"}, "activity-duality"
+    ),
     "restriction-sets-z": (m5, MAIN, REVERSED, {"restriction-sets-z"}, "shelling-extint"),
     "property-H": (m5, MAIN, falsify("property_h"), {"property-H"}, "shelling-extint"),
     "h-complex": (m5, MAIN, falsify("h_complex"), {"h-complex"}, "shelling-extint"),
@@ -245,9 +301,9 @@ def basis_witness_mutant(change, pair=(M5_A, M5_C)):
     def patch(monkeypatch):
         real = shelling._basis_witness
 
-        def mutated(m, a, c_basis):
-            b, c = real(m, a, c_basis)
-            return change(b, c) if (a, c_basis) == pair else (b, c)
+        def mutated(m, key):
+            b, c = real(m, key)
+            return change(b, c) if key == pair else (b, c)
 
         monkeypatch.setattr(shelling, "_basis_witness", mutated)
 
