@@ -14,7 +14,6 @@ from .activity import (
 )
 from .bitsets import elems_of, mask_of, parse_subset, subset_str
 from .complexes import (
-    Facet,
     FHVector,
     SimplicialComplex,
     build_complex,
@@ -22,6 +21,7 @@ from .complexes import (
     facet_G,
     independence_complex,
     induced_subcomplex,
+    xyz,
 )
 from .corpus import builtin_corpus, m5
 from .matroid import (

@@ -1,15 +1,19 @@
 """Activity complexes on the tripled vertex set, with f- and h-vectors.
 
-Four pure complexes are built from a matroid on vertices x_e, y_e, z_e:
+Every activity complex of a matroid on E = {1..n} lives on the one universe
+x_1..x_n, y_1..y_n, z_1..z_n: vertex (flavor k, element e) is bit k·n + e − 1,
+and a face is a bitmask, built by :func:`xyz` from its three blocks.  The
+four pure complexes are:
 
 * ``augmented-ea``: one facet per independent set I, namely
   x_{I∪EP(I)} y_Y z_{I∪EA(I)} where I = B∖Y is the Crapo decomposition;
-* ``ea``: the basis facets x_{B∪EP(B)} z_{B∪EA(B)} on vertices E(x, z);
-* ``nbc``: the no-broken-circuit complex on E(z);
-* ``augmented-nbc``: one facet y_{B_I∖I} z_I per nbc set I on E(y, z).
+* ``ea``: the basis facets x_{B∪EP(B)} z_{B∪EA(B)}, the subcomplex of
+  ``augmented-ea`` induced on the x and z blocks;
+* ``nbc``: the no-broken-circuit complex on the z block, the subcomplex of
+  ``augmented-nbc`` induced on it;
+* ``augmented-nbc``: one facet y_{B_I∖I} z_I per nbc set I.
 
-Vertices are indexed flavor-major (all x, then y, then z, per the kind's
-vertex universe) and faces are bitmasks over that universe.
+A kind without x or y vertices leaves those blocks empty.
 
 f-vectors are counted without listing faces (``face_counts``): the facet
 family becomes a zero-suppressed decision diagram, closed downward and
@@ -36,25 +40,10 @@ from .matroid import Matroid, memoized
 
 COMPLEX_KINDS = ("augmented-ea", "ea", "nbc", "augmented-nbc")
 
-_FLAVORS = {
-    "augmented-ea": "xyz",
-    "ea": "xz",
-    "nbc": "z",
-    "augmented-nbc": "yz",
-}
 
-
-@dataclass(frozen=True)
-class Facet:
-    """A facet given by its x-, y- and z-supports plus the generating set."""
-
-    xs: int
-    ys: int
-    zs: int
-    tag: int
-
-    def size(self) -> int:
-        return self.xs.bit_count() + self.ys.bit_count() + self.zs.bit_count()
+def xyz(n: int, xs: int = 0, ys: int = 0, zs: int = 0) -> int:
+    """The face x_xs y_ys z_zs: element e of block k = 0, 1, 2 is bit k·n + e − 1."""
+    return xs | ys << n | zs << 2 * n
 
 
 @dataclass(frozen=True)
@@ -174,9 +163,10 @@ def face_counts(facets: Iterable[int]) -> tuple[int, ...]:
     memoized on node pairs.  Count reads f(v, lo, hi) = f(lo) + f(hi) one
     size up, packed in w-bit digits (s facets of ≤ d vertices give every
     f_i ≤ s·2^d < 2^w).  Each pass costs O(1) dict operations per node or
-    node pair.  Build and union recurse once per vertex on a path, at most
-    vertex count + 2 frames: under 200 for 3·MAX_GROUND vertices, within
-    Python's default recursion limit of 1000.  No facets give ().
+    node pair.  Build lays a single facet's chain in a loop; build and union
+    recurse once per vertex on a path, at most vertex count + 2 frames:
+    under 200 for 3·MAX_GROUND vertices, within Python's default recursion
+    limit of 1000.  No facets give ().
     """
     family = set(facets)
     if not family:
@@ -192,11 +182,15 @@ def face_counts(facets: Iterable[int]) -> tuple[int, ...]:
         return unique[key]
 
     def build(fam: list[int]) -> int:
+        if len(fam) == 1:  # one facet: its chain of nodes, highest vertex first
+            top, g = 1, fam[0]
+            while g:
+                v = 1 << g.bit_length() - 1
+                top, g = node(v, 0, top), g ^ v
+            return top
         union = 0
         for g in fam:
             union |= g
-        if not union:
-            return 1
         v = union & -union
         lo = [g for g in fam if not g & v]
         return node(v, build(lo) if lo else 0, build([g ^ v for g in fam if g & v]))
@@ -244,63 +238,51 @@ def _h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @memoized
-def facet_F(matroid: Matroid, indep: int) -> Facet:
-    """Facet of the augmented external activity complex for an independent set.
+def facet_F(matroid: Matroid, indep: int) -> int:
+    """Facet x_{I∪EP(I)} y_Y z_{I∪EA(I)} of the augmented external activity
+    complex for an independent set I = B∖Y, memoized per matroid.
 
-    x_{I∪EP(I)} y_Y z_{I∪EA(I)} with I = B∖Y, memoized per matroid.  It equals
-    the related basis facet with z_Y rewritten as y_Y, i.e.
+    It equals the related basis facet with z_Y rewritten as y_Y, i.e.
     x_{B∪EP(B)} y_Y z_{(B∪EA(B))∖Y}, because EA(I) = EA(B), I∪EP(I) = B∪EP(B)
     and Y = B∖I; the suite's ``related-basis-activities`` finding checks
     those conditions on every independent set.
     """
     y = crapo_decompose_independent(matroid, indep).y
     prof = activity_profile(matroid, indep)
-    return Facet(xs=indep | prof.ep, ys=y, zs=indep | prof.ea, tag=indep)
+    return xyz(matroid.n, indep | prof.ep, y, indep | prof.ea)
 
 
-def facet_G(matroid: Matroid, subset: int) -> Facet:
-    """Facet of the augmented nbc complex for an nbc set."""
+def facet_G(matroid: Matroid, subset: int) -> int:
+    """Facet y_{B_I∖I} z_I of the augmented nbc complex for an nbc set I."""
     if not (matroid.is_independent(subset) and is_nbc(matroid, subset)):
         raise NotNBC(subset_str(subset, matroid.n))
-    basis = related_basis(matroid, subset)
-    return Facet(xs=0, ys=basis & ~subset, zs=subset, tag=subset)
+    return xyz(matroid.n, ys=related_basis(matroid, subset) & ~subset, zs=subset)
 
 
 def _universe(n: int, flavors: str) -> tuple[tuple[str, int], ...]:
     return tuple((fl, e) for fl in flavors for e in range(1, n + 1))
 
 
-def _facet_mask(n: int, flavors: str, facet: Facet) -> int:
-    """Block k of the universe is flavor k on elements 1..n, bits k·n onward."""
-    mask = 0
-    for k, flavor in enumerate(flavors):
-        mask |= getattr(facet, flavor + "s") << k * n
-    return mask
-
-
 @memoized
 def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
-    """Build one of the four activity complexes; memoized per matroid and kind."""
+    """Build one of the four activity complexes on the x, y, z universe, its
+    facets tagged by the sets that generate them; memoized per matroid and kind."""
     if kind not in COMPLEX_KINDS:
         raise ValueError(f"unknown complex kind {kind!r}")
-    flavors = _FLAVORS[kind]
     if kind == "augmented-ea":
-        fobjs = [facet_F(matroid, i) for i in matroid.independent_sets]
+        tags = matroid.independent_sets
+        facets = [facet_F(matroid, i) for i in tags]
     elif kind == "ea":
-        fobjs = [facet_F(matroid, b) for b in matroid.bases]
+        tags = matroid.bases
+        facets = [facet_F(matroid, b) for b in tags]
     elif kind == "augmented-nbc":
-        fobjs = [facet_G(matroid, s) for s in nbc_sets(matroid)]
+        tags = nbc_sets(matroid)
+        facets = [facet_G(matroid, s) for s in tags]
     else:  # plain nbc complex: facets are the maximal nbc sets
         sets = nbc_sets(matroid)
-        maximal = [
-            s for s in sets if not any(t != s and s & ~t == 0 for t in sets)
-        ]
-        fobjs = [Facet(xs=0, ys=0, zs=s, tag=s) for s in maximal]
-    cx = SimplicialComplex(
-        _universe(matroid.n, flavors),
-        tuple(_facet_mask(matroid.n, flavors, f) for f in fobjs),
-        tags=tuple(f.tag for f in fobjs),
-    )
+        tags = tuple(s for s in sets if not any(t != s and s & ~t == 0 for t in sets))
+        facets = [xyz(matroid.n, zs=s) for s in tags]
+    cx = SimplicialComplex(_universe(matroid.n, "xyz"), tuple(facets), tags=tuple(tags))
     expected_dim = matroid.rank - 1 + (matroid.n if kind.endswith("ea") else 0)
     if cx.facets and cx.dimension != expected_dim:
         raise NotPure(f"{kind} complex has dimension {cx.dimension}, expected {expected_dim}")
@@ -308,23 +290,19 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
 
 
 def induced_subcomplex(cx: SimplicialComplex, flavors: str) -> SimplicialComplex:
-    """The subcomplex induced on the vertices of the given flavors.
-
-    Faces are the restrictions of faces of ``cx``; facets are the maximal
-    restrictions of the facets.
+    """The subcomplex induced on the vertices of the given flavors, on the same
+    universe: its facets are the maximal sets F ∩ keep over the facets F of
+    ``cx``, keep being the mask of those vertices.  So the ``z`` part of
+    ``augmented-nbc`` is ``nbc`` and the ``xz`` part of ``augmented-ea`` is
+    ``ea``, facet for facet.
     """
-    kept = [idx for idx, (flavor, _) in enumerate(cx.vertices) if flavor in flavors]
-    restricted = {sum(1 << j for j, idx in enumerate(kept) if f >> idx & 1) for f in cx.facets}
-    maximal = [
-        f for f in restricted if not any(g != f and f & ~g == 0 for g in restricted)
-    ]
-    return SimplicialComplex(tuple(cx.vertices[idx] for idx in kept), tuple(sorted(maximal)))
+    keep = sum(1 << idx for idx, (flavor, _) in enumerate(cx.vertices) if flavor in flavors)
+    restricted = {f & keep for f in cx.facets}
+    maximal = [f for f in restricted if not any(g != f and f & ~g == 0 for g in restricted)]
+    return SimplicialComplex(cx.vertices, tuple(sorted(maximal)))
 
 
 def independence_complex(matroid: Matroid) -> SimplicialComplex:
-    """The independence complex (faces = independent sets) on plain vertices."""
-    return SimplicialComplex(
-        _universe(matroid.n, "z"),
-        matroid.bases,
-        tags=matroid.bases,
-    )
+    """The independence complex (faces = independent sets) on the plain
+    vertices z_1..z_n, bit e − 1; it is not an activity complex."""
+    return SimplicialComplex(_universe(matroid.n, "z"), matroid.bases, tags=matroid.bases)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .activity import activity_profile, crapo_decompose_independent, nbc_sets, related_basis
 from .bitsets import iter_bits, min_elem, submasks, subset_label, subset_str
-from .complexes import Facet, SimplicialComplex, facet_F
+from .complexes import SimplicialComplex, facet_F, xyz
 from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid, memoized
 from .orders import _related_blocks, build_poset
@@ -77,11 +77,11 @@ def verify_shelling(
     neighbours = cx.neighbours
     restrictions = []
     for k, fk in enumerate(order):
-        rk = 0
+        common = -1  # R_k = F_k ∖ ∩G over the neighbours G placed before F_k
         for g in neighbours[fk]:
             if pos[g] < k:
-                rk |= fk & ~g
-        restrictions.append(rk)
+                common &= g
+        restrictions.append(fk & ~common)
     d = cx.facet_size
     if sum(1 << (d - r.bit_count()) for r in restrictions) != sum(cx.fh.f):
         for k, rk in enumerate(restrictions):
@@ -222,29 +222,20 @@ def h_complex_check(restrictions: list[int]) -> bool:
 def flip_restrictions(matroid: Matroid) -> dict[int, int]:
     """Closed-form restriction set y_Y z_{IP(A)} of F(I), I = A∖Y, in the flip
     order, for every independent set I; the same for every extension order."""
-    n = matroid.n
     out = {}
     for indep in matroid.independent_sets:
         dec = crapo_decompose_independent(matroid, indep)
-        ip = activity_profile(matroid, dec.basis).ip
-        out[indep] = (dec.y << n) | (ip << (2 * n))
+        out[indep] = xyz(matroid.n, ys=dec.y, zs=activity_profile(matroid, dec.basis).ip)
     return out
 
 
 # -- witness construction ----------------------------------------------------------
 
 
-def _meet(f: Facet, g: Facet) -> tuple[int, int, int]:
-    return f.xs & g.xs, f.ys & g.ys, f.zs & g.zs
-
-
 def _star_equation_holds(matroid: Matroid, i: int, j: int, k: int, c: int) -> bool:
-    """F(I)∩F(K) ⊆ F(J)∩F(K) = F(K)∖z_c, computed on facet supports."""
+    """F(I)∩F(K) ⊆ F(J)∩F(K) = F(K)∖z_c, on the facet masks."""
     fi, fj, fk = (facet_F(matroid, s) for s in (i, j, k))
-    inter_jk = _meet(fj, fk)
-    return inter_jk == (fk.xs, fk.ys, fk.zs & ~(1 << (c - 1))) and all(
-        a & ~b == 0 for a, b in zip(_meet(fi, fk), inter_jk)
-    )
+    return fj & fk == fk & ~xyz(matroid.n, zs=1 << (c - 1)) and not fi & fk & ~fj
 
 
 @memoized
@@ -357,7 +348,8 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     facets = [facet_F(matroid, i) for i in elems]
     related, blocks = _related_blocks(matroid, elems)
     in_col = [sum(1 << x for x, i in enumerate(elems) if i >> e & 1) for e in range(matroid.n)]
-    z_col = [sum(1 << x for x, f in enumerate(facets) if f.zs >> e & 1) for e in range(matroid.n)]
+    z_bits = [xyz(matroid.n, zs=1 << e) for e in range(matroid.n)]
+    z_col = [sum(1 << x for x, f in enumerate(facets) if f & zb) for zb in z_bits]
     for y, (k, fk, c_basis) in enumerate(zip(elems, facets, related)):
         deleted, groups = c_basis & ~k, []
         for a, block in blocks.items():
@@ -374,13 +366,13 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
                     raise _pair_error(matroid, elems[min_elem(group) - 1], k) from None
                 groups.append((group, Witness(basis_b & ~deleted, c, "unrelated", basis_b)))
         for group, w in groups:
-            cbit, x = 1 << (w.c - 1), ind.index.get(w.J)
+            zc, x = z_bits[w.c - 1], ind.index.get(w.J)
             good = (
                 x is not None and w.J != k and ind.up_rows[x] >> y & 1
                 and (w.B is None or not deleted & ~activity_profile(matroid, w.B).ia)
-                and _meet(facet_F(matroid, w.J), fk) == (fk.xs, fk.ys, fk.zs & ~cbit)
+                and facet_F(matroid, w.J) & fk == fk & ~zc
             )
-            bad = group & z_col[w.c - 1] if fk.zs & cbit else 0
+            bad = group & z_col[w.c - 1] if fk & zc else 0
             if not good or bad:
                 raise _pair_error(matroid, elems[min_elem(bad if good else group) - 1], k)
         yield k, groups

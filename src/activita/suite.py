@@ -20,7 +20,7 @@ from .activity import (
     related_basis,
 )
 from .bitsets import elems_of, subset_label
-from .complexes import build_complex, induced_subcomplex
+from .complexes import build_complex, induced_subcomplex, xyz
 from .errors import ActivitaError
 from .matroid import Matroid
 from .orders import (
@@ -243,7 +243,7 @@ def check_shelling_main(name: str, m: Matroid, cap: int = 200, seed: int = 0) ->
         name, m, cap, seed, ("augmented-ea", "extint-ind"),
         ("shelling-extint", "restriction-sets-z", "property-H", "h-complex",
          "h-vector-from-restrictions"),
-        {i: i << (2 * m.n) for i in m.independent_sets},
+        {i: xyz(m.n, zs=i) for i in m.independent_sets},
     )
     cx = build_complex(m, "augmented-ea")
     if len(cx.facets) <= 12:
@@ -294,7 +294,7 @@ def check_nbc_suite(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> lis
     out += _sampled_shelling(
         name, m, cap, seed, ("augmented-nbc", "nbc-extint"),
         ("shelling-nbc", "restriction-sets-nbc", "property-H-nbc", "h-complex-nbc"),
-        {s: s << m.n for s in sets},
+        {s: xyz(m.n, zs=s) for s in sets},
     )[0]
     q_plus_1 = BiPoly({(0, 0): 1, (1, 0): 1})
     h_ok = h_polynomial(cx.fh.h) == tutte.subst(q_plus_1, BiPoly.zero())

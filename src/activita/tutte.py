@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activity import activity_profile
-from .complexes import build_complex
+from .complexes import build_complex, xyz
 from .matroid import Matroid
 from .orders import build_poset, first_extension
 from .shelling import verify_shelling
@@ -176,13 +176,11 @@ def bivariate_restriction_polynomial(
     """Two-variable enrichment of the h-polynomial from flip-order restrictions.
 
     Each restriction set y_Y z_T contributes q^(-|Y|) t^(n+r-|T|); the
-    restrictions come from a shelling of the augmented complex, whose
-    universe is flavor-major (x block, then y, then z).
+    restrictions come from a shelling of the augmented complex, and Y and T
+    are their y and z blocks.
     """
-    n = matroid.n
-    d = n + matroid.rank
-    ymask = ((1 << n) - 1) << n
-    zmask = ((1 << n) - 1) << (2 * n)
+    d = matroid.n + matroid.rank
+    ymask, zmask = xyz(matroid.n, ys=matroid.full_mask), xyz(matroid.n, zs=matroid.full_mask)
     coeffs: dict[tuple[int, int], int] = {}
     for r in restrictions:
         key = (-(r & ymask).bit_count(), d - (r & zmask).bit_count())

@@ -40,7 +40,7 @@ from activita.tutte import (
     tutte_by_activities,
     tutte_by_deletion_contraction,
 )
-from test_oracles import lattice_laws_hold
+from test_oracles import lattice_laws_hold, xyz_blocks
 
 CAP = 200
 SEED = 0
@@ -142,12 +142,8 @@ def test_criterion_02_facet_tables(m5_matroid):
     ok = True
     for rows in (ea_rows, block_rows):
         for tag, (xs, ys, zs) in rows.items():
-            f = facet_F(m5_matroid, ps5(tag))
-            ok &= (
-                subset_str(f.xs, 5),
-                subset_str(f.ys, 5),
-                subset_str(f.zs, 5),
-            ) == (xs, ys, zs)
+            f = xyz_blocks(m5_matroid, facet_F(m5_matroid, ps5(tag)))
+            ok &= tuple(subset_str(v, 5) for v in f) == (xs, ys, zs)
     _report(2, "external-activity and block facet tables verbatim", ok)
 
 
@@ -264,17 +260,17 @@ def test_criterion_08_nbc_suite(corpus, m5_matroid):
     ok &= build_complex(m5_matroid, "nbc").fh.f == (1, 5, 8, 4)
     for name, m in corpus.items():
         cx = build_complex(m, "augmented-nbc")
-        n = m.n
         sets = nbc_sets(m)
-        expected_family = {s << n for s in sets}
+        expected_family = {(0, 0, s) for s in sets}
         sample = linear_extensions(build_poset(m, "nbc-extint"), cap=CAP, seed=SEED)
         for order in sample.orders:
             report = verify_shelling(cx, _facet_order(cx, order))
             ok &= report.verdict
             if not report.verdict:
                 break
-            ok &= all(r == i << n for i, r in zip(order, report.restrictions))
-            ok &= set(report.restrictions) == expected_family
+            family = [xyz_blocks(m, r) for r in report.restrictions]
+            ok &= all(r == (0, 0, i) for i, r in zip(order, family))
+            ok &= set(family) == expected_family
             ok &= bool(report.property_h) and bool(report.h_complex)
         ok &= h_polynomial(cx.fh.h) == tutte_by_activities(m).subst(
             q_plus_1, BiPoly.zero()

@@ -19,6 +19,7 @@ M5_SPEC = {
 
 
 VERIFY_SEED0_SHA256 = "aa36b876a19da83bd0ef8a8421b2d271a5f7bf4f5a0f4a5620d6bde8f81a99d0"
+TWICE_M5_SHA256 = "42d414d6818db52235db0e24c2bb0ac657c953942f23e9d87eb8b1f6c3b655fc"
 
 
 @pytest.fixture()
@@ -280,6 +281,22 @@ class TestDeterminism:
             assert bool(written) == any("{out}" in a for a in argv)
             runs.append((result.output.replace(str(out), "{out}"), written))
         assert runs[0] == runs[1]
+
+    def test_recorded_bytes(self, runner, m5_path, tmp_path):
+        # one sha256 over every TWICE command on m5: the command, its stdout
+        # and the files it writes, so a change of vertex layout or JSON shows
+        digest = hashlib.sha256()
+        for idx, argv in enumerate(TWICE):
+            out = tmp_path / str(idx)
+            out.mkdir()
+            result = runner.invoke(main, [a.format(m5=m5_path, out=out) for a in argv])
+            assert result.exit_code == 0, result.output
+            digest.update(" ".join(argv).encode() + b"\0")
+            digest.update(result.output.replace(str(out), "{out}").encode() + b"\0")
+            for p in sorted(out.rglob("*")):
+                if p.is_file():
+                    digest.update(str(p.relative_to(out)).encode() + b"\0" + p.read_bytes() + b"\0")
+        assert digest.hexdigest() == TWICE_M5_SHA256
 
 
 class TestGoldenOutput:

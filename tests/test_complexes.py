@@ -22,7 +22,12 @@ from activita.complexes import (
 from activita.errors import NotIndependent, NotNBC, NotPure
 from activita.matroid import from_bases, graphic, uniform
 from activita.tutte import BiPoly
-from test_oracles import f_of, f_vector_by_inclusion_exclusion, faces_by_submask_walk
+from test_oracles import (
+    f_of,
+    f_vector_by_inclusion_exclusion,
+    faces_by_submask_walk,
+    xyz_blocks,
+)
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -52,23 +57,23 @@ class TestFacetF:
         "basis,xs,zs", [(b, xs, zs) for b, (xs, zs) in sorted(M5_EA_FACETS.items())]
     )
     def test_basis_facets(self, m5_matroid, basis, xs, zs):
-        f = facet_F(m5_matroid, ps5(basis))
-        assert subset_str(f.xs, 5) == xs
-        assert f.ys == 0
-        assert subset_str(f.zs, 5) == zs
+        fx, fy, fz = xyz_blocks(m5_matroid, facet_F(m5_matroid, ps5(basis)))
+        assert subset_str(fx, 5) == xs
+        assert fy == 0
+        assert subset_str(fz, 5) == zs
 
     @pytest.mark.parametrize(
         "indep,xs,ys,zs",
         [(i, xs, ys, zs) for i, (xs, ys, zs) in sorted(M5_245_BLOCK.items())],
     )
     def test_block_facets(self, m5_matroid, indep, xs, ys, zs):
-        f = facet_F(m5_matroid, ps5(indep))
-        assert (subset_str(f.xs, 5), subset_str(f.ys, 5), subset_str(f.zs, 5)) == (xs, ys, zs)
+        f = xyz_blocks(m5_matroid, facet_F(m5_matroid, ps5(indep)))
+        assert tuple(subset_str(v, 5) for v in f) == (xs, ys, zs)
 
     def test_size_is_n_plus_r(self, corpus):
         for m in corpus.values():
             for i in m.independent_sets:
-                assert facet_F(m, i).size() == m.n + m.rank
+                assert facet_F(m, i).bit_count() == m.n + m.rank
 
     def test_not_independent(self, m5_matroid):
         with pytest.raises(NotIndependent):
@@ -90,22 +95,22 @@ class TestFacetF:
         for m in corpus.values():
             for i in m.independent_sets:
                 b = related_basis(m, i)
-                fi, fb = facet_F(m, i), facet_F(m, b)
+                (ix, _, iz), (bx, by, bz) = (xyz_blocks(m, facet_F(m, s)) for s in (i, b))
                 y = b & ~i
-                assert fi.xs == fb.xs
-                assert fi.zs == fb.zs & ~y
-                assert fb.ys == 0
-                assert fi.xs & fi.zs == i  # recovery of the generating set
+                assert ix == bx
+                assert iz == bz & ~y
+                assert by == 0
+                assert ix & iz == i  # recovery of the generating set
 
 
 class TestFacetG:
     def test_examples(self, m5_matroid):
-        f = facet_G(m5_matroid, ps5("135"))
-        assert (f.xs, f.ys, f.zs) == (0, 0, ps5("135"))
-        f = facet_G(m5_matroid, ps5("13"))
-        assert (f.xs, subset_str(f.ys, 5), subset_str(f.zs, 5)) == (0, "5", "13")
-        f = facet_G(m5_matroid, 0)
-        assert (f.xs, subset_str(f.ys, 5), f.zs) == (0, "345", 0)
+        blocks = lambda s: xyz_blocks(m5_matroid, facet_G(m5_matroid, s))
+        assert blocks(ps5("135")) == (0, 0, ps5("135"))
+        fx, fy, fz = blocks(ps5("13"))
+        assert (fx, subset_str(fy, 5), subset_str(fz, 5)) == (0, "5", "13")
+        fx, fy, fz = blocks(0)
+        assert (fx, subset_str(fy, 5), fz) == (0, "345", 0)
 
     def test_not_nbc(self, m5_matroid):
         with pytest.raises(NotNBC):
@@ -116,7 +121,7 @@ class TestFacetG:
 
         for m in corpus.values():
             for s in nbc_sets(m):
-                assert facet_G(m, s).size() == m.rank
+                assert facet_G(m, s).bit_count() == m.rank
 
 
 class TestBuildComplex:

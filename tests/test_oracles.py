@@ -218,6 +218,12 @@ def faces_by_submask_walk(facets) -> set[int]:
     return {sub for g in facets for sub in submasks(g)}
 
 
+def xyz_blocks(m, face: int) -> tuple[int, int, int]:
+    """The x, y and z element masks of a face of an activity complex of ``m``."""
+    sup = build_complex(m, "augmented-ea").supports(face)
+    return sup.get("x", 0), sup.get("y", 0), sup.get("z", 0)
+
+
 def f_of(faces: set[int]) -> tuple[int, ...]:
     if not faces:
         return ()

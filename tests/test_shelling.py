@@ -43,6 +43,7 @@ from activita.shelling import (
     witness_pass,
 )
 from test_orders import is_extension
+from test_oracles import xyz_blocks
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -178,7 +179,8 @@ class TestHComplex:
         order = [cx.facet_by_tag[i] for i in ext]
         rep = verify_shelling(cx, order, check_properties=False)
         assert h_complex_check(rep.restrictions)
-        assert {r >> 5 for r in rep.restrictions} == set(nbc_sets(m5_matroid))
+        family = {xyz_blocks(m5_matroid, r) for r in rep.restrictions}
+        assert family == {(0, 0, s) for s in nbc_sets(m5_matroid)}
 
     def test_lex_shelling_of_u23_independence_complex(self):
         # lexicographic basis order shells it, but the restriction family
@@ -209,11 +211,8 @@ class TestWitness:
         fj = facet_F(m5_matroid, w.J)
         fk = facet_F(m5_matroid, ps5("124"))
         cbit = 1 << (w.c - 1)
-        assert (fj.xs & fk.xs, fj.ys & fk.ys, fj.zs & fk.zs) == (
-            fk.xs,
-            fk.ys,
-            fk.zs & ~cbit,
-        )
+        kx, ky, kz = xyz_blocks(m5_matroid, fk)
+        assert xyz_blocks(m5_matroid, fj & fk) == (kx, ky, kz & ~cbit)
 
     def test_comparable_pair_rejected(self, m5_matroid):
         with pytest.raises(ComparablePair):
@@ -265,26 +264,27 @@ class TestWorkedExampleFacets:
         fi = facet_F(m5_matroid, ps5("3"))
         fj = facet_F(m5_matroid, ps5("5"))
         fk = facet_F(m5_matroid, ps5("45"))
-        as_str = lambda f: tuple(subset_str(v, 5) for v in (f.xs, f.ys, f.zs))
+        blocks = lambda f: xyz_blocks(m5_matroid, f)
+        as_str = lambda f: tuple(subset_str(v, 5) for v in blocks(f))
         assert as_str(fi) == ("12345", "45", "3")
         assert as_str(fj) == ("12345", "34", "5")
         assert as_str(fk) == ("12345", "3", "45")
-        inter_ik = (fi.xs & fk.xs, fi.ys & fk.ys, fi.zs & fk.zs)
-        inter_jk = (fj.xs & fk.xs, fj.ys & fk.ys, fj.zs & fk.zs)
+        inter_ik, inter_jk, (kx, ky, kz) = blocks(fi & fk), blocks(fj & fk), blocks(fk)
         assert inter_ik == (ps5("12345"), 0, 0)
         assert inter_jk == (ps5("12345"), ps5("3"), ps5("5"))
-        assert inter_jk == (fk.xs, fk.ys, fk.zs & ~ps5("4"))
+        assert inter_jk == (kx, ky, kz & ~ps5("4"))
 
     def test_unrelated_case_facets(self, m5_matroid):
         from activita.complexes import facet_F
 
-        as_str = lambda f: tuple(subset_str(v, 5) for v in (f.xs, f.ys, f.zs))
+        blocks = lambda f: xyz_blocks(m5_matroid, f)
+        as_str = lambda f: tuple(subset_str(v, 5) for v in blocks(f))
         # basis level: A=235, B=135, C=134
         fa = facet_F(m5_matroid, ps5("235"))
         fb = facet_F(m5_matroid, ps5("135"))
         fc = facet_F(m5_matroid, ps5("134"))
-        assert (fb.xs & fc.xs, fb.zs & fc.zs) == (ps5("1234"), ps5("135"))
-        assert (fa.xs & fc.xs, fa.zs & fc.zs) == (ps5("1234"), ps5("35"))
+        assert blocks(fb & fc)[::2] == (ps5("1234"), ps5("135"))
+        assert blocks(fa & fc)[::2] == (ps5("1234"), ps5("35"))
         # independent-set level: I=23, J=15, K=14
         fi = facet_F(m5_matroid, ps5("23"))
         fj = facet_F(m5_matroid, ps5("15"))
@@ -292,11 +292,10 @@ class TestWorkedExampleFacets:
         assert as_str(fi) == ("12345", "5", "23")
         assert as_str(fj) == ("12345", "3", "15")
         assert as_str(fk) == ("1234", "3", "145")
-        inter_ik = (fi.xs & fk.xs, fi.ys & fk.ys, fi.zs & fk.zs)
-        inter_jk = (fj.xs & fk.xs, fj.ys & fk.ys, fj.zs & fk.zs)
+        inter_ik, inter_jk, (kx, ky, kz) = blocks(fi & fk), blocks(fj & fk), blocks(fk)
         assert inter_ik == (ps5("1234"), 0, 0)
         assert inter_jk == (ps5("1234"), ps5("3"), ps5("15"))
-        assert inter_jk == (fk.xs, fk.ys, fk.zs & ~ps5("4"))
+        assert inter_jk == (kx, ky, kz & ~ps5("4"))
 
 
 def shell_main_with_first_order(monkeypatch, m, first):

@@ -1,6 +1,6 @@
 """The verification-suite driver: finding shapes, degenerate matroids, and
-mutants that each turn one finding of the activity, Crapo, shelling or
-witness checks to FAIL."""
+mutants that each turn one finding of the activity, Crapo, shelling,
+witness or Tutte checks to FAIL."""
 
 from dataclasses import replace
 
@@ -8,6 +8,7 @@ import pytest
 
 import activita.shelling as shelling
 import activita.suite as suite
+import activita.tutte as tutte
 from activita.activity import related_basis
 from activita.bitsets import parse_subset
 from activita.complexes import SimplicialComplex
@@ -16,6 +17,7 @@ from activita.errors import WitnessNotFound
 from activita.matroid import from_bases, graphic, relabel, uniform
 from activita.shelling import flip_restrictions
 from activita.suite import run_suite
+from activita.tutte import BiPoly
 
 
 def test_full_suite_on_m5(m5_matroid):
@@ -207,6 +209,30 @@ def empty_set_is_not_nbc(monkeypatch):
     monkeypatch.setattr(suite, "is_nbc", lambda m, s: real(m, s) and s != 0)
 
 
+def dual_polynomial_unswapped(monkeypatch):
+    """The dual's Tutte polynomial comes back as the matroid's own."""
+    real = suite.tutte_by_activities
+    monkeypatch.setattr(
+        suite, "tutte_by_activities", lambda m: real(m.dual if m.provenance == "dual-of" else m)
+    )
+
+
+def augmented_nbc_replaced_by_nbc(monkeypatch):
+    """The identity report reads the h-vector of the plain nbc complex."""
+    real = tutte.build_complex
+    monkeypatch.setattr(
+        tutte, "build_complex", lambda m, kind: real(m, "nbc" if kind == "augmented-nbc" else kind)
+    )
+
+
+def collapse_at_t_equals_one(monkeypatch):
+    """Setting t = 1 instead of t = q drops the t-exponents."""
+    at_one = lambda p: sum(
+        (BiPoly.monomial(qe, 0, v) for (qe, _), v in p.coeffs.items()), BiPoly.zero()
+    )
+    monkeypatch.setattr(BiPoly, "subst_t_equals_q", at_one)
+
+
 def u24():
     # 11 independent sets: the brute-force crosscheck runs on at most 12 facets
     return uniform(2, 4)
@@ -214,7 +240,7 @@ def u24():
 
 REVERSED = corrupt_second_report("restrictions", lambda report: report.restrictions[::-1])
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
-ACTIVITY, CRAPO = suite.check_activity, suite.check_crapo
+ACTIVITY, CRAPO, TUTTE = suite.check_activity, suite.check_crapo, suite.check_tutte
 MUTANTS = {
     # finding: (matroid, check, mutant, the findings it fails, a sibling that still passes)
     "crapo-partition-independent": (
@@ -260,6 +286,18 @@ MUTANTS = {
     "restriction-sets-nbc": (m5, NBC, REVERSED, {"restriction-sets-nbc"}, "shelling-nbc"),
     "property-H-nbc": (m5, NBC, falsify("property_h"), {"property-H-nbc"}, "shelling-nbc"),
     "h-complex-nbc": (m5, NBC, falsify("h_complex"), {"h-complex-nbc"}, "shelling-nbc"),
+    "tutte-duality": (
+        m5, TUTTE, dual_polynomial_unswapped, {"tutte-duality"}, "tutte-oracle-agreement"
+    ),
+    "tutte-evaluations": (
+        m5, TUTTE, count_an_nbc_set_twice, {"tutte-evaluations"}, "tutte-oracle-agreement"
+    ),
+    "nbc-h-identity-report": (
+        m5, TUTTE, augmented_nbc_replaced_by_nbc, {"nbc-h-identity-report"}, "h-identity"
+    ),
+    "bivariate-collapse": (
+        m5, TUTTE, collapse_at_t_equals_one, {"bivariate-collapse"}, "bivariate-identity"
+    ),
 }
 
 
