@@ -16,6 +16,7 @@ from .bitsets import elems_of, mask_of, parse_subset, subset_str
 from .complexes import (
     FHVector,
     SimplicialComplex,
+    blocks,
     build_complex,
     facet_F,
     facet_G,

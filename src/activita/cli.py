@@ -17,7 +17,7 @@ import click
 
 from .activity import activity_profile
 from .bitsets import parse_subset, subset_label, subset_str
-from .complexes import COMPLEX_KINDS, build_complex
+from .complexes import COMPLEX_KINDS, blocks, build_complex
 from .corpus import builtin_corpus, corpus_from_env
 from .errors import ActivitaError, ParseError
 from .matroid import Matroid
@@ -111,14 +111,8 @@ def order(matroid: str, kind: str, dot_path: str | None, as_json: bool) -> None:
             click.echo(f"  {a or chr(0x2205)} < {b or chr(0x2205)}")
 
 
-def _facet_json(cx, mask: int, n: int, tag: int) -> dict:
-    sup = cx.supports(mask)
-    return {
-        "x": subset_str(sup.get("x", 0), n),
-        "y": subset_str(sup.get("y", 0), n),
-        "z": subset_str(sup.get("z", 0), n),
-        "I": subset_str(tag, n),
-    }
+def _facet_json(mask: int, n: int, tag: int) -> dict:
+    return dict(zip("xyzI", (subset_str(s, n) for s in (*blocks(n, mask), tag))))
 
 
 @main.command("complex")
@@ -133,8 +127,7 @@ def complex_cmd(matroid: str, kind: str, as_json: bool) -> None:
         "kind": kind,
         "dimension": cx.dimension,
         "facets": [
-            _facet_json(cx, mask, m.n, tag)
-            for mask, tag in zip(cx.facets, cx.tags)
+            _facet_json(mask, m.n, tag) for mask, tag in zip(cx.facets, cx.tags)
         ],
         "f": list(cx.fh.f),
         "h": list(cx.fh.h),
@@ -155,10 +148,10 @@ _SHELL_POSET = {
 }
 
 
-def _report_json(report: ShellingReport, cx, n: int) -> dict:
+def _report_json(report: ShellingReport, n: int) -> dict:
     data = asdict(report)
     data["restrictions"] = [
-        {k: subset_str(v, n) for k, v in cx.supports(r).items()}
+        {k: subset_str(v, n) for k, v in zip("xyz", blocks(n, r)) if v}
         for r in report.restrictions
     ]
     data["failing_pair"] = list(report.failing_pair) if report.failing_pair else None
@@ -192,7 +185,7 @@ def shell(matroid: str, kind: str, order_kind: str, seed: int,
     # which the extension lists them, the other nbc sets are skipped
     facet_order = [cx.facet_by_tag[t] for t in extension if t in cx.facet_by_tag]
     report = verify_shelling(cx, facet_order)
-    data = _report_json(report, cx, m.n)
+    data = _report_json(report, m.n)
     data["complex"] = kind
     data["order"] = order_kind
     data["seed"] = seed

@@ -1,8 +1,9 @@
 """Activity complexes on the tripled vertex set, with f- and h-vectors.
 
-Every activity complex of a matroid on E = {1..n} lives on the one universe
-x_1..x_n, y_1..y_n, z_1..z_n: vertex (flavor k, element e) is bit k·n + e − 1,
-and a face is a bitmask, built by :func:`xyz` from its three blocks.  The
+Every activity complex of a matroid on E = {1..n} lives on the vertices
+x_1..x_n, y_1..y_n, z_1..z_n: vertex (flavor k, element e) is bit k·n + e − 1.
+A complex stores no vertex labels, only its facet masks: :func:`xyz` builds a
+face from its three element blocks and :func:`blocks` splits it back.  The
 four pure complexes are:
 
 * ``augmented-ea``: one facet per independent set I, namely
@@ -22,7 +23,7 @@ counted by size, in O(1) dict operations per diagram node or node pair.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, inf
@@ -34,7 +35,7 @@ from .activity import (
     nbc_sets,
     related_basis,
 )
-from .bitsets import subset_str, submasks
+from .bitsets import subset_str
 from .errors import NotNBC, NotPure
 from .matroid import Matroid, memoized
 
@@ -46,26 +47,34 @@ def xyz(n: int, xs: int = 0, ys: int = 0, zs: int = 0) -> int:
     return xs | ys << n | zs << 2 * n
 
 
+def blocks(n: int, face: int) -> tuple[int, int, int]:
+    """The element masks (xs, ys, zs) of a face: the inverse of :func:`xyz`."""
+    full = (1 << n) - 1
+    return face & full, face >> n & full, face >> 2 * n & full
+
+
 @dataclass(frozen=True)
 class FHVector:
-    """Face counts f_0..f_d and the h-vector obtained from them."""
+    """Face counts f_0..f_d and the h-vector obtained from them.
+
+    ``len`` is the face count; past ``sys.maxsize``, where ``len`` overflows,
+    read ``sum(f)``.
+    """
 
     f: tuple[int, ...]
     h: tuple[int, ...]
 
+    def __len__(self) -> int:
+        return sum(self.f)
+
 
 class SimplicialComplex:
-    """A pure simplicial complex: labeled vertex universe plus facet masks."""
+    """A pure simplicial complex: facet masks, each under a tag (by default
+    the facet itself) that ``facet_by_tag`` looks up."""
 
-    def __init__(
-        self,
-        vertices: tuple[tuple[str, int], ...],
-        facets: tuple[int, ...],
-        tags: tuple[int, ...] | None = None,
-    ):
-        self.vertices = vertices
+    def __init__(self, facets: tuple[int, ...], tags: tuple[int, ...] | None = None):
         self.facets = facets
-        self.tags = tags
+        self.tags = facets if tags is None else tags
         sizes = {f.bit_count() for f in facets}
         if len(sizes) > 1:
             raise NotPure(f"facet sizes {sorted(sizes)}")
@@ -74,19 +83,7 @@ class SimplicialComplex:
         if len(set(facets)) != len(facets):
             raise NotPure("duplicate facets")
         # distinct facets of one size form an antichain: none lies in another
-        if tags is not None:
-            self.facet_by_tag = dict(zip(tags, facets))
-
-    def __len__(self) -> int:
-        return len(self.facets)
-
-    def supports(self, face: int) -> dict[str, int]:
-        """Split a face mask into per-flavor element masks."""
-        out: dict[str, int] = {}
-        for idx, (flavor, elem) in enumerate(self.vertices):
-            if face >> idx & 1:
-                out[flavor] = out.get(flavor, 0) | 1 << (elem - 1)
-        return out
+        self.facet_by_tag = dict(zip(self.tags, facets))
 
     @cached_property
     def neighbours(self) -> dict[int, tuple[int, ...]]:
@@ -111,44 +108,14 @@ class SimplicialComplex:
         return {f: tuple(gs) for f, gs in out.items()}
 
     @cached_property
-    def faces(self) -> FaceSet:
-        """All faces as facets plus f-vector, counted by ``face_counts``."""
-        return FaceSet(self.facets, face_counts(self.facets))
+    def faces(self) -> FHVector:
+        """The f- and h-vectors, counted by ``face_counts``; ``fh`` is the same object."""
+        f = face_counts(self.facets)
+        return FHVector(f=f, h=_h_from_f(f))
 
     @cached_property
     def fh(self) -> FHVector:
-        f = self.faces.f
-        return FHVector(f=f, h=_h_from_f(f))
-
-
-class FaceSet:
-    """The faces of a complex without listing them.
-
-    ``len`` is the face count; past ``sys.maxsize``, where ``len`` overflows,
-    read ``sum(f)``.  ``in`` tests whether some facet contains the face.
-    Iterating walks every submask of every facet, so it is meant for small
-    oracles.
-    """
-
-    __slots__ = ("facets", "f")
-
-    def __init__(self, facets: tuple[int, ...], f: tuple[int, ...]):
-        self.facets = facets
-        self.f = f
-
-    def __len__(self) -> int:
-        return sum(self.f)
-
-    def __contains__(self, face: int) -> bool:
-        return any(face & ~g == 0 for g in self.facets)
-
-    def __iter__(self) -> Iterator[int]:
-        seen: set[int] = set()
-        for g in self.facets:
-            for sub in submasks(g):
-                if sub not in seen:
-                    seen.add(sub)
-                    yield sub
+        return self.faces
 
 
 def face_counts(facets: Iterable[int]) -> tuple[int, ...]:
@@ -259,13 +226,9 @@ def facet_G(matroid: Matroid, subset: int) -> int:
     return xyz(matroid.n, ys=related_basis(matroid, subset) & ~subset, zs=subset)
 
 
-def _universe(n: int, flavors: str) -> tuple[tuple[str, int], ...]:
-    return tuple((fl, e) for fl in flavors for e in range(1, n + 1))
-
-
 @memoized
 def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
-    """Build one of the four activity complexes on the x, y, z universe, its
+    """Build one of the four activity complexes on the x, y, z vertices, its
     facets tagged by the sets that generate them; memoized per matroid and kind."""
     if kind not in COMPLEX_KINDS:
         raise ValueError(f"unknown complex kind {kind!r}")
@@ -282,27 +245,25 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
         sets = nbc_sets(matroid)
         tags = tuple(s for s in sets if not any(t != s and s & ~t == 0 for t in sets))
         facets = [xyz(matroid.n, zs=s) for s in tags]
-    cx = SimplicialComplex(_universe(matroid.n, "xyz"), tuple(facets), tags=tuple(tags))
+    cx = SimplicialComplex(tuple(facets), tuple(tags))
     expected_dim = matroid.rank - 1 + (matroid.n if kind.endswith("ea") else 0)
     if cx.facets and cx.dimension != expected_dim:
         raise NotPure(f"{kind} complex has dimension {cx.dimension}, expected {expected_dim}")
     return cx
 
 
-def induced_subcomplex(cx: SimplicialComplex, flavors: str) -> SimplicialComplex:
-    """The subcomplex induced on the vertices of the given flavors, on the same
-    universe: its facets are the maximal sets F ∩ keep over the facets F of
-    ``cx``, keep being the mask of those vertices.  So the ``z`` part of
-    ``augmented-nbc`` is ``nbc`` and the ``xz`` part of ``augmented-ea`` is
-    ``ea``, facet for facet.
+def induced_subcomplex(cx: SimplicialComplex, keep: int) -> SimplicialComplex:
+    """The subcomplex induced on the vertex mask ``keep``, built with :func:`xyz`:
+    its facets are the maximal sets F ∩ keep over the facets F of ``cx``.  So
+    the z block of ``augmented-nbc`` induces ``nbc`` and the x and z blocks of
+    ``augmented-ea`` induce ``ea``, facet for facet.
     """
-    keep = sum(1 << idx for idx, (flavor, _) in enumerate(cx.vertices) if flavor in flavors)
     restricted = {f & keep for f in cx.facets}
     maximal = [f for f in restricted if not any(g != f and f & ~g == 0 for g in restricted)]
-    return SimplicialComplex(cx.vertices, tuple(sorted(maximal)))
+    return SimplicialComplex(tuple(sorted(maximal)))
 
 
 def independence_complex(matroid: Matroid) -> SimplicialComplex:
-    """The independence complex (faces = independent sets) on the plain
-    vertices z_1..z_n, bit e − 1; it is not an activity complex."""
-    return SimplicialComplex(_universe(matroid.n, "z"), matroid.bases, tags=matroid.bases)
+    """The independence complex (faces = independent sets), element e at bit
+    e − 1; it is not an activity complex."""
+    return SimplicialComplex(matroid.bases)

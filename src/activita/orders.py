@@ -112,12 +112,9 @@ class Poset:
 
     @cached_property
     def down_rows(self) -> tuple[int, ...]:
-        m = len(self.elements)
-        cols = [0] * m
-        for i, row in enumerate(self.up_rows):
-            for j in iter_bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        """The columns of ``up_rows``: each row in binary, lowest bit first, read by column."""
+        bits = [format(row, f"0{len(self.up_rows)}b")[::-1] for row in reversed(self.up_rows)]
+        return tuple(int("".join(col), 2) for col in zip(*bits))
 
     @cached_property
     def down_row_index(self) -> dict[int, int]:

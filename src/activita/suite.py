@@ -282,10 +282,12 @@ def check_shelling_ea(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> l
 
 def check_nbc_suite(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
     cx, tutte, sets = build_complex(m, "augmented-nbc"), tutte_by_activities(m), nbc_sets(m)
+    full = m.full_mask
+    z_part = induced_subcomplex(cx, xyz(m.n, zs=full))
+    xz_part = induced_subcomplex(build_complex(m, "augmented-ea"), xyz(m.n, full, 0, full))
     induced = (
-        sorted(induced_subcomplex(cx, "z").facets) == sorted(build_complex(m, "nbc").facets)
-        and sorted(induced_subcomplex(build_complex(m, "augmented-ea"), "xz").facets)
-        == sorted(build_complex(m, "ea").facets)
+        sorted(z_part.facets) == sorted(build_complex(m, "nbc").facets)
+        and sorted(xz_part.facets) == sorted(build_complex(m, "ea").facets)
     )
     out = [
         Finding(name, "nbc-facet-count", len(cx.facets) == len(sets) == tutte.evaluate(2, 0)),

@@ -6,7 +6,9 @@ certificate replaced, the grouped witness pass against the per-pair
 ``shelling_witness``, the f-vector oracles: inclusion-exclusion, the
 submask walk and the memoized Shannon expansion that the ZDD count replaced,
 and the recursive enumeration of linear extensions that the explicit stack
-replaced.
+replaced.  Two invariants besides: ``blocks`` inverts ``xyz``, and the
+activity Tutte polynomial keeps under relabeling and swaps q and t under
+duality.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -30,8 +32,8 @@ from activita.activity import (
 )
 import activita.orders as orders
 import activita.suite as suite
-from activita.bitsets import iter_bits, submasks, subset_label
-from activita.complexes import build_complex, face_counts
+from activita.bitsets import MAX_GROUND, iter_bits, submasks, subset_label
+from activita.complexes import blocks, build_complex, face_counts, xyz
 from activita.corpus import builtin_corpus
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
@@ -46,6 +48,7 @@ from activita.orders import (
 )
 from activita.shelling import shelling_witness, witness_groups
 from activita.suite import check_lattice, check_posets
+from activita.tutte import BiPoly, tutte_by_activities
 
 
 @st.composite
@@ -202,7 +205,7 @@ def f_vector_by_inclusion_exclusion(cx) -> tuple[int, ...]:
     f = [0] * (d + 1)
     s = len(cx.facets)
     for pick in range(1, 1 << s):
-        inter = (1 << len(cx.vertices)) - 1
+        inter = -1  # every vertex
         for j in range(s):
             if pick >> j & 1:
                 inter &= cx.facets[j]
@@ -219,9 +222,32 @@ def faces_by_submask_walk(facets) -> set[int]:
 
 
 def xyz_blocks(m, face: int) -> tuple[int, int, int]:
-    """The x, y and z element masks of a face of an activity complex of ``m``."""
-    sup = build_complex(m, "augmented-ea").supports(face)
-    return sup.get("x", 0), sup.get("y", 0), sup.get("z", 0)
+    """The x, y and z element masks of a face of an activity complex of ``m``:
+    the n-bit blocks from the lowest up, shifted down and masked."""
+    return tuple(face >> k * m.n & m.full_mask for k in range(3))
+
+
+def test_blocks_inverts_xyz():
+    rng = random.Random(0)
+    for n in range(1, MAX_GROUND + 1):
+        full = (1 << n) - 1
+        cases = [(0, 0, 0), (full, full, full), (full, 0, full), (0, full, 0)]
+        cases += [tuple(rng.getrandbits(n) for _ in range(3)) for _ in range(20)]
+        for xs, ys, zs in cases:
+            assert blocks(n, xyz(n, xs, ys, zs)) == (xs, ys, zs)
+
+
+@edge_cases(0)
+@given(small_matroids(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tutte_by_activities_under_relabel_and_dual(m, seed):
+    """T is a matroid invariant, so no relabeling changes it, and T(M*; q, t) = T(M; t, q)."""
+    tutte = tutte_by_activities(m)
+    perm = list(range(1, m.n + 1))
+    random.Random(seed).shuffle(perm)
+    assert tutte_by_activities(relabel(m, perm)) == tutte
+    swapped = BiPoly({(t, q): v for (q, t), v in tutte.coeffs.items()})
+    assert tutte_by_activities(m.dual) == swapped
 
 
 def f_of(faces: set[int]) -> tuple[int, ...]:

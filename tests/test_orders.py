@@ -27,6 +27,7 @@ from activita.orders import (
     random_extension,
 )
 from activita.suite import check_lattice, check_posets
+from test_complexes import W4
 from test_oracles import lattice_laws_hold
 
 ps5 = lambda s: parse_subset(s, 5)
@@ -43,6 +44,16 @@ def is_extension(poset, order) -> bool:
             return False
         placed |= 1 << i
     return True
+
+
+def down_rows_bit_by_bit(up_rows) -> tuple[int, ...]:
+    """The transpose of the up-rows one set bit at a time: the reference that
+    ``Poset.down_rows`` must match."""
+    cols = [0] * len(up_rows)
+    for i, row in enumerate(up_rows):
+        for j in iter_bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
 
 
 # cover relations of the three basis orders, straight from the Hasse figures
@@ -193,6 +204,15 @@ class TestBuildPoset:
             for a in m.bases:
                 for b in m.bases:
                     assert ind.leq(a, b) == bas.leq(a, b)
+
+    def test_down_rows_match_the_bit_by_bit_transpose(self, corpus):
+        posets = [build_poset(m, kind) for m in (*corpus.values(), W4) for kind in POSET_KINDS]
+        rng = random.Random(0)
+        for size in (0, 1, 2, 7, 64, 65, 300):
+            rows = tuple(rng.getrandbits(size) for _ in range(size))
+            posets.append(Poset(tuple(range(size)), rows))
+        for p in posets:
+            assert p.down_rows == down_rows_bit_by_bit(p.up_rows)
 
 
 class TestPosetAxioms:

@@ -64,17 +64,14 @@ class TestVerifyShelling:
         assert report.h_complex
 
     def test_disjoint_edges_fail(self):
-        cx = SimplicialComplex(
-            tuple(("z", i) for i in range(1, 5)),
-            (mask_of((1, 2)) , mask_of((3, 4))),
-        )
+        cx = SimplicialComplex((mask_of((1, 2)), mask_of((3, 4))))
         report = verify_shelling(cx, list(cx.facets))
         assert not report.verdict
         assert report.failing_pair == (0, 1)
         assert report.restrictions == [0]  # prefix before the failure
 
     def test_single_facet(self):
-        cx = SimplicialComplex((("z", 1), ("z", 2)), (0b11,))
+        cx = SimplicialComplex((0b11,))
         report = verify_shelling(cx, [0b11])
         assert report.verdict
         assert report.restrictions == [0]
@@ -91,10 +88,7 @@ class TestVerifyShelling:
             fast = verify_shelling(cx, order, check_properties=False)
             slow_ok, slow_pair = verify_shelling_pairwise(cx, order)
             assert fast.verdict == slow_ok
-        cx = SimplicialComplex(
-            tuple(("z", i) for i in range(1, 5)),
-            (mask_of((1, 2)), mask_of((3, 4))),
-        )
+        cx = SimplicialComplex((mask_of((1, 2)), mask_of((3, 4))))
         assert verify_shelling_pairwise(cx, list(cx.facets)) == (False, (0, 1))
 
     def test_bad_order_of_good_complex_detected(self, m5_matroid):
@@ -161,7 +155,7 @@ class TestPropertyH:
             property_H_check(cx, order, corrupt)
 
     def test_simplex_vacuous(self):
-        cx = SimplicialComplex((("z", 1), ("z", 2), ("z", 3)), (0b111,))
+        cx = SimplicialComplex((0b111,))
         assert property_H_check(cx, [0b111], [0])
 
 
@@ -465,7 +459,7 @@ def shuffled_pure_complexes(draw):
     d = draw(st.integers(0, n))
     masks = [f for f in range(1 << n) if f.bit_count() == d]
     facets = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=20, unique=True))
-    cx = SimplicialComplex(tuple(("z", e) for e in range(1, n + 1)), tuple(facets))
+    cx = SimplicialComplex(tuple(facets))
     return cx, draw(st.permutations(facets))
 
 
@@ -506,7 +500,7 @@ class TestNeighbourIndexedVerifier:
 
     def test_face_count_disagreeing_with_the_scan_raises(self):
         # a shelling whose complex reports one face too many
-        cx = SimplicialComplex((("z", 1), ("z", 2)), (0b11,))
+        cx = SimplicialComplex((0b11,))
         cx.fh = FHVector(f=(1, 2, 2), h=(1, 1, 1))
         with pytest.raises(EquivalenceMismatch):
             verify_shelling(cx, [0b11])
@@ -527,5 +521,5 @@ class TestNeighbourIndexedVerifier:
             verify_shelling(*aug_order(m5(), ext))
 
     def test_empty_complex(self):
-        cx = SimplicialComplex((("z", 1),), ())
+        cx = SimplicialComplex(())
         assert verify_shelling(cx, []) == scan_verify_shelling(cx, [])

@@ -1,6 +1,6 @@
 """The verification-suite driver: finding shapes, degenerate matroids, and
-mutants that each turn one finding of the activity, Crapo, shelling,
-witness or Tutte checks to FAIL."""
+mutants that each turn one finding of the matroid-axiom, activity, Crapo,
+shelling, witness or Tutte checks to FAIL."""
 
 from dataclasses import replace
 
@@ -10,11 +10,11 @@ import activita.shelling as shelling
 import activita.suite as suite
 import activita.tutte as tutte
 from activita.activity import related_basis
-from activita.bitsets import parse_subset
+from activita.bitsets import elems_of, parse_subset
 from activita.complexes import SimplicialComplex
 from activita.corpus import m5
 from activita.errors import WitnessNotFound
-from activita.matroid import from_bases, graphic, relabel, uniform
+from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
 from activita.shelling import flip_restrictions
 from activita.suite import run_suite
 from activita.tutte import BiPoly
@@ -171,11 +171,50 @@ def count_an_nbc_set_twice(monkeypatch):
 def drop_an_induced_facet(monkeypatch):
     real = suite.induced_subcomplex
 
-    def dropped(cx, flavors):
-        sub = real(cx, flavors)
-        return SimplicialComplex(sub.vertices, sub.facets[1:])
+    def dropped(cx, keep):
+        return SimplicialComplex(real(cx, keep).facets[1:])
 
     monkeypatch.setattr(suite, "induced_subcomplex", dropped)
+
+
+def dual_drops_a_basis(monkeypatch):
+    """The dual lists the complements of every basis but the first."""
+
+    def dual(m):
+        return Matroid(m.n, [m.full_mask & ~b for b in m.bases[1:]], "dual-of")
+
+    monkeypatch.setattr(Matroid, "dual", property(dual))
+
+
+def a_basis_listed_as_a_circuit(monkeypatch):
+    """A set inside a basis lies inside every B ∪ e with B that basis, so the
+    fundamental circuits are no longer unique there either."""
+    real = vars(Matroid)["circuits"].func
+    monkeypatch.setattr(Matroid, "circuits", property(lambda m: real(m) + m.bases[:1]))
+
+
+def circuit_of_the_next_element(monkeypatch):
+    """Answer (B, e) with the circuit of the next element outside B, cyclically:
+    every circuit is still listed, each under a wrong element."""
+    real = Matroid.fundamental_circuit
+
+    def shifted(m, basis, e):
+        outside = elems_of(m.full_mask & ~basis)
+        return real(m, basis, outside[(outside.index(e) + 1) % len(outside)])
+
+    monkeypatch.setattr(Matroid, "fundamental_circuit", shifted)
+
+
+def rank_of_the_complement(monkeypatch):
+    """r(E ∖ S) is submodular but shrinks as S grows."""
+    real = Matroid.rank_of
+    monkeypatch.setattr(Matroid, "rank_of", lambda m, s: real(m, m.full_mask & ~s))
+
+
+def nullity_for_rank(monkeypatch):
+    """|S| − r(S) grows with S but is supermodular, strictly so on m5."""
+    real = Matroid.rank_of
+    monkeypatch.setattr(Matroid, "rank_of", lambda m, s: s.bit_count() - real(m, s))
 
 
 def decompose_without_deletions(monkeypatch):
@@ -241,8 +280,20 @@ def u24():
 REVERSED = corrupt_second_report("restrictions", lambda report: report.restrictions[::-1])
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
 ACTIVITY, CRAPO, TUTTE = suite.check_activity, suite.check_crapo, suite.check_tutte
+AXIOMS = suite.check_matroid_axioms
 MUTANTS = {
     # finding: (matroid, check, mutant, the findings it fails, a sibling that still passes)
+    "dual-involution": (m5, AXIOMS, dual_drops_a_basis, {"dual-involution"}, "circuits-not-in-bases"),
+    "circuits-not-in-bases": (
+        m5, AXIOMS, a_basis_listed_as_a_circuit,
+        {"circuits-not-in-bases", "fundamental-circuit-unique"}, "dual-involution",
+    ),
+    "fundamental-circuit-unique": (
+        m5, AXIOMS, circuit_of_the_next_element, {"fundamental-circuit-unique"},
+        "circuits-not-in-bases",
+    ),
+    "rank-monotone": (m5, AXIOMS, rank_of_the_complement, {"rank-monotone"}, "rank-submodular"),
+    "rank-submodular": (m5, AXIOMS, nullity_for_rank, {"rank-submodular"}, "rank-monotone"),
     "crapo-partition-independent": (
         m5, CRAPO, decompose_without_deletions, {"crapo-partition-independent"},
         "crapo-partition-subsets",
