@@ -57,10 +57,7 @@ def submasks(mask: int) -> Iterator[int]:
 
 def subset_str(mask: int, n: int) -> str:
     """Machine string form of a subset ("" for the empty set)."""
-    elems = elems_of(mask)
-    if n <= 9:
-        return "".join(str(e) for e in elems)
-    return ",".join(str(e) for e in elems)
+    return ("" if n <= 9 else ",").join(str(e) for e in elems_of(mask))
 
 
 def subset_label(mask: int, n: int) -> str:

@@ -37,8 +37,8 @@ def _load(path: str) -> Matroid:
         raise click.UsageError(f"{path}: {exc}") from exc
 
 
-def _echo_json(data) -> None:
-    click.echo(json.dumps(data, indent=2, sort_keys=True))
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 @click.group()
@@ -56,15 +56,8 @@ def activity(matroid: str, subset: str) -> None:
         mask = parse_subset(subset, m.n)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    prof = activity_profile(m, mask)
-    _echo_json(
-        {
-            "EA": subset_str(prof.ea, m.n),
-            "EP": subset_str(prof.ep, m.n),
-            "IA": subset_str(prof.ia, m.n),
-            "IP": subset_str(prof.ip, m.n),
-        }
-    )
+    prof = asdict(activity_profile(m, mask))
+    click.echo(_json({key.upper(): subset_str(s, m.n) for key, s in prof.items()}))
 
 
 def poset_dot(poset: Poset, n: int, name: str) -> str:
@@ -104,7 +97,7 @@ def order(matroid: str, kind: str, dot_path: str | None, as_json: bool) -> None:
         ],
     }
     if as_json:
-        _echo_json(data)
+        click.echo(_json(data))
     else:
         click.echo(f"{kind}: {len(poset)} elements, {len(data['covers'])} covers")
         for a, b in data["covers"]:
@@ -133,7 +126,7 @@ def complex_cmd(matroid: str, kind: str, as_json: bool) -> None:
         "h": list(cx.fh.h),
     }
     if as_json:
-        _echo_json(data)
+        click.echo(_json(data))
     else:
         click.echo(f"{kind}: {len(cx.facets)} facets, dimension {cx.dimension}")
         click.echo(f"f = {data['f']}")
@@ -154,10 +147,7 @@ def _report_json(report: ShellingReport, n: int) -> dict:
         {k: subset_str(v, n) for k, v in zip("xyz", blocks(n, r)) if v}
         for r in report.restrictions
     ]
-    data["failing_pair"] = list(report.failing_pair) if report.failing_pair else None
-    data["h_from_restrictions"] = (
-        list(report.h_from_restrictions) if report.h_from_restrictions else None
-    )
+    data["h_from_restrictions"] = report.h_from_restrictions or None
     return data
 
 
@@ -190,7 +180,7 @@ def shell(matroid: str, kind: str, order_kind: str, seed: int,
     data["order"] = order_kind
     data["seed"] = seed
     if report_path:
-        Path(report_path).write_text(json.dumps(data, indent=2, sort_keys=True))
+        Path(report_path).write_text(_json(data))
     click.echo("shelling: " + ("ok" if report.verdict else f"FAILED at {report.failing_pair}"))
     if not report.verdict:
         sys.exit(1)
@@ -204,7 +194,7 @@ def tutte(matroid: str, as_json: bool) -> None:
     m = _load(matroid)
     poly = tutte_by_activities(m)
     if as_json:
-        _echo_json({"terms": [list(t) for t in poly.terms()]})
+        click.echo(_json({"terms": poly.terms()}))
     else:
         click.echo(repr(poly))
 
@@ -243,19 +233,8 @@ def verify(matroids: tuple[str, ...], cap: int, seed: int,
         click.echo(f"{status} {f.matroid}: {f.check}{detail}")
     click.echo(f"{len(findings) - len(failed)}/{len(findings)} checks passed")
     if report_path:
-        Path(report_path).write_text(
-            json.dumps(
-                {
-                    "cap": cap,
-                    "seed": seed,
-                    "matroids": sorted(corpus),
-                    "findings": [asdict(f) for f in findings],
-                    "ok": not failed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        report = {"cap": cap, "seed": seed, "matroids": sorted(corpus), "ok": not failed}
+        Path(report_path).write_text(_json({**report, "findings": [asdict(f) for f in findings]}))
     if failed:
         sys.exit(1)
 
@@ -272,9 +251,7 @@ def corpus(out_dir: str | None) -> None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for name, m in entries.items():
-            (directory / f"{name}.json").write_text(
-                json.dumps(spec_dict(m), indent=2, sort_keys=True)
-            )
+            (directory / f"{name}.json").write_text(_json(spec_dict(m)))
         click.echo(f"wrote {len(entries)} spec files to {directory}")
 
 

@@ -77,6 +77,10 @@ class NotPure(ActivitaError):
     pass
 
 
+class NoLinearExtension(ActivitaError):
+    """The rows of a poset hold a cycle, so no order lists each element after those below it."""
+
+
 class ComparablePair(ActivitaError):
     """Raised by the witness search when the pair already satisfies K <= I."""
 

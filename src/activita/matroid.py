@@ -14,8 +14,9 @@ reader and writer of a matroid's ``_cache``.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property, wraps
+from functools import cached_property, reduce, wraps
 from itertools import combinations
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .bitsets import MAX_GROUND, elems_of, mask_of, subset_str
@@ -92,18 +93,12 @@ class Matroid:
     @cached_property
     def loops(self) -> int:
         """Mask of elements lying in no basis."""
-        covered = 0
-        for b in self.bases:
-            covered |= b
-        return self.full_mask & ~covered
+        return self.full_mask & ~reduce(or_, self.bases, 0)
 
     @cached_property
     def coloops(self) -> int:
         """Mask of elements lying in every basis."""
-        common = self.full_mask
-        for b in self.bases:
-            common &= b
-        return common
+        return reduce(and_, self.bases, self.full_mask)
 
     # -- circuits ----------------------------------------------------------
 
@@ -154,9 +149,7 @@ class Matroid:
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matroid) and self.n == other.n and self.bases == other.bases
-        )
+        return isinstance(other, Matroid) and (self.n, self.bases) == (other.n, other.bases)
 
     def __hash__(self) -> int:
         return hash((self.n, self.bases))
@@ -195,14 +188,12 @@ def _check_exchange(n: int, bases: Sequence[int]) -> None:
                 low = take & -take
                 take ^= low
                 give = b & ~a
-                ok = False
                 while give:
                     glow = give & -give
                     give ^= glow
                     if (a ^ low) | glow in basis_set:
-                        ok = True
                         break
-                if not ok:
+                else:
                     raise ExchangeAxiomViolated(
                         subset_str(a, n), subset_str(b, n), low.bit_length()
                     )

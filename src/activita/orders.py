@@ -25,7 +25,9 @@ from operator import and_
 
 from .activity import activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, submasks, subset_label, subset_str
-from .errors import EquivalenceMismatch, LatticeFailure, NotABasis, NotACover
+from .errors import (
+    EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover, NotIndependent
+)
 from .matroid import Matroid, memoized
 
 BASIS_ORDER_KINDS = ("ext", "int", "extint")
@@ -337,7 +339,10 @@ def _enumerate_extensions(poset: Poset, limit: int):
 def first_extension(poset: Poset) -> tuple[int, ...]:
     """The lexicographically first linear extension: the first order that
     :func:`linear_extensions` enumerates (greedy minimal element)."""
-    return _enumerate_extensions(poset, 0)[0][0]
+    found = _enumerate_extensions(poset, 0)[0]
+    if not found:
+        raise NoLinearExtension(f"no linear extension of the {len(poset)} elements")
+    return found[0]
 
 
 def random_extension(poset: Poset, rng: random.Random) -> tuple[int, ...]:
@@ -394,6 +399,17 @@ def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionS
 # -- lattice structure ------------------------------------------------------------
 
 
+def _bound_rows(poset: Poset, x: int, y: int) -> tuple[int, int]:
+    """The row indexes of the glb and lub of the elements at rows x and y."""
+    glb = poset.down_row_index.get(poset.down_rows[x] & poset.down_rows[y])
+    lub = poset.up_row_index.get(poset.up_rows[x] & poset.up_rows[y])
+    if glb is None:
+        raise LatticeFailure("no greatest lower bound")
+    if lub is None:
+        raise LatticeFailure("no least upper bound")
+    return glb, lub
+
+
 def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
     """Greatest lower bound and least upper bound in a materialized poset.
 
@@ -402,14 +418,19 @@ def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
     rows are distinct by antisymmetry, so each lookup has at most one answer,
     and no answer raises LatticeFailure.
     """
-    ia, ib = poset.index[a], poset.index[b]
-    glb = poset.down_row_index.get(poset.down_rows[ia] & poset.down_rows[ib])
-    lub = poset.up_row_index.get(poset.up_rows[ia] & poset.up_rows[ib])
-    if glb is None:
-        raise LatticeFailure("no greatest lower bound")
-    if lub is None:
-        raise LatticeFailure("no least upper bound")
+    glb, lub = _bound_rows(poset, poset.index[a], poset.index[b])
     return poset.elements[glb], poset.elements[lub]
+
+
+@memoized
+def _lattice_table(matroid: Matroid) -> tuple:
+    """What :func:`meet_join_ind` reads, O(I + B): the ``extint-ind`` up-rows
+    and index, the row of each independent set's related basis in the
+    ``extint-bases`` poset, that poset, and IP of each basis."""
+    ind, bases = build_poset(matroid, "extint-ind"), build_poset(matroid, "extint-bases")
+    related = [bases.index[a] for a in _related_blocks(matroid, ind.elements)[0]]
+    ips = [activity_profile(matroid, b).ip for b in bases.elements]
+    return ind.up_rows, ind.index, related, bases, ips
 
 
 def meet_join_ind(matroid: Matroid, i: int, k: int) -> tuple[int, int]:
@@ -417,21 +438,24 @@ def meet_join_ind(matroid: Matroid, i: int, k: int) -> tuple[int, int]:
 
     Related sets meet and join by intersection and union.  Sets related to
     incomparable bases A, C meet at the basis A ∧ C and join at IP(A ∨ C),
-    with the basis meet/join taken in the materialized bases poset.  The
-    suite's ``lattice-laws`` finding checks every answer against the bounds
-    read from the independent-set poset (:func:`poset_meet_join`).
+    with the basis meet/join taken in the materialized bases poset; each
+    call reads the matroid's lattice table once.  The suite's
+    ``lattice-laws`` finding checks every answer against the bounds read
+    from the independent-set poset (:func:`poset_meet_join`).
     """
-    a = related_basis(matroid, i)
-    c = related_basis(matroid, k)
+    up, index, related, bases, ips = _lattice_table(matroid)
+    x, y = index.get(i), index.get(k)
+    if x is None or y is None:
+        raise NotIndependent(subset_str(k if x is not None else i, matroid.n))
+    a, c = related[x], related[y]
     if a == c:
         return i & k, i | k
-    ind_poset = build_poset(matroid, "extint-ind")
-    if ind_poset.leq(i, k):
+    if up[x] >> y & 1:
         return i, k
-    if ind_poset.leq(k, i):
+    if up[y] >> x & 1:
         return k, i
-    meet, join = poset_meet_join(build_poset(matroid, "extint-bases"), a, c)
-    return meet, activity_profile(matroid, join).ip
+    meet, join = _bound_rows(bases, a, c)
+    return bases.elements[meet], ips[join]
 
 
 def boolean_interval(matroid: Matroid, b: int, c: int) -> tuple[int, ...]:

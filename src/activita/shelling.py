@@ -106,13 +106,13 @@ def verify_orders(
 ) -> tuple[tuple[bool, ...], list[list[int]]]:
     """Fold :func:`verify_shelling` over orders of facet tags, up to the first
     that does not shell.  Returns the restriction sets of the orders that
-    shell and five flags: every order shells; its restriction sets equal
-    ``closed_form`` (tag → restriction set), if given; property (H); the
-    restrictions form an h-complex; their h-vector is the complex's.  Each
-    flag after the first also requires every order to shell; the middle two
-    are checked only with ``check_properties``.
+    shell and five flags: there are orders and every one shells; their
+    restriction sets equal ``closed_form`` (tag → restriction set), if given;
+    property (H); the restrictions form an h-complex; their h-vector is the
+    complex's.  Each flag after the first also requires the first; the
+    middle two are checked only with ``check_properties``.
     """
-    shelled = formula = prop_h = h_cx = h_match = True
+    shelled, formula, prop_h, h_cx, h_match = bool(orders), True, True, True, True
     restrictions = []
     for order in orders:
         report = verify_shelling(cx, [cx.facet_by_tag[t] for t in order], check_properties)
@@ -159,11 +159,7 @@ def restriction_sets_bruteforce(order: list[int] | tuple[int, ...]) -> list[int]
     """
     out = []
     for k, fk in enumerate(order):
-        new = [
-            a
-            for a in submasks(fk)
-            if not any(a & ~order[j] == 0 for j in range(k))
-        ]
+        new = [a for a in submasks(fk) if all(a & ~g for g in order[:k])]  # in no earlier facet
         minimal = [a for a in new if not any(b != a and b & ~a == 0 for b in new)]
         if len(minimal) != 1:
             raise WitnessNotFound(

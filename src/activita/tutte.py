@@ -93,10 +93,7 @@ class BiPoly:
 
     def terms(self) -> list[tuple[int, int, int]]:
         """(q-exponent, t-exponent, coefficient), highest monomials first."""
-        return [
-            (qe, te, self.coeffs[qe, te])
-            for qe, te in sorted(self.coeffs, reverse=True)
-        ]
+        return sorted(((qe, te, v) for (qe, te), v in self.coeffs.items()), reverse=True)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -163,11 +160,7 @@ def tutte_by_deletion_contraction(matroid: Matroid) -> BiPoly:
 
 def h_polynomial(h: tuple[int, ...]) -> BiPoly:
     """The h-polynomial sum h_i q^(d-i) of an h-vector (zero for the void complex)."""
-    d = len(h) - 1
-    out = BiPoly.zero()
-    for i, coeff in enumerate(h):
-        out = out + BiPoly.monomial(d - i, 0, coeff)
-    return out
+    return BiPoly({(len(h) - 1 - i, 0): coeff for i, coeff in enumerate(h)})
 
 
 def bivariate_restriction_polynomial(

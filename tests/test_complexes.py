@@ -22,9 +22,10 @@ from activita.complexes import (
     xyz,
 )
 from activita.errors import NotIndependent, NotNBC, NotPure
-from activita.matroid import from_bases, graphic, uniform
+from activita.matroid import from_bases, uniform
 from activita.tutte import BiPoly
 from test_oracles import (
+    W4,
     f_of,
     f_vector_by_inclusion_exclusion,
     faces_by_submask_walk,
@@ -250,9 +251,6 @@ def pure_complexes(draw):
     same_size = [g for g in range(1 << size) if g.bit_count() == k]
     facets = draw(st.sets(st.sampled_from(same_size), max_size=10))
     return pure_complex(facets)
-
-
-W4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
 
 
 class TestFaceCounts:

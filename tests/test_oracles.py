@@ -2,7 +2,8 @@
 column-bitset posets and their covers against the per-pair build and the
 down-row scan they replaced, the ``poset-axioms`` block certificate against
 the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
-certificate replaced, the grouped witness pass against the per-pair
+certificate replaced, ``meet_join_ind`` against the per-call related-basis
+lookups that its lattice table replaced, the grouped witness pass against the per-pair
 ``shelling_witness``, the f-vector oracles: inclusion-exclusion, the
 submask walk and the memoized Shannon expansion that the ZDD count replaced,
 and the recursive enumeration of linear extensions that the explicit stack
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from activita.activity import (
+    activity_profile,
     crapo_decompose_independent,
     crapo_decompose_subset,
     nbc_sets,
@@ -34,7 +36,8 @@ import activita.orders as orders
 import activita.suite as suite
 from activita.bitsets import MAX_GROUND, iter_bits, submasks, subset_label
 from activita.complexes import blocks, build_complex, face_counts, xyz
-from activita.corpus import builtin_corpus
+from activita.corpus import builtin_corpus, m5
+from activita.errors import LatticeFailure, NotIndependent
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
     POSET_KINDS,
@@ -45,6 +48,7 @@ from activita.orders import (
     leq_flip_ind,
     meet_join_ind,
     poset_axiom_violation,
+    poset_meet_join,
 )
 from activita.shelling import shelling_witness, witness_groups
 from activita.suite import check_lattice, check_posets
@@ -76,6 +80,7 @@ EDGE_CASES = (
     from_bases(4, [0b0110, 0b1010]),  # loop 1, coloop 2, parallel 3 and 4
     graphic(3, [(1, 1), (1, 2), (2, 3), (1, 3), (3, 3)]),
 )
+W4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])  # the wheel
 
 
 def edge_cases(*args):
@@ -368,9 +373,8 @@ def lattice_laws_hold(m) -> bool:
 
 
 def test_lattice_laws_on_w4():
-    w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
-    assert check_lattice("W4", w4)[0].ok
-    assert lattice_laws_hold(w4)
+    assert check_lattice("W4", W4)[0].ok
+    assert lattice_laws_hold(W4)
 
 
 @with_edge_cases
@@ -379,6 +383,72 @@ def test_lattice_laws_on_w4():
 def test_lattice_certificate_and_law_sweep(m):
     assert check_lattice("m", m)[0].ok
     assert lattice_laws_hold(m)
+
+
+def meet_join_per_call(matroid, i, k):
+    """``meet_join_ind`` as it was before its lattice table: two related-basis
+    lookups and the two posets fetched on every call."""
+    a = related_basis(matroid, i)
+    c = related_basis(matroid, k)
+    if a == c:
+        return i & k, i | k
+    ind_poset = build_poset(matroid, "extint-ind")
+    if ind_poset.leq(i, k):
+        return i, k
+    if ind_poset.leq(k, i):
+        return k, i
+    meet, join = poset_meet_join(build_poset(matroid, "extint-bases"), a, c)
+    return meet, activity_profile(matroid, join).ip
+
+
+MEET_JOIN_CASES = {**builtin_corpus(), "W4": W4, "u48": uniform(4, 8)}
+MEET_JOIN_CASES.update((f"edge{x}", m) for x, m in enumerate(EDGE_CASES))
+
+
+@pytest.mark.parametrize("name", MEET_JOIN_CASES)
+def test_meet_join_matches_the_per_call_oracle(name):
+    m = MEET_JOIN_CASES[name]
+    sets = m.independent_sets
+    pairs = [(i, k) for i in sets for k in sets]
+    fast = [meet_join_ind(m, i, k) for i, k in pairs]
+    assert fast == [meet_join_per_call(m, i, k) for i, k in pairs]
+
+
+def test_meet_join_rejects_a_dependent_set():
+    m, dependent = m5(), 0b111  # 1, 2, 3 are collinear
+    for pair in ((dependent, 0), (0, dependent)):
+        with pytest.raises(NotIndependent, match="^123$"):
+            meet_join_ind(m, *pair)
+        with pytest.raises(NotIndependent, match="^123$"):
+            meet_join_per_call(m, *pair)
+
+
+def test_a_failing_basis_meet_is_the_lattice_laws_detail(monkeypatch):
+    # bases that are pairwise incomparable have no meet, so the first pair of
+    # sets related to two different bases and incomparable raises in meet_join_ind
+    real = orders.build_poset
+
+    def antichain_of_bases(m, kind):
+        poset = real(m, kind)
+        if kind != "extint-bases":
+            return poset
+        return Poset(poset.elements, tuple(1 << x for x in range(len(poset))))
+
+    monkeypatch.setattr(orders, "build_poset", antichain_of_bases)
+    m = m5()
+    with pytest.raises(LatticeFailure, match="no greatest lower bound"):
+        meet_join_ind(m, 0b110, 0b1001)  # 23 and 14: related to 235 and 134
+    [finding] = check_lattice("m5", m)
+    assert (finding.ok, finding.detail) == (False, "no greatest lower bound")
+
+
+def test_a_missing_bound_in_the_order_is_the_lattice_laws_detail(monkeypatch):
+    # the antichain on the independent sets is a partial order with no meets
+    real = build_poset(m5(), "extint-ind")
+    antichain = Poset(real.elements, tuple(1 << x for x in range(len(real))))
+    monkeypatch.setattr(suite, "build_poset", lambda m, kind: antichain)
+    [finding] = check_lattice("m5", m5())
+    assert (finding.ok, finding.detail) == (False, "no greatest lower bound")
 
 
 def assert_groups_match_per_pair_witnesses(m):

@@ -8,7 +8,7 @@ import pytest
 
 from activita.activity import related_basis
 from activita.bitsets import iter_bits, parse_subset, subset_label, subset_str
-from activita.errors import LatticeFailure, NotACover, NotIndependent
+from activita.errors import LatticeFailure, NoLinearExtension, NotACover, NotIndependent
 from activita.matroid import uniform
 from activita.orders import (
     POSET_KINDS,
@@ -429,6 +429,13 @@ class TestLinearExtensions:
         assert first_extension(chain) == chain.elements
         sample = linear_extensions(chain, cap=1)
         assert (sample.orders, sample.exhaustive, sample.total) == ([chain.elements], True, 1)
+
+    def test_a_cycle_has_no_linear_extension(self):
+        cycle = Poset((1, 2), (0b11, 0b11))  # 1 ≤ 2 and 2 ≤ 1
+        sample = linear_extensions(cycle, cap=1)
+        assert (sample.orders, sample.exhaustive, sample.total) == ([], True, 0)
+        with pytest.raises(NoLinearExtension, match="no linear extension of the 2 elements"):
+            first_extension(cycle)
 
     def test_first_extension_is_extension(self, corpus):
         for m in corpus.values():

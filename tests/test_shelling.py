@@ -38,6 +38,7 @@ from activita.shelling import (
     property_H_check,
     restriction_sets_bruteforce,
     shelling_witness,
+    verify_orders,
     verify_shelling,
     verify_shelling_pairwise,
     witness_pass,
@@ -75,6 +76,13 @@ class TestVerifyShelling:
         report = verify_shelling(cx, [0b11])
         assert report.verdict
         assert report.restrictions == [0]
+
+    def test_no_orders_fail_every_flag(self, m5_matroid):
+        cx = build_complex(m5_matroid, "augmented-ea")
+        assert verify_orders(cx, [], None, check_properties=True) == ((False,) * 5, [])
+        order = first_extension(build_poset(m5_matroid, "extint-ind"))
+        flags, restrictions = verify_orders(cx, [order], None, check_properties=True)
+        assert flags == (True,) * 5 and len(restrictions) == 1
 
     def test_not_a_permutation(self, m5_matroid):
         cx = build_complex(m5_matroid, "ea")

@@ -193,6 +193,12 @@ def a_basis_listed_as_a_circuit(monkeypatch):
     monkeypatch.setattr(Matroid, "circuits", property(lambda m: real(m) + m.bases[:1]))
 
 
+def whole_b_plus_e_as_circuit(monkeypatch):
+    """Answer (B, e) with all of B ∪ e: dependent and inside no basis, but not
+    minimal wherever the true circuit misses an element of B."""
+    monkeypatch.setattr(Matroid, "fundamental_circuit", lambda m, basis, e: basis | 1 << (e - 1))
+
+
 def circuit_of_the_next_element(monkeypatch):
     """Answer (B, e) with the circuit of the next element outside B, cyclically:
     every circuit is still listed, each under a wrong element."""
@@ -282,11 +288,15 @@ MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.ch
 ACTIVITY, CRAPO, TUTTE = suite.check_activity, suite.check_crapo, suite.check_tutte
 AXIOMS = suite.check_matroid_axioms
 MUTANTS = {
-    # finding: (matroid, check, mutant, the findings it fails, a sibling that still passes)
+    # finding, or finding/what a second mutant breaks: (matroid, check, mutant,
+    # the findings it fails, a sibling that still passes)
     "dual-involution": (m5, AXIOMS, dual_drops_a_basis, {"dual-involution"}, "circuits-not-in-bases"),
     "circuits-not-in-bases": (
         m5, AXIOMS, a_basis_listed_as_a_circuit,
         {"circuits-not-in-bases", "fundamental-circuit-unique"}, "dual-involution",
+    ),
+    "circuits-not-in-bases/minimal": (
+        m5, AXIOMS, whole_b_plus_e_as_circuit, {"circuits-not-in-bases"}, "dual-involution",
     ),
     "fundamental-circuit-unique": (
         m5, AXIOMS, circuit_of_the_next_element, {"fundamental-circuit-unique"},
@@ -357,7 +367,7 @@ def test_shelling_mutant_fails_its_finding(monkeypatch, finding):
     matroid, check, mutant, failing, sibling = MUTANTS[finding]
     mutant(monkeypatch)
     findings = {f.check: f.ok for f in check("m", matroid(), 10, 0)}
-    assert finding in failing
+    assert finding.partition("/")[0] in failing
     assert {name for name, ok in findings.items() if not ok} == failing
     assert findings[sibling]
 
@@ -465,3 +475,19 @@ def test_witness_error_fails_the_first_order_certificate(monkeypatch):
     assert certificate.detail == "pair 23, 14: no exchange witness"
     failed = {f.check for f in run_suite({"m5": m5()}, cap=10, seed=0) if not f.ok}
     assert failed == {"witness-certifies-first-order", "witness-all-pairs", "witness-nbc-closure"}
+
+
+def test_an_order_with_no_linear_extension_fails_without_raising(monkeypatch):
+    # B ∪ e as every circuit leaves extint-ind with a cycle: no linear extension,
+    # so the shelling samples are empty and the Tutte identities have no order
+    whole_b_plus_e_as_circuit(monkeypatch)
+    findings = {f.check: f for f in run_suite({"m5": m5()}, cap=10, seed=0)}
+    assert not findings["shelling-extint"].ok
+    assert findings["shelling-extint"].detail == "0 orders, exhaustive=True"
+    assert not findings["witness-certifies-first-order"].ok
+    # a check that raises a library error is one failing finding under its name
+    tutte = findings["check_tutte"]
+    assert not tutte.ok
+    assert tutte.detail == "NoLinearExtension: no linear extension of the 24 elements"
+    assert not findings["check_nbc_suite"].ok
+    assert findings["check_nbc_suite"].detail.startswith("NotPure: ")
