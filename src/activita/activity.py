@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import iter_bits, max_elem, subset_str
+from .bitsets import iter_bits, max_elem, subset_label, subset_str
 from .errors import (
     DecompositionNotFound,
     DecompositionNotUnique,
@@ -103,9 +103,11 @@ def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:
         if (b & ~prof.ia) & ~subset == 0 and subset & ~(b | prof.ea) == 0:
             hits.append(CrapoDecomposition(basis=b, x=subset & ~b, y=b & ~subset))
     if not hits:
-        raise DecompositionNotFound(subset_str(subset, matroid.n))
+        raise DecompositionNotFound(f"no Crapo decomposition of {subset_label(subset, matroid.n)}")
     if len(hits) > 1:
-        raise DecompositionNotUnique(subset_str(subset, matroid.n))
+        raise DecompositionNotUnique(
+            f"{len(hits)} Crapo decompositions of {subset_label(subset, matroid.n)}"
+        )
     return hits[0]
 
 

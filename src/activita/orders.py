@@ -365,6 +365,8 @@ def random_extension(poset: Poset, rng: random.Random) -> tuple[int, ...]:
     avail = [i for i in range(m) if not unplaced_below[i]]
     order = []
     for _ in range(m):
+        if not avail:  # the rows hold a cycle
+            raise NoLinearExtension(f"no linear extension of the {m} elements")
         i = rng.choice(avail)
         avail.remove(i)
         order.append(poset.elements[i])

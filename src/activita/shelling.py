@@ -235,48 +235,30 @@ def _star_equation_holds(matroid: Matroid, i: int, j: int, k: int, c: int) -> bo
 
 
 @memoized
-def _basis_witness(matroid: Matroid, pair: tuple[int, int]) -> tuple[int, int]:
-    """Find (B, c) with B = C∖c∪b satisfying the basis-exchange witness lemma
-    for the pair (A, C) of bases.
-
-    Searches c over IP(C) ∩ EP(A) from the largest down and b ascending; the
-    first pair satisfying all the lemma's conditions wins, memoized per
-    matroid.  The lemma's conclusions F(A)∩F(C) ⊆ F(B)∩F(C) = F(C)∖z_c and
-    IA(C) ⊆ IA(B) are the witness checks of the pairs (A, C) and
-    (A, C∖IA(C)), which :func:`witness_groups` makes whenever it uses (B, c).
+def _witness_table(matroid: Matroid) -> dict[int, tuple[tuple[int, int], ...]]:
+    """good(C) for every basis C: the (c, B) with c ∈ IP(C), largest first, and
+    B = C∖c∪b the first exchange, b ascending, that satisfies the basis-exchange
+    witness lemma; memoized per matroid, O(#bases·r·n) basis tests.  Bases A ≠ C
+    take the first c of good(C) in EP(A), or have no witness: the lemma reads A
+    only through c ∈ EP(A), as it asks B ≤ C, c ∉ EA(B) and EA(B) = EA(C) off
+    B ∪ C.  Its conclusions F(A)∩F(C) ⊆ F(B)∩F(C) = F(C)∖z_c and IA(C) ⊆ IA(B)
+    are the checks :func:`witness_groups` makes whenever it uses (B, c).
     """
-    a, c_basis = pair
-    pa = activity_profile(matroid, a)
-    pc = activity_profile(matroid, c_basis)
     bases_poset = build_poset(matroid, "extint-bases")
-    full = matroid.full_mask
-    candidates = pc.ip & pa.ep
-    for c in range(matroid.n, 0, -1):
-        cbit = 1 << (c - 1)
-        if not candidates & cbit:
-            continue
-        for b in range(1, matroid.n + 1):
-            bbit = 1 << (b - 1)
-            if bbit & (c_basis | cbit):
-                continue
-            basis_b = (c_basis ^ cbit) | bbit
-            if not matroid.is_basis(basis_b):
-                continue
-            pb = activity_profile(matroid, basis_b)
-            if not bases_poset.leq(basis_b, c_basis):
-                continue
-            if bool(pb.ea & cbit) != bool(pa.ea & cbit):
-                continue
-            outside = full & ~(basis_b | c_basis)
-            if (pb.ea ^ pc.ea) & outside:
-                continue
-            if not pb.ep & cbit:
-                continue
-            return basis_b, c
-    raise WitnessNotFound(
-        f"no exchange witness for bases {subset_str(a, matroid.n)}, "
-        f"{subset_str(c_basis, matroid.n)}"
-    )
+    table = {}
+    for c_basis in matroid.bases:
+        pc, good = activity_profile(matroid, c_basis), []
+        for c in sorted(iter_bits(pc.ip), reverse=True):
+            for b in iter_bits(matroid.full_mask & ~c_basis):
+                basis_b = c_basis ^ 1 << c | 1 << b
+                if not matroid.is_basis(basis_b) or not bases_poset.leq(basis_b, c_basis):
+                    continue
+                ea = activity_profile(matroid, basis_b).ea
+                if not ea >> c & 1 and not (ea ^ pc.ea) & ~(basis_b | c_basis):
+                    good.append((c + 1, basis_b))
+                    break
+        table[c_basis] = tuple(good)
+    return table
 
 
 def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
@@ -284,9 +266,9 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
 
     Requires K not below I in the external/internal order on independent
     sets (otherwise ComparablePair).  Internally related pairs delete the
-    smallest element of K∖I from K; unrelated pairs run the basis-exchange
-    search between the related bases and transport the deletion set Y.
-    The returned witness always satisfies J < K and the facet equation.
+    smallest element of K∖I from K; unrelated pairs take the exchange (B, c)
+    of the related bases from ``_witness_table`` and transport the deletion
+    set Y.  The returned witness always satisfies J < K and the facet equation.
     This is the per-pair definition that :func:`witness_groups` must agree with.
     """
     a = related_basis(matroid, i)
@@ -301,7 +283,12 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         j = k & ~(1 << (c - 1))
         witness = Witness(J=j, c=c, case="related")
     else:
-        basis_b, c = _basis_witness(matroid, (a, c_basis))
+        ep = activity_profile(matroid, a).ep
+        found = [(b, c) for c, b in _witness_table(matroid)[c_basis] if ep >> c - 1 & 1]
+        if not found:
+            pair = f"{subset_str(a, matroid.n)}, {subset_str(c_basis, matroid.n)}"
+            raise WitnessNotFound(f"no exchange witness for bases {pair}")
+        basis_b, c = found[0]
         y = c_basis & ~k
         if y & ~activity_profile(matroid, basis_b).ia:
             raise WitnessNotFound("deleted set is not internally active in the new basis")
@@ -330,37 +317,39 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     Yields each independent set K with its groups: a bitset over
     ``matroid.independent_sets`` and the (J, c) that :func:`shelling_witness`
     gives every I in it.  With C = RB(K) and Y = C∖K, that witness depends on
-    I only through A = RB(I) ≠ C, giving (B, c) = ``_basis_witness((A, C))`` and
-    J = B∖Y, or, for I related to C, through c = min(K∖I), giving J = K∖c (a
-    running AND of the columns {I : e ∈ I} over e ∈ K).  So a group checks
-    once what :func:`shelling_witness` checks per pair: Y ⊆ IA(B), J ≤ K,
-    J ≠ K and F(J)∩F(K) = F(K)∖z_c.  Given that equation, F(I)∩F(K) ⊆
-    F(J)∩F(K) iff z_c ∉ F(I)∩F(K): one AND with the column {I : z_c ∈ F(I)}.
-    O(|I|·(#bases + r)) group steps in all; a failure raises the error of
+    I only through c: c = min(K∖I) and J = K∖c for I related to C, else the
+    first c of good(C) in EP(RB(I)) (``_witness_table``) and J = B∖Y.  So the
+    groups peel the sets I with K ≰ I by the columns {I related to C : e ∉ I}
+    over e ∈ K, then {I : c ∈ EP(RB(I))} over good(C); a set left over has no
+    witness.  A group checks once what :func:`shelling_witness` checks per
+    pair: Y ⊆ IA(B), J ≤ K, J ≠ K and F(J)∩F(K) = F(K)∖z_c.  Given that
+    equation, F(I)∩F(K) ⊆ F(J)∩F(K) iff z_c ∉ F(I)∩F(K): one AND with the
+    column {I : z_c ∈ F(I)}.  At most |K| + |good(C)| groups per K, O(|I|·r)
+    group steps in all besides the table; a failure raises the error of
     :func:`shelling_witness` on one failing pair, naming the pair.
     """
     ind = build_poset(matroid, "extint-ind")
-    elems = ind.elements
+    elems, table, full = ind.elements, _witness_table(matroid), (1 << len(ind)) - 1
     facets = [facet_F(matroid, i) for i in elems]
     related, blocks = _related_blocks(matroid, elems)
     in_col = [sum(1 << x for x, i in enumerate(elems) if i >> e & 1) for e in range(matroid.n)]
+    ep_col = [
+        sum(block for a, block in blocks.items() if activity_profile(matroid, a).ep >> e & 1)
+        for e in range(matroid.n)
+    ]
     z_bits = [xyz(matroid.n, zs=1 << e) for e in range(matroid.n)]
     z_col = [sum(1 << x for x, f in enumerate(facets) if f & zb) for zb in z_bits]
     for y, (k, fk, c_basis) in enumerate(zip(elems, facets, related)):
-        deleted, groups = c_basis & ~k, []
-        for a, block in blocks.items():
-            group = block & ~ind.up_rows[y]
-            if a == c_basis:  # related: what the loop leaves contains K
-                for e in iter_bits(k):
-                    if group & ~in_col[e]:
-                        groups.append((group & ~in_col[e], Witness(k ^ 1 << e, e + 1, "related")))
-                    group &= in_col[e]
-            elif group:
-                try:
-                    basis_b, c = _basis_witness(matroid, (a, c_basis))
-                except WitnessNotFound:
-                    raise _pair_error(matroid, elems[min_elem(group) - 1], k) from None
-                groups.append((group, Witness(basis_b & ~deleted, c, "unrelated", basis_b)))
+        deleted, block, rest, groups = c_basis & ~k, blocks[c_basis], full & ~ind.up_rows[y], []
+        peel = [(block & ~in_col[e], Witness(k ^ 1 << e, e + 1, "related")) for e in iter_bits(k)]
+        peel += [(ep_col[c - 1], Witness(b & ~deleted, c, "unrelated", b))
+                 for c, b in table[c_basis]]
+        for col, w in peel:
+            if rest & col:
+                groups.append((rest & col, w))
+            rest &= ~col
+        if rest:
+            raise _pair_error(matroid, elems[min_elem(rest) - 1], k)
         for group, w in groups:
             zc, x = z_bits[w.c - 1], ind.index.get(w.J)
             good = (

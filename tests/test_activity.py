@@ -123,6 +123,9 @@ class TestCrapo:
         with pytest.raises((DecompositionNotFound, DecompositionNotUnique)):
             for s in range(16):
                 crapo_decompose_subset(broken, s)
+        # ∅ lies in the intervals of both bases, and is named as ∅
+        with pytest.raises(DecompositionNotUnique, match="^2 Crapo decompositions of ∅$"):
+            crapo_decompose_subset(broken, 0)
 
     def test_partition_of_all_subsets(self, corpus):
         # interval sizes must add up, and every subset decomposes uniquely

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from activita.bitsets import elems_of, mask_of, parse_subset, subset_str
+from activita.bitsets import MAX_GROUND, elems_of, mask_of, parse_subset, subset_str
 from activita.errors import (
     ElementInBasis,
     EmptyBases,
@@ -79,6 +79,18 @@ class TestFromBases:
         with pytest.raises(ExchangeAxiomViolated) as err:
             from_bases(4, [mask_of((1, 2)), mask_of((3, 4))])
         assert len(err.value.witness) == 3
+
+    def test_ground_set_size_limit(self):
+        m = from_bases(MAX_GROUND, [1 << 63 | 1])
+        assert (m.n, m.rank, m.coloops) == (64, 2, 1 << 63 | 1)
+        with pytest.raises(RankOutOfRange, match="ground set size 65 outside 1..64"):
+            from_bases(MAX_GROUND + 1, [1])
+
+    def test_subset_strings_switch_to_commas_at_ten_elements(self):
+        mask = mask_of((1, 3, 9))
+        assert subset_str(mask, 9) == "139"
+        assert subset_str(mask, 10) == "1,3,9"
+        assert parse_subset("139", 9) == parse_subset("1,3,9", 10) == mask
 
     def test_dedup_and_sort(self):
         m = from_bases(3, [mask_of((1, 2)), mask_of((1, 2)), mask_of((2, 3)), mask_of((1, 3))])

@@ -4,7 +4,8 @@ down-row scan they replaced, the ``poset-axioms`` block certificate against
 the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
 certificate replaced, ``meet_join_ind`` against the per-call related-basis
 lookups that its lattice table replaced, the grouped witness pass against the per-pair
-``shelling_witness``, the f-vector oracles: inclusion-exclusion, the
+``shelling_witness``, the witness table against the per-pair exchange search
+it replaced, the f-vector oracles: inclusion-exclusion, the
 submask walk and the memoized Shannon expansion that the ZDD count replaced,
 and the recursive enumeration of linear extensions that the explicit stack
 replaced.  Two invariants besides: ``blocks`` inverts ``xyz``, and the
@@ -33,6 +34,7 @@ from activita.activity import (
     related_basis,
 )
 import activita.orders as orders
+import activita.shelling as shelling
 import activita.suite as suite
 from activita.bitsets import MAX_GROUND, iter_bits, submasks, subset_label
 from activita.complexes import blocks, build_complex, face_counts, xyz
@@ -481,6 +483,57 @@ def test_witness_groups_match_shelling_witness_on_corpus_and_w4():
     w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
     for m in [*builtin_corpus().values(), w4]:
         assert_groups_match_per_pair_witnesses(m)
+
+
+def exchange_witness_search(m, a, c_basis):
+    """The per-pair search that ``_witness_table`` replaced: (B, c) for the
+    bases (A, C), with c over IP(C) ∩ EP(A) from the largest down and b
+    ascending, the first B = C∖c∪b that satisfies the exchange witness lemma
+    with A's own external activity, or None."""
+    pa, pc = activity_profile(m, a), activity_profile(m, c_basis)
+    bases_poset = build_poset(m, "extint-bases")
+    for c in range(m.n, 0, -1):
+        cbit = 1 << (c - 1)
+        if not pc.ip & pa.ep & cbit:
+            continue
+        for b in range(1, m.n + 1):
+            bbit = 1 << (b - 1)
+            basis_b = (c_basis ^ cbit) | bbit
+            if bbit & (c_basis | cbit) or not m.is_basis(basis_b):
+                continue
+            pb = activity_profile(m, basis_b)
+            if (
+                bases_poset.leq(basis_b, c_basis)
+                and bool(pb.ea & cbit) == bool(pa.ea & cbit)
+                and not (pb.ea ^ pc.ea) & m.full_mask & ~(basis_b | c_basis)
+                and pb.ep & cbit
+            ):
+                return basis_b, c
+    return None
+
+
+def assert_table_matches_exchange_search(m):
+    table = shelling._witness_table(m)
+    assert set(table) == set(m.bases)
+    for a in m.bases:
+        ep = activity_profile(m, a).ep
+        for c_basis in m.bases:
+            if a != c_basis:
+                found = next(((b, c) for c, b in table[c_basis] if ep >> c - 1 & 1), None)
+                assert found == exchange_witness_search(m, a, c_basis)
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_witness_table_matches_exchange_search(m):
+    assert_table_matches_exchange_search(m)
+
+
+def test_witness_table_matches_exchange_search_on_corpus_w4_and_u48():
+    w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
+    for m in [*builtin_corpus().values(), w4, uniform(4, 8)]:
+        assert_table_matches_exchange_search(m)
 
 
 def recursive_extensions(poset, limit):

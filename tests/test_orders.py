@@ -221,9 +221,10 @@ class TestPosetAxioms:
         [
             ((0b011, 0b000, 0b100), "not reflexive at 2"),
             ((0b011, 0b011, 0b100), "not antisymmetric on 1, 2"),
+            ((0b001, 0b110, 0b110), "not antisymmetric on 2, 3"),  # away from element 0
             ((0b011, 0b110, 0b100), "not transitive from 1 through 2"),
         ],
-        ids=["reflexive", "antisymmetric", "transitive"],
+        ids=["reflexive", "antisymmetric", "antisymmetric-off-0", "transitive"],
     )
     def test_broken_relations_fail(self, m5_matroid, monkeypatch, rows, violation):
         broken = Poset((1, 2, 4), rows)
@@ -436,6 +437,10 @@ class TestLinearExtensions:
         assert (sample.orders, sample.exhaustive, sample.total) == ([], True, 0)
         with pytest.raises(NoLinearExtension, match="no linear extension of the 2 elements"):
             first_extension(cycle)
+        # a random draw raises the same error, also when the cycle lies above a minimum
+        for rows in ((0b11, 0b11), (0b111, 0b110, 0b110)):
+            with pytest.raises(NoLinearExtension, match="no linear extension"):
+                random_extension(Poset((1, 2, 4)[: len(rows)], rows), random.Random(0))
 
     def test_first_extension_is_extension(self, corpus):
         for m in corpus.values():

@@ -13,7 +13,6 @@ from activita.activity import related_basis
 from activita.bitsets import elems_of, parse_subset
 from activita.complexes import SimplicialComplex
 from activita.corpus import m5
-from activita.errors import WitnessNotFound
 from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
 from activita.shelling import flip_restrictions
 from activita.suite import run_suite
@@ -391,26 +390,28 @@ def test_an_order_that_does_not_shell_fails_every_sampled_finding(
     assert {name for name, ok in findings.items() if not ok} == failing
 
 
-M5_A, M5_C = parse_subset("235", 5), parse_subset("134", 5)  # the paper's unrelated example
+M5_C = parse_subset("134", 5)  # the related basis of K = 14 in the paper's unrelated example
 
 
-def basis_witness_mutant(change, pair=(M5_A, M5_C)):
-    """Replace ``_basis_witness(A, C)`` on m5's (A, C) = ``pair`` by ``change(B, c)``."""
+def witness_table_mutant(change, c_basis=M5_C):
+    """Replace good(C) in m5's ``_witness_table``, for C = ``c_basis``, by
+    ``change(good(C))``; the entries are (c, B), largest c first."""
 
     def patch(monkeypatch):
-        real = shelling._basis_witness
+        real = shelling._witness_table
 
-        def mutated(m, key):
-            b, c = real(m, key)
-            return change(b, c) if key == pair else (b, c)
+        def mutated(m):
+            table = dict(real(m))
+            table[c_basis] = tuple(change(table[c_basis]))
+            return table
 
-        monkeypatch.setattr(shelling, "_basis_witness", mutated)
+        monkeypatch.setattr(shelling, "_witness_table", mutated)
 
     return patch
 
 
-def no_exchange_witness(b, c):
-    raise WitnessNotFound("no exchange witness")
+def no_exchange_witness(good):
+    return ()
 
 
 def drop_empty_nbc_set(monkeypatch):
@@ -425,7 +426,8 @@ def exchange_down_in_place(monkeypatch):
 WITNESS_MUTANTS = {
     # finding: (mutant, the findings it fails, a sibling that still passes)
     "witness-all-pairs": (
-        basis_witness_mutant(lambda b, c: (b, 1 if c != 1 else 2)),  # the wrong exchanged element
+        # the wrong exchanged basis: every c of good(134) takes the B of its smallest c
+        witness_table_mutant(lambda good: [(c, good[-1][1]) for c, b in good]),
         {"witness-all-pairs", "witness-nbc-closure"},
         "downward-exchange-lemma",
     ),
@@ -453,28 +455,36 @@ def test_witness_mutant_fails_its_finding(monkeypatch, finding):
 def test_wrong_witness_names_the_pair_and_the_oracle_message(monkeypatch):
     WITNESS_MUTANTS["witness-all-pairs"][0](monkeypatch)
     [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
-    assert finding.detail == "pair 23, 14: constructed witness violates the facet equation"
+    assert finding.detail == "pair 1, 14: constructed witness violates the facet equation"
 
 
 def test_a_failing_group_holding_the_empty_set_names_it(monkeypatch):
-    # A = RB(∅) = 345 meets C = 135 first at K = 1, in the group of A's block,
-    # whose first set is ∅
+    # with good(135) empty, C = 135 first meets an unrelated set at K = 1, and
+    # the sets left without a witness start with ∅, related to A = 345
     a_basis = related_basis(m5(), 0)
-    basis_witness_mutant(no_exchange_witness, (a_basis, parse_subset("135", 5)))(monkeypatch)
+    witness_table_mutant(no_exchange_witness, parse_subset("135", 5))(monkeypatch)
     [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
     assert a_basis == parse_subset("345", 5)
-    assert finding.detail == "pair ∅, 1: no exchange witness"
+    assert finding.detail == "pair ∅, 1: no exchange witness for bases 345, 135"
 
 
 def test_witness_error_fails_the_first_order_certificate(monkeypatch):
     # an error raised by the witness pass is a failing finding, not a crashed suite
-    basis_witness_mutant(no_exchange_witness)(monkeypatch)
+    witness_table_mutant(no_exchange_witness)(monkeypatch)
     findings = {f.check: f for f in suite.check_shelling_main("m5", m5(), 10, 0)}
     certificate = findings["witness-certifies-first-order"]
     assert not certificate.ok and findings["shelling-extint"].ok
-    assert certificate.detail == "pair 23, 14: no exchange witness"
+    assert certificate.detail == "pair ∅, 14: no exchange witness for bases 345, 134"
     failed = {f.check for f in run_suite({"m5": m5()}, cap=10, seed=0) if not f.ok}
     assert failed == {"witness-certifies-first-order", "witness-all-pairs", "witness-nbc-closure"}
+
+
+def test_a_failing_crapo_partition_names_the_set_and_the_way_it_failed(monkeypatch):
+    # with B ∪ e as every circuit, element 1 lies in no interval [B∖IA(B), B∪EA(B)]
+    whole_b_plus_e_as_circuit(monkeypatch)
+    findings = {f.check: (f.ok, f.detail) for f in suite.check_crapo("m5", m5())}
+    assert findings["crapo-partition-subsets"] == (False, "no Crapo decomposition of 1")
+    assert findings["crapo-partition-independent"] == (False, "no Crapo decomposition of 1")
 
 
 def test_an_order_with_no_linear_extension_fails_without_raising(monkeypatch):
