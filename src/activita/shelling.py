@@ -243,6 +243,10 @@ def _witness_table(matroid: Matroid) -> dict[int, tuple[tuple[int, int], ...]]:
     only through c ∈ EP(A), as it asks B ≤ C, c ∉ EA(B) and EA(B) = EA(C) off
     B ∪ C.  Its conclusions F(A)∩F(C) ⊆ F(B)∩F(C) = F(C)∖z_c and IA(C) ⊆ IA(B)
     are the checks :func:`witness_groups` makes whenever it uses (B, c).
+
+    c ∉ EA(B) follows from B ≤ C and is not tested: were c the largest of C(B, c)
+    ∋ b, then b < c, so b ∈ EP(C) as c ∈ C(C, b); IP(B) ∩ EP(C) = ∅ puts b in
+    IA(B), and then b is the largest of C*(B, b) ∋ c, so c < b, a contradiction.
     """
     bases_poset = build_poset(matroid, "extint-bases")
     table = {}
@@ -254,7 +258,7 @@ def _witness_table(matroid: Matroid) -> dict[int, tuple[tuple[int, int], ...]]:
                 if not matroid.is_basis(basis_b) or not bases_poset.leq(basis_b, c_basis):
                     continue
                 ea = activity_profile(matroid, basis_b).ea
-                if not ea >> c & 1 and not (ea ^ pc.ea) & ~(basis_b | c_basis):
+                if not (ea ^ pc.ea) & ~(basis_b | c_basis):
                     good.append((c + 1, basis_b))
                     break
         table[c_basis] = tuple(good)

@@ -1,14 +1,18 @@
 """The theorem-verification suite run over a corpus of matroids.
 
-Every check takes (name, m, cap, seed) and returns Finding records, and
-run_suite calls each the same way.  A check builds the objects, runs the
-certificates of their layers (orders.poset_certificate, shelling.verify_orders)
-and names the findings; shellings use every linear extension, or cap samples.
+FINDINGS declares each check's finding names in order.  A check takes (m, cap,
+seed) and returns one verdict per name: ok, (ok, detail), or None where the
+name does not apply.  Only run_check makes findings of verdicts; it fails every
+declared name of a check that raises an ActivitaError, the ones the check would
+have skipped too.  Checks run the certificates of the layers
+(orders.poset_certificate, shelling.verify_orders); shellings use every linear
+extension, or cap samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .activity import (
     activity_profile,
@@ -61,34 +65,62 @@ class Finding:
     detail: str = ""
 
 
-# -- matroid and activity structure ------------------------------------------------
+Verdict = bool | tuple[bool, str] | None
+
+FINDINGS = {
+    "check_matroid_axioms": (
+        "dual-involution", "circuits-not-in-bases", "fundamental-circuit-unique", "rank-monotone",
+        "rank-submodular",
+    ),
+    "check_activity": (
+        "activity-partition", "activity-duality", "activity-exchange-crosscheck",
+        "nbc-iff-no-external-activity",
+    ),
+    "check_crapo": (
+        "crapo-partition-subsets", "crapo-partition-independent", "related-basis-activities",
+    ),
+    "check_posets": ("poset-axioms", "extint-refines-ext-int", "ind-order-restricts-to-bases"),
+    "check_boolean_intervals": ("boolean-intervals",),
+    "check_lattice": ("lattice-laws",),
+    "check_flip_involution": ("flip-involution",),
+    "check_shelling_main": (
+        "shelling-extint", "restriction-sets-z", "property-H", "h-complex",
+        "h-vector-from-restrictions", "restriction-bruteforce-crosscheck",
+        "witness-certifies-first-order",
+    ),
+    "check_shelling_flip": ("shelling-flip", "restriction-sets-flip", "bivariate-order-invariant"),
+    "check_shelling_ea": ("shelling-ea",),
+    "check_nbc_suite": (
+        "nbc-facet-count", "nbc-induced-subcomplexes", "shelling-nbc", "restriction-sets-nbc",
+        "property-H-nbc", "h-complex-nbc", "nbc-h-identity",
+    ),
+    "check_witnesses": ("witness-all-pairs", "witness-nbc-closure", "downward-exchange-lemma"),
+    "check_tutte": (
+        "tutte-oracle-agreement", "tutte-duality", "tutte-evaluations", "h-identity",
+        "nbc-h-identity-report", "bivariate-identity", "bivariate-collapse",
+    ),
+}
 
 
-def check_matroid_axioms(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_matroid_axioms(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     in_no_basis = all(c & ~b for c in m.circuits for b in m.bases)
     minimal = all(m.is_independent(c ^ 1 << x) for c in m.circuits for x in iter_bits(c))
-    out = [
-        Finding(name, "dual-involution", m.dual.dual.bases == m.bases),
-        Finding(name, "circuits-not-in-bases", in_no_basis and minimal),
-    ]
     uniq = True
     for b in m.bases:
         for e in elems_of(m.full_mask & ~b):
             fund = m.fundamental_circuit(b, e)
             inside = [c for c in m.circuits if c & ~(b | 1 << (e - 1)) == 0]
             uniq &= inside == [fund]
-    out.append(Finding(name, "fundamental-circuit-unique", uniq))
+    mono = sub = None  # rank-* reads all 2^n subsets, so only for n <= 7
     if m.n <= 7:
         subsets = range(1 << m.n)
         table = [m.rank_of(s) for s in subsets]
         mono = all(table[s] <= table[s | 1 << e] for s in subsets for e in range(m.n))
         sub = all(table[s | t] + table[s & t] <= table[s] + table[t] for s in subsets for t in subsets)
-        out.append(Finding(name, "rank-monotone", mono))
-        out.append(Finding(name, "rank-submodular", sub))
-    return out
+    return [m.dual.dual.bases == m.bases, in_no_basis and minimal, uniq, mono, sub]
 
 
-def check_activity(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_activity(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     full = m.full_mask
     partition = duality = True
     for s in range(1 << m.n):
@@ -99,27 +131,14 @@ def check_activity(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list
         duality &= prof.ia == dual_prof.ea and prof.ea == dual_prof.ia
     exchange = all(activity_profile(m, b) == activity_profile_by_exchange(m, b) for b in m.bases)
     nbc_ok = all(is_nbc(m, i) == (activity_profile(m, i).ea == 0) for i in m.independent_sets)
-    return [
-        Finding(name, "activity-partition", partition),
-        Finding(name, "activity-duality", duality),
-        Finding(name, "activity-exchange-crosscheck", exchange),
-        Finding(name, "nbc-iff-no-external-activity", nbc_ok),
-    ]
+    return [partition, duality, exchange, nbc_ok]
 
 
-def check_crapo(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
-    out = []
-    for check, decomposes in (  # each subset, and each independent set by both routes
-        ("crapo-partition-subsets", lambda: all(
-            crapo_decompose_subset(m, s) is not None for s in range(1 << m.n))),
-        ("crapo-partition-independent", lambda: all(
-            crapo_decompose_independent(m, i) == crapo_decompose_subset(m, i)
-            for i in m.independent_sets)),
-    ):
-        try:
-            out.append(Finding(name, check, decomposes()))
-        except ActivitaError as exc:
-            out.append(Finding(name, check, False, str(exc)))
+def check_crapo(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
+    """Each subset has one Crapo decomposition (the scan raises otherwise), and
+    each independent set the same one by both routes."""
+    decs = [crapo_decompose_subset(m, s) for s in range(1 << m.n)]
+    routes = all(crapo_decompose_independent(m, i) == decs[i] for i in m.independent_sets)
     related_ok = True
     for i in m.independent_sets:
         b = related_basis(m, i)
@@ -127,42 +146,28 @@ def check_crapo(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Fi
         related_ok &= pi.ea == pb.ea and pi.ip == pb.ip
         related_ok &= ((i & ~pi.ia) | pi.ea) == ((b & ~pb.ia) | pb.ea)
         related_ok &= (i | pi.ep) == (b | pb.ep)
-    out.append(Finding(name, "related-basis-activities", related_ok))
-    return out
+    return [True, routes, related_ok]
 
 
-# -- posets, lattice, blocks -----------------------------------------------------
-
-
-def check_posets(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_posets(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """``poset-axioms`` is :func:`poset_certificate` on the six orders."""
-    try:
-        posets = {kind: build_poset(m, kind) for kind in POSET_KINDS}
-    except ActivitaError as exc:
-        return [Finding(name, "poset-axioms", False, str(exc))]
+    posets = {kind: build_poset(m, kind) for kind in POSET_KINDS}
     detail = poset_certificate(m, posets)
     ind = posets["extint-ind"]
     ext, inn, both = (posets[k].up_rows for k in ("ext-bases", "int-bases", "extint-bases"))
     at = [ind.index[b] for b in m.bases]
     restricted = [sum(1 << y for y, j in enumerate(at) if ind.up_rows[i] >> j & 1) for i in at]
     refines = all(not (e | i) & ~c for e, i, c in zip(ext, inn, both))
-    return [
-        Finding(name, "poset-axioms", not detail, detail),
-        Finding(name, "extint-refines-ext-int", refines),
-        Finding(name, "ind-order-restricts-to-bases", restricted == list(both)),
-    ]
+    return [(not detail, detail), refines, restricted == list(both)]
 
 
-def check_boolean_intervals(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
-    try:
-        for b, c in build_poset(m, "extint-bases").covers():
-            boolean_interval(m, b, c)
-    except ActivitaError as exc:
-        return [Finding(name, "boolean-intervals", False, str(exc))]
-    return [Finding(name, "boolean-intervals", True)]
+def check_boolean_intervals(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
+    for b, c in build_poset(m, "extint-bases").covers():
+        boolean_interval(m, b, c)
+    return [True]
 
 
-def check_lattice(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_lattice(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """``lattice-laws``: the closed-form meet and join of independent sets
     are the lattice operations of the ``extint-ind`` order.
 
@@ -176,31 +181,25 @@ def check_lattice(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[
     (Davey and Priestley, *Introduction to Lattices and Order*, ch. 2), so
     the closed forms obey the lattice laws.
     """
-    try:
-        ind = build_poset(m, "extint-ind")
-        violation = poset_axiom_violation(ind, m.n)
-        if violation:
-            return [Finding(name, "lattice-laws", False, f"extint-ind: {violation}")]
-        elems, down, up = ind.elements, ind.down_rows, ind.up_rows
-        glb_at, lub_at = ind.down_row_index, ind.up_row_index
-        for x, i in enumerate(elems):
-            for y, k in enumerate(elems):
-                got = meet_join_ind(m, i, k)
-                glb, lub = glb_at.get(down[x] & down[y]), lub_at.get(up[x] & up[y])
-                if glb is None or lub is None:
-                    poset_meet_join(ind, i, k)  # raises the LatticeFailure naming the missing bound
-                if got != (elems[glb], elems[lub]):
-                    detail = (
-                        f"closed-form meet/join disagrees with poset bounds on "
-                        f"{subset_label(i, m.n)}, {subset_label(k, m.n)}"
-                    )
-                    return [Finding(name, "lattice-laws", False, detail)]
-    except ActivitaError as exc:
-        return [Finding(name, "lattice-laws", False, str(exc))]
-    return [Finding(name, "lattice-laws", True)]
+    ind = build_poset(m, "extint-ind")
+    violation = poset_axiom_violation(ind, m.n)
+    if violation:
+        return [(False, f"extint-ind: {violation}")]
+    elems, down, up = ind.elements, ind.down_rows, ind.up_rows
+    glb_at, lub_at = ind.down_row_index, ind.up_row_index
+    for x, i in enumerate(elems):
+        for y, k in enumerate(elems):
+            got = meet_join_ind(m, i, k)
+            glb, lub = glb_at.get(down[x] & down[y]), lub_at.get(up[x] & up[y])
+            if glb is None or lub is None:
+                poset_meet_join(ind, i, k)  # raises the LatticeFailure naming the missing bound
+            if got != (elems[glb], elems[lub]):
+                pair = f"{subset_label(i, m.n)}, {subset_label(k, m.n)}"
+                return [(False, f"closed-form meet/join disagrees with poset bounds on {pair}")]
+    return [True]
 
 
-def check_flip_involution(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_flip_involution(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     elems = m.independent_sets
     image = set()
     ok = True
@@ -217,74 +216,66 @@ def check_flip_involution(name: str, m: Matroid, cap: int = 200, seed: int = 0) 
     # is independent, and with |flip(I)| = |Y_I| + |IP(B_I)| above, the sorted
     # lists of |I| and of |Y_I| + |IP(B_I)| are equal.
     ok &= image == set(elems)
-    return [Finding(name, "flip-involution", ok)]
-
-
-# -- shellings --------------------------------------------------------------------
+    return [ok]
 
 
 def _sampled_shelling(
-    name: str, m: Matroid, cap: int, seed: int, kinds: tuple[str, str],
-    names: tuple[str, ...], closed_form: dict[int, int] | None = None,
-) -> tuple[list[Finding], list[tuple[int, ...]], list[list[int]]]:
+    m: Matroid, cap: int, seed: int, kinds: tuple[str, str],
+    closed_form: dict[int, int] | None = None, check_properties: bool = False,
+) -> tuple[list[Verdict], list[tuple[int, ...]], list[list[int]]]:
     """Shell the complex ``kinds[0]`` along sampled extensions of the poset
-    ``kinds[1]``, naming a prefix of the flags of :func:`verify_orders`;
-    property (H) and the h-complex are checked only when named.  Returns the
-    findings, the orders and the restriction sets of the orders that shell."""
+    ``kinds[1]``.  Returns the verdicts of the five flags of
+    :func:`verify_orders`, the first with the sample size as its detail, and
+    the orders and the restriction sets of the orders that shell; a caller
+    names a prefix of the verdicts."""
     cx = build_complex(m, kinds[0])
     sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=seed)
-    flags, restrictions = verify_orders(cx, sample.orders, closed_form, len(names) > 2)
-    out = [Finding(name, check, ok) for check, ok in zip(names, flags)]
-    out[0].detail = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
-    return out, sample.orders, restrictions
+    flags, restrictions = verify_orders(cx, sample.orders, closed_form, check_properties)
+    detail = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
+    return [(flags[0], detail), *flags[1:]], sample.orders, restrictions
 
 
-def check_shelling_main(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_shelling_main(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """Every (sampled) extension of the independent-set order shells the complex,
     with restriction sets z_I, property (H), and an h-complex matching the
-    independence complex."""
-    out, orders, _ = _sampled_shelling(
-        name, m, cap, seed, ("augmented-ea", "extint-ind"),
-        ("shelling-extint", "restriction-sets-z", "property-H", "h-complex",
-         "h-vector-from-restrictions"),
-        {i: xyz(m.n, zs=i) for i in m.independent_sets},
+    independence complex; the brute-force crosscheck needs at most 12 facets."""
+    verdicts, orders, _ = _sampled_shelling(
+        m, cap, seed, ("augmented-ea", "extint-ind"),
+        {i: xyz(m.n, zs=i) for i in m.independent_sets}, check_properties=True,
     )
     cx, first = build_complex(m, "augmented-ea"), orders[0] if orders else ()
-    if first and len(cx.facets) <= 12:  # an empty sample has already failed shelling-extint
+    crosscheck = None if len(cx.facets) > 12 else bool(first)  # an empty sample fails it
+    if crosscheck:
         order = [cx.facet_by_tag[t] for t in first]
         report = verify_shelling(cx, order, check_properties=False)
         agree, _ = verify_shelling_pairwise(cx, order)
-        ok = report.restrictions == restriction_sets_bruteforce(order) and agree == report.verdict
-        out.append(Finding(name, "restriction-bruteforce-crosscheck", ok))
+        same = report.restrictions == restriction_sets_bruteforce(order)
+        crosscheck = same and agree == report.verdict
     # an extension of extint-ind shells if the witness pass finds no error: J < K
-    ind, early, shelled = build_poset(m, "extint-ind"), 0, out[0].ok
+    ind, early, shelled = build_poset(m, "extint-ind"), 0, verdicts[0][0]
     for x in (ind.index[k] for k in first):
         shelled, early = shelled and not early & ind.up_rows[x], early | 1 << x
     error = witness_pass(m)[0]
-    detail = error if shelled else ""
-    out.append(Finding(name, "witness-certifies-first-order", shelled and not error, detail))
-    return out
+    return [*verdicts, crosscheck, (shelled and not error, error if shelled else "")]
 
 
-def check_shelling_flip(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_shelling_flip(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """Extensions of the flipped order also shell the complex (checked
     empirically; the restriction sets follow the two-variable closed form)."""
-    out, _, kept = _sampled_shelling(
-        name, m, cap, seed, ("augmented-ea", "flip-ind"),
-        ("shelling-flip", "restriction-sets-flip"), flip_restrictions(m),
+    verdicts, _, kept = _sampled_shelling(
+        m, cap, seed, ("augmented-ea", "flip-ind"), flip_restrictions(m)
     )
     bipolys = [bivariate_restriction_polynomial(m, r) for r in kept]
     stable = all(p == bipolys[0] for p in bipolys)
-    out.append(Finding(name, "bivariate-order-invariant", out[0].ok and stable))
-    return out
+    return [*verdicts[:2], verdicts[0][0] and stable]
 
 
-def check_shelling_ea(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_shelling_ea(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """Extensions of the basis order shell the external activity complex."""
-    return _sampled_shelling(name, m, cap, seed, ("ea", "extint-bases"), ("shelling-ea",))[0]
+    return _sampled_shelling(m, cap, seed, ("ea", "extint-bases"))[0][:1]
 
 
-def check_nbc_suite(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_nbc_suite(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     cx, tutte, sets = build_complex(m, "augmented-nbc"), tutte_by_activities(m), nbc_sets(m)
     full = m.full_mask
     z_part = induced_subcomplex(cx, xyz(m.n, zs=full))
@@ -293,35 +284,23 @@ def check_nbc_suite(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> lis
         sorted(z_part.facets) == sorted(build_complex(m, "nbc").facets)
         and sorted(xz_part.facets) == sorted(build_complex(m, "ea").facets)
     )
-    out = [
-        Finding(name, "nbc-facet-count", len(cx.facets) == len(sets) == tutte.evaluate(2, 0)),
-        Finding(name, "nbc-induced-subcomplexes", induced),
-    ]
-    out += _sampled_shelling(
-        name, m, cap, seed, ("augmented-nbc", "nbc-extint"),
-        ("shelling-nbc", "restriction-sets-nbc", "property-H-nbc", "h-complex-nbc"),
-        {s: xyz(m.n, zs=s) for s in sets},
+    facet_count = len(cx.facets) == len(sets) == tutte.evaluate(2, 0)
+    shelling = _sampled_shelling(
+        m, cap, seed, ("augmented-nbc", "nbc-extint"),
+        {s: xyz(m.n, zs=s) for s in sets}, check_properties=True,
     )[0]
     q_plus_1 = BiPoly({(0, 0): 1, (1, 0): 1})
     h_ok = h_polynomial(cx.fh.h) == tutte.subst(q_plus_1, BiPoly.zero())
-    out.append(Finding(name, "nbc-h-identity", h_ok))
-    return out
+    return [facet_count, induced, *shelling[:4], h_ok]
 
 
-# -- witnesses --------------------------------------------------------------------
-
-
-def check_witnesses(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_witnesses(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """The witness construction succeeds on every pair I, K with K ≰ I (one
     check per group of :func:`witness_groups`), stays inside nbc sets when the
     pair is nbc, and the downward exchange lemma holds for every internally
     passive element of every basis.  The first two read the memoized
     :func:`witness_pass`, which runs once per matroid whichever check asks first."""
     error, nbc_closed = witness_pass(m)
-    out = [
-        Finding(name, "witness-all-pairs", not error, error),
-        Finding(name, "witness-nbc-closure", not error and nbc_closed),
-    ]
     bases_poset = build_poset(m, "extint-bases")
     down_ok = True
     for a_basis in m.bases:
@@ -330,14 +309,10 @@ def check_witnesses(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> lis
             d_basis = exchange_down_basis(m, a_basis, a)
             down_ok &= bases_poset.leq(d_basis, a_basis) and d_basis != a_basis
             down_ok &= prof.ia & ~activity_profile(m, d_basis).ia == 0
-    out.append(Finding(name, "downward-exchange-lemma", down_ok))
-    return out
+    return [(not error, error), not error and nbc_closed, down_ok]
 
 
-# -- tutte ------------------------------------------------------------------------
-
-
-def check_tutte(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Finding]:
+def check_tutte(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     by_act = tutte_by_activities(m)
     swapped = BiPoly({(t, q): v for (q, t), v in by_act.coeffs.items()})
     evals_ok = (
@@ -347,43 +322,39 @@ def check_tutte(name: str, m: Matroid, cap: int = 200, seed: int = 0) -> list[Fi
     )
     report = identity_report(m)
     return [
-        Finding(name, "tutte-oracle-agreement", by_act == tutte_by_deletion_contraction(m)),
-        Finding(name, "tutte-duality", tutte_by_activities(m.dual) == swapped),
-        Finding(name, "tutte-evaluations", evals_ok),
-        Finding(name, "h-identity", report.h_matches),
-        Finding(name, "nbc-h-identity-report", report.nbc_matches),
-        Finding(name, "bivariate-identity", report.bivariate_matches),
-        Finding(name, "bivariate-collapse", report.collapse_matches),
+        by_act == tutte_by_deletion_contraction(m), tutte_by_activities(m.dual) == swapped, evals_ok,
+        report.h_matches, report.nbc_matches, report.bivariate_matches, report.collapse_matches,
     ]
 
 
-# -- driver -----------------------------------------------------------------------
-
-ALL_CHECKS = (
-    check_matroid_axioms,
-    check_activity,
-    check_crapo,
-    check_posets,
-    check_boolean_intervals,
-    check_lattice,
-    check_flip_involution,
-    check_shelling_main,
-    check_shelling_flip,
-    check_shelling_ea,
-    check_nbc_suite,
-    check_witnesses,
-    check_tutte,
+ALL_CHECKS = (  # in the order of FINDINGS
+    check_matroid_axioms, check_activity, check_crapo, check_posets, check_boolean_intervals,
+    check_lattice, check_flip_involution, check_shelling_main, check_shelling_flip,
+    check_shelling_ea, check_nbc_suite, check_witnesses, check_tutte,
 )
 
+
+def run_check(
+    check: Callable[..., list[Verdict]], name: str, m: Matroid, cap: int = 200, seed: int = 0
+) -> list[Finding]:
+    """The findings of ``check`` on the matroid ``m``, called ``name``: its
+    verdicts under the names ``FINDINGS`` declares for it, skipping None.  A
+    check that raises an ActivitaError fails every declared name, with the
+    error as the detail: there are no verdicts to tell which names apply."""
+    names = FINDINGS[check.__name__]
+    try:
+        verdicts = check(m, cap, seed)
+    except ActivitaError as exc:
+        verdicts = [(False, f"{type(exc).__name__}: {exc}")] * len(names)
+    return [
+        Finding(name, finding, *(v if isinstance(v, tuple) else (v,)))
+        for finding, v in zip(names, verdicts, strict=True) if v is not None
+    ]
+
+
 def run_suite(corpus: dict[str, Matroid], cap: int = 200, seed: int = 0) -> list[Finding]:
-    """Every check, in ``ALL_CHECKS`` order, on every matroid of ``corpus``.  A
-    check that raises an ActivitaError gives one failing finding under its own
-    name, with the error as its detail."""
-    out = []
-    for name, m in corpus.items():
-        for check in ALL_CHECKS:
-            try:
-                out += check(name, m, cap, seed)
-            except ActivitaError as exc:
-                out.append(Finding(name, check.__name__, False, f"{type(exc).__name__}: {exc}"))
-    return out
+    """Every check, in ``ALL_CHECKS`` order, on every matroid of ``corpus``."""
+    return [
+        f for name, m in corpus.items() for check in ALL_CHECKS
+        for f in run_check(check, name, m, cap, seed)
+    ]

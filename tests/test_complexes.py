@@ -86,13 +86,15 @@ class TestFacetF:
         # bypassing validation with a non-matroid breaks the conditions that
         # make facet_F equal the rewritten related-basis facet
         from activita.matroid import Matroid
-        from activita.suite import check_crapo, check_posets
+        from activita.suite import check_crapo, check_posets, run_check
 
         broken = Matroid(4, [0b0011, 0b1100])
-        related = [f for f in check_crapo("broken", broken) if f.check == "related-basis-activities"]
-        assert [f.ok for f in related] == [False]
-        axioms = [f for f in check_posets("broken", broken) if f.check == "poset-axioms"]
-        assert [f.ok for f in axioms] == [False]
+        # ∅ decomposes under both bases, and that error fails every Crapo finding
+        crapo = {f.check: (f.ok, f.detail) for f in run_check(check_crapo, "broken", broken)}
+        error = "DecompositionNotUnique: 2 Crapo decompositions of ∅"
+        assert crapo["related-basis-activities"] == (False, error)
+        axioms = {f.check: f.ok for f in run_check(check_posets, "broken", broken)}
+        assert axioms["poset-axioms"] is False
 
     def test_support_propositions(self, corpus):
         for m in corpus.values():

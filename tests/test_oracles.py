@@ -53,7 +53,7 @@ from activita.orders import (
     poset_meet_join,
 )
 from activita.shelling import shelling_witness, witness_groups
-from activita.suite import check_lattice, check_posets
+from activita.suite import check_lattice, check_posets, run_check
 from activita.tutte import BiPoly, tutte_by_activities
 
 
@@ -156,7 +156,7 @@ def per_pair_poset_detail(m) -> str:
 @settings(max_examples=40, deadline=None)
 def test_block_certificate_matches_per_pair_scan(m, seed):
     def poset_axioms():
-        [f] = [f for f in check_posets("m", m) if f.check == "poset-axioms"]
+        [f] = [f for f in run_check(check_posets, "m", m) if f.check == "poset-axioms"]
         return f.ok, f.detail
 
     assert poset_axioms() == (True, "") and per_pair_poset_detail(m) == ""
@@ -375,7 +375,7 @@ def lattice_laws_hold(m) -> bool:
 
 
 def test_lattice_laws_on_w4():
-    assert check_lattice("W4", W4)[0].ok
+    assert run_check(check_lattice, "W4", W4)[0].ok
     assert lattice_laws_hold(W4)
 
 
@@ -383,7 +383,7 @@ def test_lattice_laws_on_w4():
 @given(small_matroids())
 @settings(max_examples=40, deadline=None)
 def test_lattice_certificate_and_law_sweep(m):
-    assert check_lattice("m", m)[0].ok
+    assert run_check(check_lattice, "m", m)[0].ok
     assert lattice_laws_hold(m)
 
 
@@ -440,8 +440,8 @@ def test_a_failing_basis_meet_is_the_lattice_laws_detail(monkeypatch):
     m = m5()
     with pytest.raises(LatticeFailure, match="no greatest lower bound"):
         meet_join_ind(m, 0b110, 0b1001)  # 23 and 14: related to 235 and 134
-    [finding] = check_lattice("m5", m)
-    assert (finding.ok, finding.detail) == (False, "no greatest lower bound")
+    [finding] = run_check(check_lattice, "m5", m)
+    assert (finding.ok, finding.detail) == (False, "LatticeFailure: no greatest lower bound")
 
 
 def test_a_missing_bound_in_the_order_is_the_lattice_laws_detail(monkeypatch):
@@ -449,8 +449,8 @@ def test_a_missing_bound_in_the_order_is_the_lattice_laws_detail(monkeypatch):
     real = build_poset(m5(), "extint-ind")
     antichain = Poset(real.elements, tuple(1 << x for x in range(len(real))))
     monkeypatch.setattr(suite, "build_poset", lambda m, kind: antichain)
-    [finding] = check_lattice("m5", m5())
-    assert (finding.ok, finding.detail) == (False, "no greatest lower bound")
+    [finding] = run_check(check_lattice, "m5", m5())
+    assert (finding.ok, finding.detail) == (False, "LatticeFailure: no greatest lower bound")
 
 
 def assert_groups_match_per_pair_witnesses(m):

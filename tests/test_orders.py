@@ -26,7 +26,7 @@ from activita.orders import (
     poset_meet_join,
     random_extension,
 )
-from activita.suite import check_lattice, check_posets
+from activita.suite import check_lattice, check_posets, run_check
 from test_complexes import W4
 from test_oracles import lattice_laws_hold
 
@@ -103,7 +103,7 @@ class TestCompareBases:
     def test_all_equivalent_conditions_agree(self, corpus):
         # poset-axioms compares each basis order with its equivalent forms
         for name, m in corpus.items():
-            axioms = [f for f in check_posets(name, m) if f.check == "poset-axioms"]
+            axioms = [f for f in run_check(check_posets, name, m) if f.check == "poset-axioms"]
             assert [(f.ok, f.detail) for f in axioms] == [(True, "")]
 
     def test_extint_refines_ext_and_int(self, corpus):
@@ -236,7 +236,7 @@ class TestPosetAxioms:
         monkeypatch.setattr(
             suite, "build_poset", lambda m, kind: broken if kind == "flip-ind" else real(m, kind)
         )
-        axioms = [f for f in check_posets("m5", m5_matroid) if f.check == "poset-axioms"]
+        axioms = [f for f in run_check(check_posets, "m5", m5_matroid) if f.check == "poset-axioms"]
         assert [(f.ok, f.detail) for f in axioms] == [(False, f"flip-ind: {violation}")]
 
     @pytest.mark.parametrize("kind", ["extint-ind", "nbc-extint", "ext-bases"])
@@ -255,7 +255,7 @@ class TestPosetAxioms:
         monkeypatch.setattr(
             suite, "build_poset", lambda m, k: mutant if k == kind else real(m, k)
         )
-        found = {f.check: f for f in check_posets("m5", m5_matroid)}
+        found = {f.check: f for f in run_check(check_posets, "m5", m5_matroid)}
         pair = f"{subset_label(poset.elements[i], 5)}, {subset_label(poset.elements[j], 5)}"
         assert (found["poset-axioms"].ok, found["poset-axioms"].detail) == (
             False, f"{kind}: row disagrees with its definition on {pair}"
@@ -281,7 +281,7 @@ class TestPosetAxioms:
         monkeypatch.setattr(
             suite, "build_poset", lambda m, kd: mutant if kd == kind else real(m, kd)
         )
-        [found] = [f for f in check_posets("m5", m5_matroid) if f.check == "poset-axioms"]
+        found = {f.check: f for f in run_check(check_posets, "m5", m5_matroid)}["poset-axioms"]
         pair = f"{subset_label(poset.elements[i], 5)}, {subset_label(poset.elements[min(j, k)], 5)}"
         assert found.detail == f"{kind}: row disagrees with its definition on {pair}"
 
@@ -305,7 +305,7 @@ class TestPosetAxioms:
         m = m5()
         for kind in ("extint-ind", "flip-ind"):
             assert build_poset(m, kind).up_rows == per_pair_rows(m, kind)
-        found = {f.check: f for f in check_posets("m5", m)}
+        found = {f.check: f for f in run_check(check_posets, "m5", m)}
         assert (found["poset-axioms"].ok, found["poset-axioms"].detail) == (
             False, "extint-ind: key of 12 is not that of its related basis 125"
         )
@@ -323,7 +323,7 @@ class TestPosetAxioms:
         monkeypatch.setattr(
             suite, "build_poset", lambda m, k: mutant if k == "extint-ind" else real(m, k)
         )
-        found = {f.check: f.ok for f in check_posets("m5", m5_matroid)}
+        found = {f.check: f.ok for f in run_check(check_posets, "m5", m5_matroid)}
         assert found == {
             "poset-axioms": False,
             "extint-refines-ext-int": True,
@@ -556,7 +556,7 @@ class TestLattice:
             return (join, meet) if (i, k) == (ps5("23"), ps5("14")) else (meet, join)
 
         monkeypatch.setattr(suite, "meet_join_ind", swapped_on_one_pair)
-        [finding] = check_lattice("m5", m5_matroid)
+        [finding] = run_check(check_lattice, "m5", m5_matroid)
         assert finding.check == "lattice-laws" and finding.ok is False
         assert finding.detail.endswith("disagrees with poset bounds on 23, 14")
 
@@ -574,7 +574,7 @@ class TestLattice:
         monkeypatch.setattr(
             suite, "build_poset", lambda m, kind: broken if kind == "extint-ind" else real
         )
-        [finding] = check_lattice("m5", m5_matroid)
+        [finding] = run_check(check_lattice, "m5", m5_matroid)
         assert finding.check == "lattice-laws" and finding.ok is False
         assert finding.detail.startswith("extint-ind: not transitive")
 

@@ -313,7 +313,8 @@ def shell_main_with_first_order(monkeypatch, m, first):
 
     with monkeypatch.context() as patch:
         patch.setattr(suite, "linear_extensions", sample)
-        return {f.check: f for f in suite.check_shelling_main("m", m, 10, 0)}, used[0]
+        findings = suite.run_check(suite.check_shelling_main, "m", m, 10, 0)
+        return {f.check: f for f in findings}, used[0]
 
 
 class TestWitnessCertification:
@@ -333,7 +334,7 @@ class TestWitnessCertification:
         assert findings["shelling-extint"].ok
         certificate = findings["witness-certifies-first-order"]
         assert (certificate.ok, certificate.detail) == (False, "")
-        witnesses = {f.check: f.ok for f in suite.check_witnesses("m", m)}
+        witnesses = {f.check: f.ok for f in suite.run_check(suite.check_witnesses, "m", m)}
         assert witnesses["witness-all-pairs"]
 
 

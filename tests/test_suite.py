@@ -3,20 +3,24 @@ mutants that each turn one finding of the matroid-axiom, activity, Crapo,
 shelling, witness or Tutte checks to FAIL."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 import activita.shelling as shelling
 import activita.suite as suite
 import activita.tutte as tutte
-from activita.activity import related_basis
-from activita.bitsets import elems_of, parse_subset
+from activita.activity import activity_profile, related_basis
+from activita.bitsets import elems_of, mask_of, parse_subset
 from activita.complexes import SimplicialComplex
-from activita.corpus import m5
+from activita.corpus import builtin_corpus, m5
+from activita.errors import NoLinearExtension
 from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
+from activita.orders import Poset
 from activita.shelling import flip_restrictions
-from activita.suite import run_suite
+from activita.suite import run_check, run_suite
 from activita.tutte import BiPoly
+from test_oracles import EDGE_CASES, W4
 
 
 def test_full_suite_on_m5(m5_matroid):
@@ -47,6 +51,40 @@ def test_full_suite_on_m5(m5_matroid):
         "bivariate-identity",
     ):
         assert expected in checks
+
+
+NAMED_CASES = {**builtin_corpus(), "W4": W4, "u48": uniform(4, 8)}
+NAMED_CASES.update((f"edge{x}", m) for x, m in enumerate(EDGE_CASES))
+
+
+def test_finding_names_are_declared_once_in_check_order():
+    names = [name for names in suite.FINDINGS.values() for name in names]
+    assert len(names) == len(set(names))
+    assert [check.__name__ for check in suite.ALL_CHECKS] == list(suite.FINDINGS)
+
+
+@pytest.mark.parametrize("name", NAMED_CASES)
+def test_each_check_emits_its_declared_names_in_order(name):
+    # rank-* needs n <= 7 and the brute-force crosscheck at most 12 facets of
+    # augmented-ea, one per independent set: W4 and u48 skip the first, and
+    # u13, u24 and the edge cases keep the second
+    m = NAMED_CASES[name]
+    skipped = {"rank-monotone", "rank-submodular"} if m.n > 7 else set()
+    if len(m.independent_sets) > 12:
+        skipped.add("restriction-bruteforce-crosscheck")
+    for check in suite.ALL_CHECKS:
+        emitted = [f.check for f in run_check(check, name, m, 2, 0)]
+        assert emitted == [n for n in suite.FINDINGS[check.__name__] if n not in skipped]
+
+
+def test_an_empty_sample_fails_the_bruteforce_crosscheck(monkeypatch):
+    # u24 has 11 facets, so the crosscheck is due, and with no order it fails
+    real = suite.linear_extensions
+    monkeypatch.setattr(suite, "linear_extensions", lambda poset, cap, seed: replace(
+        real(poset, cap=cap, seed=seed), orders=[]))
+    findings = {f.check: f.ok for f in run_check(MAIN, "u24", u24(), 10, 0)}
+    assert not findings["shelling-extint"]
+    assert not findings["restriction-bruteforce-crosscheck"]
 
 
 def test_suite_on_degenerate_matroids():
@@ -97,7 +135,7 @@ def test_full_suite_on_wheel_w4(monkeypatch):
     assert findings and all(f.ok for f in findings), [f for f in findings if not f.ok]
     # one witness pass serves the first-order certificate and the witness findings
     assert steps == [135]
-    alone = suite.check_witnesses("W4", graphic(5, W4_EDGES))
+    alone = run_check(suite.check_witnesses, "W4", graphic(5, W4_EDGES))
     assert steps == [270]
     in_suite = [(f.check, f.ok, f.detail) for f in findings if f.check in WITNESS_FINDINGS]
     assert [(f.check, f.ok, f.detail) for f in alone] == in_suite
@@ -106,8 +144,8 @@ def test_full_suite_on_wheel_w4(monkeypatch):
 def test_one_witness_pass_whichever_check_comes_first(monkeypatch):
     steps = count_witness_steps(monkeypatch)
     w4 = graphic(5, W4_EDGES)
-    assert all(f.ok for f in suite.check_witnesses("W4", w4))
-    assert all(f.ok for f in suite.check_shelling_main("W4", w4, 20, 0))
+    assert all(f.ok for f in run_check(suite.check_witnesses, "W4", w4))
+    assert all(f.ok for f in run_check(suite.check_shelling_main, "W4", w4, 20, 0))
     assert steps == [135]
 
 
@@ -117,10 +155,10 @@ def test_witness_pass_runs_when_the_first_order_does_not_shell(monkeypatch):
     steps = count_witness_steps(monkeypatch)
     falsify("verdict")(monkeypatch)
     matroid = m5()
-    main = {f.check: f.ok for f in suite.check_shelling_main("m5", matroid, 10, 0)}
+    main = {f.check: f.ok for f in run_check(suite.check_shelling_main, "m5", matroid, 10, 0)}
     assert not main["shelling-extint"] and not main["witness-certifies-first-order"]
     assert steps == [len(matroid.independent_sets) + 1]
-    assert all(f.ok for f in suite.check_witnesses("m5", matroid))
+    assert all(f.ok for f in run_check(suite.check_witnesses, "m5", matroid))
     assert steps == [len(matroid.independent_sets) + 1]
 
 
@@ -277,6 +315,79 @@ def collapse_at_t_equals_one(monkeypatch):
     monkeypatch.setattr(BiPoly, "subst_t_equals_q", at_one)
 
 
+M5_C = parse_subset("134", 5)  # the related basis of K = 14 in the paper's unrelated example
+
+
+def witness_table_mutant(change, c_basis=M5_C):
+    """Replace good(C) in m5's ``_witness_table``, for C = ``c_basis``, by
+    ``change(good(C))``; the entries are (c, B), largest c first."""
+
+    def patch(monkeypatch):
+        real = shelling._witness_table
+
+        def mutated(m):
+            table = dict(real(m))
+            table[c_basis] = tuple(change(table[c_basis]))
+            return table
+
+        monkeypatch.setattr(shelling, "_witness_table", mutated)
+
+    return patch
+
+
+def no_exchange_witness(good):
+    return ()
+
+
+def another_basis_for_the_empty_set(monkeypatch):
+    """The suite pairs ∅ with a basis other than its related one, whose
+    interval [B∖IA(B), B∪EA(B)] does not hold ∅."""
+    real = suite.related_basis
+
+    def moved(m, i):
+        return real(m, i) if i else next(b for b in m.bases if b != real(m, 0))
+
+    monkeypatch.setattr(suite, "related_basis", moved)
+
+
+def ext_bases_rows(change):
+    """Replace the up-rows of the ``ext-bases`` order the suite builds by
+    ``change(poset)``."""
+
+    def patch(monkeypatch):
+        real = suite.build_poset
+
+        def mutated(m, kind):
+            poset = real(m, kind)
+            return Poset(poset.elements, tuple(change(poset))) if kind == "ext-bases" else poset
+
+        monkeypatch.setattr(suite, "build_poset", mutated)
+
+    return patch
+
+
+def without_the_first_cover(poset):
+    """Still a partial order, but no longer the one the definition gives."""
+    i, j = poset.cover_index_pairs[0]
+    return [row & ~(1 << j) if x == i else row for x, row in enumerate(poset.up_rows)]
+
+
+def every_basis_below_every_other(poset):
+    return [(1 << len(poset.elements)) - 1] * len(poset.elements)
+
+
+def deletion_contraction_swaps_the_variables(monkeypatch):
+    real = suite.tutte_by_deletion_contraction
+    swapped = lambda m: BiPoly({(t, q): v for (q, t), v in real(m).coeffs.items()})
+    monkeypatch.setattr(suite, "tutte_by_deletion_contraction", swapped)
+
+
+def h_vectors_read_backwards(monkeypatch):
+    """The identity report reads every h-vector from its top entry down."""
+    real = tutte.h_polynomial
+    monkeypatch.setattr(tutte, "h_polynomial", lambda h: real(h[::-1]))
+
+
 def u24():
     # 11 independent sets: the brute-force crosscheck runs on at most 12 facets
     return uniform(2, 4)
@@ -285,6 +396,7 @@ def u24():
 REVERSED = corrupt_second_report("restrictions", lambda report: report.restrictions[::-1])
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
 ACTIVITY, CRAPO, TUTTE = suite.check_activity, suite.check_crapo, suite.check_tutte
+POSETS = suite.check_posets
 AXIOMS = suite.check_matroid_axioms
 MUTANTS = {
     # finding, or finding/what a second mutant breaks: (matroid, check, mutant,
@@ -307,6 +419,18 @@ MUTANTS = {
         m5, CRAPO, decompose_without_deletions, {"crapo-partition-independent"},
         "crapo-partition-subsets",
     ),
+    "related-basis-activities": (
+        m5, CRAPO, another_basis_for_the_empty_set, {"related-basis-activities"},
+        "crapo-partition-subsets",
+    ),
+    "poset-axioms": (
+        m5, POSETS, ext_bases_rows(without_the_first_cover), {"poset-axioms"},
+        "extint-refines-ext-int",
+    ),
+    "extint-refines-ext-int": (
+        m5, POSETS, ext_bases_rows(every_basis_below_every_other),
+        {"poset-axioms", "extint-refines-ext-int"}, "ind-order-restricts-to-bases",
+    ),
     "activity-duality": (
         m5, ACTIVITY, move_an_element_on_the_dual, {"activity-duality"}, "activity-partition"
     ),
@@ -322,6 +446,10 @@ MUTANTS = {
     "h-complex": (m5, MAIN, falsify("h_complex"), {"h-complex"}, "shelling-extint"),
     "h-vector-from-restrictions": (
         m5, MAIN, falsify("matches_complex_h"), {"h-vector-from-restrictions"}, "shelling-extint"
+    ),
+    "witness-certifies-first-order": (
+        m5, MAIN, witness_table_mutant(no_exchange_witness), {"witness-certifies-first-order"},
+        "shelling-extint",
     ),
     "restriction-bruteforce-crosscheck": (
         u24, MAIN, bruteforce_drops_the_last_set, {"restriction-bruteforce-crosscheck"},
@@ -346,6 +474,15 @@ MUTANTS = {
     "restriction-sets-nbc": (m5, NBC, REVERSED, {"restriction-sets-nbc"}, "shelling-nbc"),
     "property-H-nbc": (m5, NBC, falsify("property_h"), {"property-H-nbc"}, "shelling-nbc"),
     "h-complex-nbc": (m5, NBC, falsify("h_complex"), {"h-complex-nbc"}, "shelling-nbc"),
+    "tutte-oracle-agreement": (
+        m5, TUTTE, deletion_contraction_swaps_the_variables, {"tutte-oracle-agreement"},
+        "tutte-duality",
+    ),
+    # h_poly is also the t = q collapse of the bivariate polynomial
+    "h-identity": (
+        m5, TUTTE, h_vectors_read_backwards,
+        {"h-identity", "nbc-h-identity-report", "bivariate-collapse"}, "bivariate-identity",
+    ),
     "tutte-duality": (
         m5, TUTTE, dual_polynomial_unswapped, {"tutte-duality"}, "tutte-oracle-agreement"
     ),
@@ -361,57 +498,52 @@ MUTANTS = {
 }
 
 
+def deletions_from_the_passive_elements_first(monkeypatch):
+    """Y_I keeps its size but is drawn from IP(B_I) before IA(B_I), so it
+    leaves IA(B_I) wherever B_I has an internally passive element."""
+    real = suite.crapo_decompose_independent
+
+    def moved(m, i):
+        dec = real(m, i)
+        prof = activity_profile(m, dec.basis)
+        pool = elems_of(prof.ip) + elems_of(prof.ia)
+        return replace(dec, y=mask_of(pool[: dec.y.bit_count()]))
+
+    monkeypatch.setattr(suite, "crapo_decompose_independent", moved)
+
+
+def test_deletions_outside_internal_activity_fail_flip_involution(monkeypatch):
+    # |flip(I)| = |Y_I| + |IP(B_I)| still holds, since |Y_I| is kept; only
+    # |I| = |IA(B_I)∖Y_I| + |IP(B_I)| sees Y_I leave IA(B_I)
+    deletions_from_the_passive_elements_first(monkeypatch)
+    [finding] = run_check(suite.check_flip_involution, "m5", m5())
+    assert (finding.check, finding.ok) == ("flip-involution", False)
+
+
 @pytest.mark.parametrize("finding", MUTANTS)
 def test_shelling_mutant_fails_its_finding(monkeypatch, finding):
     matroid, check, mutant, failing, sibling = MUTANTS[finding]
     mutant(monkeypatch)
-    findings = {f.check: f.ok for f in check("m", matroid(), 10, 0)}
+    findings = {f.check: f.ok for f in run_check(check, "m", matroid(), 10, 0)}
     assert finding.partition("/")[0] in failing
     assert {name for name, ok in findings.items() if not ok} == failing
     assert findings[sibling]
 
 
-@pytest.mark.parametrize(
-    "check,failing",
-    [
-        (MAIN, {"shelling-extint", "restriction-sets-z", "property-H", "h-complex",
-                "h-vector-from-restrictions", "witness-certifies-first-order"}),
-        (FLIP, {"shelling-flip", "restriction-sets-flip", "bivariate-order-invariant"}),
-        (suite.check_shelling_ea, {"shelling-ea"}),
-        (NBC, {"shelling-nbc", "restriction-sets-nbc", "property-H-nbc", "h-complex-nbc"}),
-    ],
-    ids=["extint", "flip", "ea", "nbc"],
-)
-def test_an_order_that_does_not_shell_fails_every_sampled_finding(
-    m5_matroid, monkeypatch, check, failing
-):
+UNSHELLED = {  # check: the findings an order that does not shell fails
+    MAIN: {"shelling-extint", "restriction-sets-z", "property-H", "h-complex",
+           "h-vector-from-restrictions", "witness-certifies-first-order"},
+    FLIP: {"shelling-flip", "restriction-sets-flip", "bivariate-order-invariant"},
+    suite.check_shelling_ea: {"shelling-ea"},
+    NBC: {"shelling-nbc", "restriction-sets-nbc", "property-H-nbc", "h-complex-nbc"},
+}
+
+
+@pytest.mark.parametrize("check", UNSHELLED, ids=["extint", "flip", "ea", "nbc"])
+def test_an_order_that_does_not_shell_fails_every_sampled_finding(m5_matroid, monkeypatch, check):
     falsify("verdict")(monkeypatch)
-    findings = {f.check: f.ok for f in check("m5", m5_matroid, 10, 0)}
-    assert {name for name, ok in findings.items() if not ok} == failing
-
-
-M5_C = parse_subset("134", 5)  # the related basis of K = 14 in the paper's unrelated example
-
-
-def witness_table_mutant(change, c_basis=M5_C):
-    """Replace good(C) in m5's ``_witness_table``, for C = ``c_basis``, by
-    ``change(good(C))``; the entries are (c, B), largest c first."""
-
-    def patch(monkeypatch):
-        real = shelling._witness_table
-
-        def mutated(m):
-            table = dict(real(m))
-            table[c_basis] = tuple(change(table[c_basis]))
-            return table
-
-        monkeypatch.setattr(shelling, "_witness_table", mutated)
-
-    return patch
-
-
-def no_exchange_witness(good):
-    return ()
+    findings = {f.check: f.ok for f in run_check(check, "m5", m5_matroid, 10, 0)}
+    assert {name for name, ok in findings.items() if not ok} == UNSHELLED[check]
 
 
 def drop_empty_nbc_set(monkeypatch):
@@ -446,15 +578,26 @@ WITNESS_MUTANTS = {
 def test_witness_mutant_fails_its_finding(monkeypatch, finding):
     mutant, failing, sibling = WITNESS_MUTANTS[finding]
     mutant(monkeypatch)
-    findings = {f.check: f.ok for f in suite.check_witnesses("m5", m5())}
+    findings = {f.check: f.ok for f in run_check(suite.check_witnesses, "m5", m5())}
     assert finding in failing
     assert {name for name, ok in findings.items() if not ok} == failing
     assert findings[sibling]
 
 
+def test_the_mutants_tell_every_two_names_of_a_check_apart():
+    # the names and verdicts of a check are paired by position; two verdicts
+    # returned in each other's places fail the mutant test of any mutant that
+    # fails one of the two names and not the other
+    failing = [entry[3] for entry in MUTANTS.values()] + list(UNSHELLED.values())
+    failing += [entry[1] for entry in WITNESS_MUTANTS.values()]
+    for names in suite.FINDINGS.values():
+        for a, b in combinations(names, 2):
+            assert any((a in f) != (b in f) for f in failing), (a, b)
+
+
 def test_wrong_witness_names_the_pair_and_the_oracle_message(monkeypatch):
     WITNESS_MUTANTS["witness-all-pairs"][0](monkeypatch)
-    [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
+    finding = {f.check: f for f in run_check(suite.check_witnesses, "m5", m5())}["witness-all-pairs"]
     assert finding.detail == "pair 1, 14: constructed witness violates the facet equation"
 
 
@@ -463,7 +606,7 @@ def test_a_failing_group_holding_the_empty_set_names_it(monkeypatch):
     # the sets left without a witness start with ∅, related to A = 345
     a_basis = related_basis(m5(), 0)
     witness_table_mutant(no_exchange_witness, parse_subset("135", 5))(monkeypatch)
-    [finding] = [f for f in suite.check_witnesses("m5", m5()) if f.check == "witness-all-pairs"]
+    finding = {f.check: f for f in run_check(suite.check_witnesses, "m5", m5())}["witness-all-pairs"]
     assert a_basis == parse_subset("345", 5)
     assert finding.detail == "pair ∅, 1: no exchange witness for bases 345, 135"
 
@@ -471,7 +614,7 @@ def test_a_failing_group_holding_the_empty_set_names_it(monkeypatch):
 def test_witness_error_fails_the_first_order_certificate(monkeypatch):
     # an error raised by the witness pass is a failing finding, not a crashed suite
     witness_table_mutant(no_exchange_witness)(monkeypatch)
-    findings = {f.check: f for f in suite.check_shelling_main("m5", m5(), 10, 0)}
+    findings = {f.check: f for f in run_check(suite.check_shelling_main, "m5", m5(), 10, 0)}
     certificate = findings["witness-certifies-first-order"]
     assert not certificate.ok and findings["shelling-extint"].ok
     assert certificate.detail == "pair ∅, 14: no exchange witness for bases 345, 134"
@@ -479,25 +622,44 @@ def test_witness_error_fails_the_first_order_certificate(monkeypatch):
     assert failed == {"witness-certifies-first-order", "witness-all-pairs", "witness-nbc-closure"}
 
 
+def test_a_check_that_raises_fails_every_declared_name(monkeypatch):
+    # m5's 24 facets skip the crosscheck when the check returns its verdicts;
+    # without verdicts run_check cannot tell, and fails it with the rest
+    def no_pass(m):
+        raise NoLinearExtension("no linear extension of the 24 elements")
+
+    monkeypatch.setattr(suite, "witness_pass", no_pass)
+    findings = run_check(MAIN, "m5", m5(), 10, 0)
+    detail = "NoLinearExtension: no linear extension of the 24 elements"
+    expected = [(name, False, detail) for name in suite.FINDINGS["check_shelling_main"]]
+    assert [(f.check, f.ok, f.detail) for f in findings] == expected
+
+
 def test_a_failing_crapo_partition_names_the_set_and_the_way_it_failed(monkeypatch):
-    # with B ∪ e as every circuit, element 1 lies in no interval [B∖IA(B), B∪EA(B)]
+    # with B ∪ e as every circuit, element 1 lies in no interval [B∖IA(B), B∪EA(B)],
+    # and the error fails every Crapo finding
     whole_b_plus_e_as_circuit(monkeypatch)
-    findings = {f.check: (f.ok, f.detail) for f in suite.check_crapo("m5", m5())}
-    assert findings["crapo-partition-subsets"] == (False, "no Crapo decomposition of 1")
-    assert findings["crapo-partition-independent"] == (False, "no Crapo decomposition of 1")
+    findings = {f.check: (f.ok, f.detail) for f in run_check(suite.check_crapo, "m5", m5())}
+    error = (False, "DecompositionNotFound: no Crapo decomposition of 1")
+    assert findings == dict.fromkeys(suite.FINDINGS["check_crapo"], error)
 
 
 def test_an_order_with_no_linear_extension_fails_without_raising(monkeypatch):
     # B ∪ e as every circuit leaves extint-ind with a cycle: no linear extension,
     # so the shelling samples are empty and the Tutte identities have no order
     whole_b_plus_e_as_circuit(monkeypatch)
-    findings = {f.check: f for f in run_suite({"m5": m5()}, cap=10, seed=0)}
-    assert not findings["shelling-extint"].ok
-    assert findings["shelling-extint"].detail == "0 orders, exhaustive=True"
-    assert not findings["witness-certifies-first-order"].ok
-    # a check that raises a library error is one failing finding under its name
-    tutte = findings["check_tutte"]
-    assert not tutte.ok
-    assert tutte.detail == "NoLinearExtension: no linear extension of the 24 elements"
-    assert not findings["check_nbc_suite"].ok
-    assert findings["check_nbc_suite"].detail.startswith("NotPure: ")
+    findings = run_suite({"m5": m5()}, cap=10, seed=0)
+    # every declared name once, bar the crosscheck that m5's 24 facets skip
+    declared = [name for names in suite.FINDINGS.values() for name in names]
+    declared.remove("restriction-bruteforce-crosscheck")
+    assert [f.check for f in findings] == declared
+    found = {f.check: f for f in findings}
+    assert not found["shelling-extint"].ok
+    assert found["shelling-extint"].detail == "0 orders, exhaustive=True"
+    assert not found["witness-certifies-first-order"].ok
+    # a check that raises a library error fails each of its names, with the error
+    assert not found["nbc-facet-count"].ok
+    assert found["nbc-facet-count"].detail.startswith("NotPure: ")
+    no_extension = "NoLinearExtension: no linear extension of the 24 elements"
+    for name in suite.FINDINGS["check_tutte"]:
+        assert (found[name].ok, found[name].detail) == (False, no_extension)
