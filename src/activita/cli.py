@@ -17,12 +17,12 @@ import click
 
 from .activity import activity_profile
 from .bitsets import parse_subset, subset_label, subset_str
-from .complexes import COMPLEX_KINDS, blocks, build_complex
+from .complexes import COMPLEX_KINDS, SimplicialComplex, blocks, build_complex
 from .corpus import builtin_corpus, corpus_from_env
 from .errors import ActivitaError, ParseError
 from .matroid import Matroid
 from .orders import POSET_KINDS, Poset, build_poset, random_extension
-from .shelling import ShellingReport, verify_shelling
+from .shelling import ShellingReport, h_complex_check, property_H_check, verify_shelling
 from .specio import parse_spec, spec_dict
 from .suite import run_suite
 from .tutte import tutte_by_activities
@@ -141,11 +141,15 @@ _SHELL_POSET = {
 }
 
 
-def _report_json(report: ShellingReport, n: int) -> dict:
+def _report_json(cx: SimplicialComplex, order: list[int], report: ShellingReport, n: int) -> dict:
+    """The report, with property (H) and the h-complex check (None unless it shells)."""
     data = asdict(report)
+    shelled, restrictions = report.verdict, report.restrictions
+    data["property_h"] = property_H_check(cx, order, restrictions) if shelled else None
+    data["h_complex"] = h_complex_check(restrictions) if shelled else None
     data["restrictions"] = [
         {k: subset_str(v, n) for k, v in zip("xyz", blocks(n, r)) if v}
-        for r in report.restrictions
+        for r in restrictions
     ]
     data["h_from_restrictions"] = report.h_from_restrictions or None
     return data
@@ -175,11 +179,9 @@ def shell(matroid: str, kind: str, order_kind: str, seed: int,
     # which the extension lists them, the other nbc sets are skipped
     facet_order = [cx.facet_by_tag[t] for t in extension if t in cx.facet_by_tag]
     report = verify_shelling(cx, facet_order)
-    data = _report_json(report, m.n)
-    data["complex"] = kind
-    data["order"] = order_kind
-    data["seed"] = seed
     if report_path:
+        data = _report_json(cx, facet_order, report, m.n)
+        data.update(complex=kind, order=order_kind, seed=seed)
         Path(report_path).write_text(_json(data))
     click.echo("shelling: " + ("ok" if report.verdict else f"FAILED at {report.failing_pair}"))
     if not report.verdict:

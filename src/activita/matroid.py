@@ -199,10 +199,16 @@ def _check_exchange(n: int, bases: Sequence[int]) -> None:
                     )
 
 
-def from_bases(n: int, bases: Iterable[int], provenance: str = "explicit") -> Matroid:
-    """Build a matroid from an explicit bases list, verifying the axioms."""
+def _ground_size(n: int) -> int:
+    """``n`` if in 1..MAX_GROUND; constructors check it before enumerating subsets."""
     if not 1 <= n <= MAX_GROUND:
         raise RankOutOfRange(f"ground set size {n} outside 1..{MAX_GROUND}")
+    return n
+
+
+def from_bases(n: int, bases: Iterable[int], provenance: str = "explicit") -> Matroid:
+    """Build a matroid from an explicit bases list, verifying the axioms."""
+    _ground_size(n)
     blist = sorted(set(bases))
     if not blist:
         raise EmptyBases("a matroid needs at least one basis")
@@ -219,6 +225,7 @@ def from_bases(n: int, bases: Iterable[int], provenance: str = "explicit") -> Ma
 
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid U(r, n): every r-subset is a basis."""
+    _ground_size(n)
     if not 0 <= r <= n:
         raise RankOutOfRange(f"rank {r} outside 0..{n}")
     bases = [mask_of(c) for c in combinations(range(1, n + 1), r)]
@@ -236,7 +243,7 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     for u, v in edges:
         if not (1 <= u <= vertices and 1 <= v <= vertices):
             raise RankOutOfRange(f"edge ({u},{v}) references a vertex outside 1..{vertices}")
-    m = len(edges)
+    m = _ground_size(len(edges))
 
     def forest_size(edge_idxs: Iterable[int]) -> int:
         parent = list(range(vertices + 1))
@@ -276,7 +283,7 @@ def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
     rows = [[x % p for x in row] for row in matrix]
     if not rows or not rows[0]:
         raise EmptyBases("matrix must be nonempty")
-    n = len(rows[0])
+    n = _ground_size(len(rows[0]))
     if any(len(row) != n for row in rows):
         raise UnequalCardinality("matrix rows of different lengths")
 

@@ -303,7 +303,6 @@ class ExtensionSample:
 
     orders: list[tuple[int, ...]]
     exhaustive: bool
-    total: int | None  # exact count when exhaustive
 
 
 def _enumerate_extensions(poset: Poset, limit: int):
@@ -389,13 +388,9 @@ def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionS
         raise ValueError("cap must be at least 1")
     found, completed = _enumerate_extensions(poset, cap)
     if completed:
-        return ExtensionSample(found, exhaustive=True, total=len(found))
+        return ExtensionSample(found, exhaustive=True)
     rng = random.Random(seed)
-    return ExtensionSample(
-        [random_extension(poset, rng) for _ in range(cap)],
-        exhaustive=False,
-        total=None,
-    )
+    return ExtensionSample([random_extension(poset, rng) for _ in range(cap)], exhaustive=False)
 
 
 # -- lattice structure ------------------------------------------------------------

@@ -41,8 +41,6 @@ class ShellingReport:
     restrictions: list[int]
     h_from_restrictions: tuple[int, ...] | None = None
     matches_complex_h: bool | None = None
-    property_h: bool | None = None
-    h_complex: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,7 @@ class Witness:
     B: int | None = None
 
 
-def verify_shelling(
-    cx: SimplicialComplex,
-    order: list[int] | tuple[int, ...],
-    check_properties: bool = True,
-) -> ShellingReport:
+def verify_shelling(cx: SimplicialComplex, order: list[int] | tuple[int, ...]) -> ShellingReport:
     """Check a facet order for the shelling property and report restrictions.
 
     R_k is the union of F_k ∖ G over the neighbours G of F_k placed before
@@ -93,40 +87,40 @@ def verify_shelling(
     for r in restrictions:
         h[r.bit_count()] += 1
     h_tuple = tuple(h) if order else ()
-    report = ShellingReport(True, None, restrictions, h_tuple, h_tuple == cx.fh.h)
-    if check_properties:
-        report.property_h = property_H_check(cx, order, restrictions)
-        report.h_complex = h_complex_check(restrictions)
-    return report
+    return ShellingReport(True, None, restrictions, h_tuple, h_tuple == cx.fh.h)
 
 
 def verify_orders(
-    cx: SimplicialComplex, orders: list[tuple[int, ...]], closed_form: dict[int, int] | None,
-    check_properties: bool,
+    cx: SimplicialComplex, orders: list[tuple[int, ...]], closed_form: dict[int, int] | None
 ) -> tuple[tuple[bool, ...], list[list[int]]]:
     """Fold :func:`verify_shelling` over orders of facet tags, up to the first
-    that does not shell.  Returns the restriction sets of the orders that
-    shell and five flags: there are orders and every one shells; their
-    restriction sets equal ``closed_form`` (tag → restriction set), if given;
-    property (H); the restrictions form an h-complex; their h-vector is the
-    complex's.  Each flag after the first also requires the first; the
-    middle two are checked only with ``check_properties``.
+    that does not shell.  Returns five flags and the restriction sets of each
+    distinct restriction map tag → R: there are orders and every one shells;
+    each map is ``closed_form`` (tag → restriction set), if given; property
+    (H); the restrictions form an h-complex; their h-vector is the complex's.
+    Each flag after the first also requires the first.
+
+    The last four are checked once per map, not per order.  A shelling splits
+    the faces into the intervals [R(F), F], and the first facet containing a
+    face G is the facet whose interval holds G; so the map alone fixes the
+    interval of every face, and with it property (H), the h-complex and the
+    h-vector.
     """
-    shelled, formula, prop_h, h_cx, h_match = bool(orders), True, True, True, True
-    restrictions = []
+    maps = {}
     for order in orders:
-        report = verify_shelling(cx, [cx.facet_by_tag[t] for t in order], check_properties)
+        facets = [cx.facet_by_tag[t] for t in order]
+        report = verify_shelling(cx, facets)
         if not report.verdict:
-            shelled = False
-            break
-        if closed_form is not None:
-            formula &= report.restrictions == [closed_form[t] for t in order]
-        if check_properties:
-            prop_h &= bool(report.property_h)
-            h_cx &= bool(report.h_complex)
-        h_match &= bool(report.matches_complex_h)
-        restrictions.append(report.restrictions)
-    return (shelled, *(shelled and ok for ok in (formula, prop_h, h_cx, h_match))), restrictions
+            return (False,) * 5, []
+        maps.setdefault(frozenset(zip(order, report.restrictions)), (facets, report))
+    shelled, reports = bool(orders), maps.values()
+    flags = (
+        closed_form is None or all(closed_form[t] == r for pairs in maps for t, r in pairs),
+        all(property_H_check(cx, facets, report.restrictions) for facets, report in reports),
+        all(h_complex_check(report.restrictions) for _, report in reports),
+        all(report.matches_complex_h for _, report in reports),
+    )
+    return (shelled, *(shelled and ok for ok in flags)), [r.restrictions for _, r in reports]
 
 
 def verify_shelling_pairwise(
@@ -181,7 +175,9 @@ def property_H_check(
     (unique) shelling interval containing G.  Codimension one suffices.
     Only G = F∖v with v in R(F) needs a look: otherwise R(F) ⊆ G ⊆ F and G
     lies in the interval of F itself.  G's interval is that of the first
-    facet containing G, which is F or a neighbour of F without v.
+    facet containing G, which is F or a neighbour of F without v.  In a
+    shelling that first facet is the one facet H with R(H) ⊆ G ⊆ H, so the
+    verdict reads the order only through the map F ↦ R(F).
     """
     pos = {f: k for k, f in enumerate(order)}
     neighbours = cx.neighbours

@@ -221,16 +221,16 @@ def check_flip_involution(m: Matroid, cap: int = 200, seed: int = 0) -> list[Ver
 
 def _sampled_shelling(
     m: Matroid, cap: int, seed: int, kinds: tuple[str, str],
-    closed_form: dict[int, int] | None = None, check_properties: bool = False,
+    closed_form: dict[int, int] | None = None,
 ) -> tuple[list[Verdict], list[tuple[int, ...]], list[list[int]]]:
     """Shell the complex ``kinds[0]`` along sampled extensions of the poset
     ``kinds[1]``.  Returns the verdicts of the five flags of
-    :func:`verify_orders`, the first with the sample size as its detail, and
-    the orders and the restriction sets of the orders that shell; a caller
-    names a prefix of the verdicts."""
+    :func:`verify_orders`, the first with the sample size as its detail, the
+    orders, and the restriction sets once per restriction map; a caller names
+    a prefix of the verdicts."""
     cx = build_complex(m, kinds[0])
     sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=seed)
-    flags, restrictions = verify_orders(cx, sample.orders, closed_form, check_properties)
+    flags, restrictions = verify_orders(cx, sample.orders, closed_form)
     detail = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
     return [(flags[0], detail), *flags[1:]], sample.orders, restrictions
 
@@ -241,13 +241,13 @@ def check_shelling_main(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdi
     independence complex; the brute-force crosscheck needs at most 12 facets."""
     verdicts, orders, _ = _sampled_shelling(
         m, cap, seed, ("augmented-ea", "extint-ind"),
-        {i: xyz(m.n, zs=i) for i in m.independent_sets}, check_properties=True,
+        {i: xyz(m.n, zs=i) for i in m.independent_sets}
     )
     cx, first = build_complex(m, "augmented-ea"), orders[0] if orders else ()
     crosscheck = None if len(cx.facets) > 12 else bool(first)  # an empty sample fails it
     if crosscheck:
         order = [cx.facet_by_tag[t] for t in first]
-        report = verify_shelling(cx, order, check_properties=False)
+        report = verify_shelling(cx, order)
         agree, _ = verify_shelling_pairwise(cx, order)
         same = report.restrictions == restriction_sets_bruteforce(order)
         crosscheck = same and agree == report.verdict
@@ -286,8 +286,7 @@ def check_nbc_suite(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     )
     facet_count = len(cx.facets) == len(sets) == tutte.evaluate(2, 0)
     shelling = _sampled_shelling(
-        m, cap, seed, ("augmented-nbc", "nbc-extint"),
-        {s: xyz(m.n, zs=s) for s in sets}, check_properties=True,
+        m, cap, seed, ("augmented-nbc", "nbc-extint"), {s: xyz(m.n, zs=s) for s in sets}
     )[0]
     q_plus_1 = BiPoly({(0, 0): 1, (1, 0): 1})
     h_ok = h_polynomial(cx.fh.h) == tutte.subst(q_plus_1, BiPoly.zero())

@@ -229,7 +229,7 @@ def identity_report(matroid: Matroid) -> IdentityReport:
 
     order = first_extension(build_poset(matroid, "flip-ind"))
     cx = build_complex(matroid, "augmented-ea")
-    report = verify_shelling(cx, [cx.facet_by_tag[i] for i in order], check_properties=False)
+    report = verify_shelling(cx, [cx.facet_by_tag[i] for i in order])
     bivariate = bivariate_restriction_polynomial(matroid, report.restrictions)
     inv_q_plus_1_t = BiPoly({(-1, 1): 1, (0, 1): 1})
     rhs_c = BiPoly.monomial(0, n) * tutte.subst(inv_q_plus_1_t, one)

@@ -28,6 +28,8 @@ from activita.orders import (
     linear_extensions,
 )
 from activita.shelling import (
+    h_complex_check,
+    property_H_check,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,
@@ -82,7 +84,7 @@ def flip_sweep(corpus):
         cx = build_complex(m, "augmented-ea")
         sample = linear_extensions(build_poset(m, "flip-ind"), cap=CAP, seed=SEED)
         reports = [
-            verify_shelling(cx, _facet_order(cx, order), check_properties=False)
+            verify_shelling(cx, _facet_order(cx, order))
             for order in sample.orders
         ]
         results[name] = (sample, reports)
@@ -197,13 +199,15 @@ def test_criterion_05_restriction_formula(corpus, main_sweep):
     for name, m in corpus.items():
         n = m.n
         expected_family = {i << (2 * n) for i in m.independent_sets}
+        cx = build_complex(m, "augmented-ea")
         sample, reports = results[name]
         for order, report in zip(sample.orders, reports):
             ok &= all(
                 r == i << (2 * n) for i, r in zip(order, report.restrictions)
             )
             ok &= set(report.restrictions) == expected_family
-            ok &= bool(report.property_h) and bool(report.h_complex)
+            ok &= property_H_check(cx, _facet_order(cx, order), report.restrictions)
+            ok &= h_complex_check(report.restrictions)
     _report(5, "restrictions are z_I; family is the independence h-complex; (H) holds", ok)
 
 
@@ -264,14 +268,16 @@ def test_criterion_08_nbc_suite(corpus, m5_matroid):
         expected_family = {(0, 0, s) for s in sets}
         sample = linear_extensions(build_poset(m, "nbc-extint"), cap=CAP, seed=SEED)
         for order in sample.orders:
-            report = verify_shelling(cx, _facet_order(cx, order))
+            facets = _facet_order(cx, order)
+            report = verify_shelling(cx, facets)
             ok &= report.verdict
             if not report.verdict:
                 break
             family = [xyz_blocks(m, r) for r in report.restrictions]
             ok &= all(r == (0, 0, i) for i, r in zip(order, family))
             ok &= set(family) == expected_family
-            ok &= bool(report.property_h) and bool(report.h_complex)
+            ok &= property_H_check(cx, facets, report.restrictions)
+            ok &= h_complex_check(report.restrictions)
         ok &= h_polynomial(cx.fh.h) == tutte_by_activities(m).subst(
             q_plus_1, BiPoly.zero()
         )
@@ -337,7 +343,7 @@ def test_criterion_11_oracle_crosschecks(corpus):
             order = _facet_order(
                 cx, linear_extensions(build_poset(m, "extint-ind"), cap=1, seed=SEED).orders[0]
             )
-            report = verify_shelling(cx, order, check_properties=False)
+            report = verify_shelling(cx, order)
             ok &= report.restrictions == restriction_sets_bruteforce(order)
             slow_ok, _ = verify_shelling_pairwise(cx, order)
             ok &= slow_ok == report.verdict
@@ -345,6 +351,6 @@ def test_criterion_11_oracle_crosschecks(corpus):
     m23 = uniform(2, 3)
     cx = independence_complex(m23)
     order = list(cx.facets)
-    report = verify_shelling(cx, order, check_properties=False)
+    report = verify_shelling(cx, order)
     ok &= report.restrictions == restriction_sets_bruteforce(order)
     _report(11, "independent oracles agree (Tutte, restrictions, activities)", ok)

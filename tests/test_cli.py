@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+import activita.matroid as matroid
+import activita.shelling as shelling
 from activita.cli import main
+from activita.corpus import builtin_corpus
 from activita.complexes import COMPLEX_KINDS
 from activita.errors import ParseError, UnequalCardinality
 from activita.specio import matroid_from_dict, parse_spec, spec_dict
@@ -166,6 +170,32 @@ class TestTutteCommand:
         assert [3, 0, 1] in terms
 
 
+# 65 ground elements; the path of 32 edges taken twice gives the graphic one rank 32
+OVERSIZED = {
+    "uniform": {"type": "uniform", "r": 30, "n": 65},
+    "graphic": {"type": "graphic", "vertices": 33,
+                "edges": [[i, i + 1] for i in range(1, 33)] * 2 + [[1, 33]]},
+    "linear": {"type": "linear", "p": 2, "matrix": [[1] * 65]},
+}
+
+
+@pytest.mark.parametrize("spec", OVERSIZED.values(), ids=OVERSIZED)
+def test_an_oversized_ground_set_is_refused_before_any_enumeration(
+    runner, tmp_path, monkeypatch, spec
+):
+    def enumerated(*args):
+        raise AssertionError("the constructor enumerated subsets of 65 elements")
+
+    monkeypatch.setattr(matroid, "combinations", enumerated)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    started = time.monotonic()
+    result = runner.invoke(main, ["tutte", str(path)])
+    assert time.monotonic() - started < 1.0
+    assert result.exit_code == 2
+    assert "ground set size 65 outside 1..64" in result.output
+
+
 class TestVerifyCommand:
     def test_single_matroid(self, runner, m5_path, tmp_path):
         report = tmp_path / "findings.json"
@@ -245,6 +275,16 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert elapsed < 60.0
         assert "FAIL" not in result.output
+
+    def test_property_h_runs_at_most_once_per_matroid_and_shelling(self, runner, monkeypatch):
+        # the suite checks property (H) once per restriction map of a sample
+        calls = []
+        real = shelling.property_H_check
+        counted = lambda *args: calls.append(args) or real(*args)
+        monkeypatch.setattr(shelling, "property_H_check", counted)
+        result = runner.invoke(main, ["verify", "--cap", "200", "--seed", "0"])
+        assert result.exit_code == 0, result.output
+        assert 0 < len(calls) <= 4 * len(builtin_corpus())  # main, flip, ea and nbc shellings
 
 
 # each command runs twice; "{m5}" is the m5 spec and "{out}" a fresh directory

@@ -5,9 +5,10 @@ the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws
 certificate replaced, ``meet_join_ind`` against the per-call related-basis
 lookups that its lattice table replaced, the grouped witness pass against the per-pair
 ``shelling_witness``, the witness table against the per-pair exchange search
-it replaced, the f-vector oracles: inclusion-exclusion, the
-submask walk and the memoized Shannon expansion that the ZDD count replaced,
-and the recursive enumeration of linear extensions that the explicit stack
+it replaced, the per-order property (H), h-complex, h-vector and bivariate
+checks against the once-per-restriction-map checks that replaced them, the
+f-vector oracles: inclusion-exclusion, the submask walk and the memoized
+Shannon expansion that the ZDD count replaced, and the recursive enumeration of linear extensions that the explicit stack
 replaced.  Two invariants besides: ``blocks`` inverts ``xyz``, and the
 activity Tutte polynomial keeps under relabeling and swaps q and t under
 duality.
@@ -48,13 +49,14 @@ from activita.orders import (
     compare_bases,
     leq_extint_ind,
     leq_flip_ind,
+    linear_extensions,
     meet_join_ind,
     poset_axiom_violation,
     poset_meet_join,
 )
 from activita.shelling import shelling_witness, witness_groups
 from activita.suite import check_lattice, check_posets, run_check
-from activita.tutte import BiPoly, tutte_by_activities
+from activita.tutte import BiPoly, bivariate_restriction_polynomial, tutte_by_activities
 
 
 @st.composite
@@ -534,6 +536,37 @@ def test_witness_table_matches_exchange_search_on_corpus_w4_and_u48():
     w4 = graphic(5, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3), (5, 4)])
     for m in [*builtin_corpus().values(), w4, uniform(4, 8)]:
         assert_table_matches_exchange_search(m)
+
+
+SAMPLED_SHELLINGS = (  # (complex, order) of the suite's four sampled shellings
+    ("augmented-ea", "extint-ind"), ("augmented-ea", "flip-ind"), ("ea", "extint-bases"),
+    ("augmented-nbc", "nbc-extint"),
+)
+
+
+@pytest.mark.parametrize("name", [*builtin_corpus(), "W4"])
+def test_shelling_properties_read_an_order_only_through_its_restriction_map(name):
+    # the per-order checks that verify_orders replaced by one check per map,
+    # on the suite's samples: cap 200 on the corpus, 20 on W4, seed 0
+    m, cap = (W4, 20) if name == "W4" else (builtin_corpus()[name], 200)
+    for kinds in SAMPLED_SHELLINGS:
+        cx = build_complex(m, kinds[0])
+        sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=0)
+        by_map = {}
+        for order in sample.orders:
+            facets = [cx.facet_by_tag[t] for t in order]
+            report = shelling.verify_shelling(cx, facets)
+            r = report.restrictions
+            verdicts = (
+                shelling.property_H_check(cx, facets, r), shelling.h_complex_check(r),
+                report.matches_complex_h,
+                bivariate_restriction_polynomial(m, r) if kinds[1] == "flip-ind" else None,
+            )
+            assert report.verdict
+            assert by_map.setdefault(frozenset(zip(order, r)), verdicts) == verdicts
+        flags, restrictions = shelling.verify_orders(cx, sample.orders, None)
+        assert flags[2:] == tuple(all(v[x] for v in by_map.values()) for x in range(3))
+        assert len(restrictions) == len(by_map)
 
 
 def recursive_extensions(poset, limit):

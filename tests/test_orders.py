@@ -387,13 +387,13 @@ class TestLinearExtensions:
     def test_chain(self):
         p = make_poset([1, 2, 4], [(1, 2), (2, 4)])
         sample = linear_extensions(p, cap=10)
-        assert sample.exhaustive and sample.total == 1
+        assert sample.exhaustive
         assert sample.orders == [(1, 2, 4)]
 
     def test_antichain(self):
         p = make_poset([1, 2, 4], [])
         sample = linear_extensions(p, cap=10)
-        assert sample.exhaustive and sample.total == 6
+        assert sample.exhaustive and len(sample.orders) == 6
 
     def test_m5_extint_bases_count(self, m5_matroid):
         # oracle: filter all 8! permutations of the bases through the relation
@@ -410,7 +410,7 @@ class TestLinearExtensions:
                 oracle += 1
         sample = linear_extensions(p, cap=10**6, seed=0)
         assert sample.exhaustive
-        assert sample.total == oracle == 26
+        assert len(sample.orders) == oracle == 26
 
     def test_sampling_is_seeded_and_valid(self, m5_matroid):
         p = build_poset(m5_matroid, "extint-ind")
@@ -429,12 +429,12 @@ class TestLinearExtensions:
         chain = Poset(tuple(range(n)), tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
         assert first_extension(chain) == chain.elements
         sample = linear_extensions(chain, cap=1)
-        assert (sample.orders, sample.exhaustive, sample.total) == ([chain.elements], True, 1)
+        assert (sample.orders, sample.exhaustive) == ([chain.elements], True)
 
     def test_a_cycle_has_no_linear_extension(self):
         cycle = Poset((1, 2), (0b11, 0b11))  # 1 ≤ 2 and 2 ≤ 1
         sample = linear_extensions(cycle, cap=1)
-        assert (sample.orders, sample.exhaustive, sample.total) == ([], True, 0)
+        assert (sample.orders, sample.exhaustive) == ([], True)
         with pytest.raises(NoLinearExtension, match="no linear extension of the 2 elements"):
             first_extension(cycle)
         # a random draw raises the same error, also when the cycle lies above a minimum

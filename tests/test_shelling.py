@@ -61,8 +61,8 @@ class TestVerifyShelling:
         assert report.verdict
         assert report.failing_pair is None
         assert report.matches_complex_h
-        assert report.property_h
-        assert report.h_complex
+        assert property_H_check(cx, order, report.restrictions)
+        assert h_complex_check(report.restrictions)
 
     def test_disjoint_edges_fail(self):
         cx = SimplicialComplex((mask_of((1, 2)), mask_of((3, 4))))
@@ -79,10 +79,22 @@ class TestVerifyShelling:
 
     def test_no_orders_fail_every_flag(self, m5_matroid):
         cx = build_complex(m5_matroid, "augmented-ea")
-        assert verify_orders(cx, [], None, check_properties=True) == ((False,) * 5, [])
+        assert verify_orders(cx, [], None) == ((False,) * 5, [])
         order = first_extension(build_poset(m5_matroid, "extint-ind"))
-        flags, restrictions = verify_orders(cx, [order], None, check_properties=True)
+        flags, restrictions = verify_orders(cx, [order], None)
         assert flags == (True,) * 5 and len(restrictions) == 1
+
+    def test_every_restriction_map_is_checked(self):
+        # two shellings of the 4-cycle 12, 14, 23, 34 with different restriction
+        # maps: ∅, 4, 3, 34 is closed under subsets, ∅, 3, 4, 14 lacks 1, and
+        # property (H) fails on it too: 1 ∈ R(14), but the face 1 lies in [∅, 12]
+        e12, e14, e23, e34 = (mask_of(edge) for edge in ((1, 2), (1, 4), (2, 3), (3, 4)))
+        cx = SimplicialComplex((e12, e14, e23, e34))
+        good, bad = (e12, e14, e23, e34), (e12, e23, e34, e14)
+        assert verify_orders(cx, [good, good], None) == ((True,) * 5, [[0, 0b1000, 0b100, 0b1100]])
+        flags, restrictions = verify_orders(cx, [good, bad, good], None)
+        assert flags == (True, True, False, False, True)
+        assert restrictions == [[0, 0b1000, 0b100, 0b1100], [0, 0b100, 0b1000, 0b1001]]
 
     def test_not_a_permutation(self, m5_matroid):
         cx = build_complex(m5_matroid, "ea")
@@ -93,7 +105,7 @@ class TestVerifyShelling:
         # on shellings and on a known failure
         for m in (m5_matroid, corpus["u24"]):
             cx, order = aug_order(m, first_extension(build_poset(m, "extint-ind")))
-            fast = verify_shelling(cx, order, check_properties=False)
+            fast = verify_shelling(cx, order)
             slow_ok, slow_pair = verify_shelling_pairwise(cx, order)
             assert fast.verdict == slow_ok
         cx = SimplicialComplex((mask_of((1, 2)), mask_of((3, 4))))
@@ -104,7 +116,7 @@ class TestVerifyShelling:
         # the last facet of the extension order has full-size restriction
         poset = build_poset(m5_matroid, "extint-ind")
         cx, order = aug_order(m5_matroid, first_extension(poset))
-        report = verify_shelling(cx, list(reversed(order)), check_properties=False)
+        report = verify_shelling(cx, list(reversed(order)))
         slow_ok, _ = verify_shelling_pairwise(cx, list(reversed(order)))
         assert report.verdict == slow_ok  # whatever the verdict, the oracles agree
 
@@ -119,7 +131,7 @@ class TestRestrictionSets:
         cases.append((ea, [ea.facet_by_tag[b] for b in ext]))
         for cx, order in cases:
             assert len(order) <= 12
-            report = verify_shelling(cx, order, check_properties=False)
+            report = verify_shelling(cx, order)
             assert report.restrictions == restriction_sets_bruteforce(order)
 
     def test_specific_restrictions(self, m5_matroid):
@@ -127,7 +139,7 @@ class TestRestrictionSets:
         n = 5
         poset = build_poset(m5_matroid, "extint-ind")
         cx, order_masks = aug_order(m5_matroid, first_extension(poset))
-        rep = verify_shelling(cx, order_masks, check_properties=False)
+        rep = verify_shelling(cx, order_masks)
         ext = first_extension(poset)
         pos = ext.index(ps5("25"))
         assert rep.restrictions[pos] == ps5("25") << (2 * n)
@@ -135,7 +147,7 @@ class TestRestrictionSets:
         fposet = build_poset(m5_matroid, "flip-ind")
         fext = first_extension(fposet)
         cxf, forder = aug_order(m5_matroid, fext)
-        frep = verify_shelling(cxf, forder, check_properties=False)
+        frep = verify_shelling(cxf, forder)
         pos = fext.index(ps5("2"))
         assert frep.restrictions[pos] == (ps5("45") << n) | (ps5("2") << (2 * n))
         # the first flip facet is the minimum basis, whose restriction is empty
@@ -148,7 +160,7 @@ class TestPropertyH:
             cx = build_complex(m5_matroid, kind)
             ext = first_extension(build_poset(m5_matroid, poset_kind))
             order = [cx.facet_by_tag[i] for i in ext]
-            rep = verify_shelling(cx, order, check_properties=False)
+            rep = verify_shelling(cx, order)
             assert property_H_check(cx, order, rep.restrictions)
 
     def test_restrictions_outside_intervals_raise(self, m5_matroid):
@@ -157,7 +169,7 @@ class TestPropertyH:
         cx = build_complex(m5_matroid, "augmented-ea")
         ext = first_extension(build_poset(m5_matroid, "extint-ind"))
         order = [cx.facet_by_tag[i] for i in ext]
-        rep = verify_shelling(cx, order, check_properties=False)
+        rep = verify_shelling(cx, order)
         corrupt = [order[0]] + rep.restrictions[1:]
         with pytest.raises(EquivalenceMismatch):
             property_H_check(cx, order, corrupt)
@@ -170,7 +182,7 @@ class TestPropertyH:
 class TestHComplex:
     def test_augmented_family_is_independence_complex(self, m5_matroid):
         cx, order = aug_order(m5_matroid, first_extension(build_poset(m5_matroid, "extint-ind")))
-        rep = verify_shelling(cx, order, check_properties=False)
+        rep = verify_shelling(cx, order)
         assert h_complex_check(rep.restrictions)
         supports = {r >> (2 * 5) for r in rep.restrictions}
         assert supports == set(m5_matroid.independent_sets)
@@ -179,7 +191,7 @@ class TestHComplex:
         cx = build_complex(m5_matroid, "augmented-nbc")
         ext = first_extension(build_poset(m5_matroid, "nbc-extint"))
         order = [cx.facet_by_tag[i] for i in ext]
-        rep = verify_shelling(cx, order, check_properties=False)
+        rep = verify_shelling(cx, order)
         assert h_complex_check(rep.restrictions)
         family = {xyz_blocks(m5_matroid, r) for r in rep.restrictions}
         assert family == {(0, 0, s) for s in nbc_sets(m5_matroid)}
@@ -190,7 +202,7 @@ class TestHComplex:
         m = uniform(2, 3)
         cx = independence_complex(m)
         order = [cx.facet_by_tag[b] for b in sorted(m.bases, key=lambda b: sorted(subset_str(b, 3)))]
-        rep = verify_shelling(cx, order, check_properties=False)
+        rep = verify_shelling(cx, order)
         assert rep.verdict
         brute = restriction_sets_bruteforce(order)
         assert rep.restrictions == brute
@@ -362,10 +374,12 @@ class TestRandomMatroids:
         poset = build_poset(m, "extint-ind")
         for offset in range(2):
             order = random_extension(poset, _random.Random(seed + offset))
-            report = verify_shelling(cx, [cx.facet_by_tag[i] for i in order])
+            facets = [cx.facet_by_tag[i] for i in order]
+            report = verify_shelling(cx, facets)
             assert report.verdict
             assert report.matches_complex_h
-            assert report.property_h and report.h_complex
+            assert property_H_check(cx, facets, report.restrictions)
+            assert h_complex_check(report.restrictions)
             n = m.n
             assert all(
                 r == i << (2 * n) for i, r in zip(order, report.restrictions)
@@ -422,24 +436,20 @@ def submask_h_complex(restrictions):
     return all(sub in family for r in family for sub in submasks(r))
 
 
-def scan_verify_shelling(cx, order, check_properties=True):
+def scan_verify_shelling(cx, order):
     """The O(s²) verifier: each R_k checked against every earlier facet."""
     restrictions = []
     for k in range(len(order)):
         rk = scan_restriction(order, k)
         for i in range(k):
             if rk & ~order[i] == 0:
-                return ShellingReport(False, (i, k), restrictions, None, None, None, None)
+                return ShellingReport(False, (i, k), restrictions, None, None)
         restrictions.append(rk)
     h = [0] * (cx.facet_size + 1)
     for r in restrictions:
         h[r.bit_count()] += 1
     h_tuple = tuple(h) if order else ()
-    report = ShellingReport(True, None, restrictions, h_tuple, h_tuple == cx.fh.h, None, None)
-    if check_properties:
-        report.property_h = scan_property_h(order, restrictions)
-        report.h_complex = submask_h_complex(restrictions)
-    return report
+    return ShellingReport(True, None, restrictions, h_tuple, h_tuple == cx.fh.h)
 
 
 def outcome(fn, *args):

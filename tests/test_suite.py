@@ -17,7 +17,6 @@ from activita.corpus import builtin_corpus, m5
 from activita.errors import NoLinearExtension
 from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
 from activita.orders import Poset
-from activita.shelling import flip_restrictions
 from activita.suite import run_check, run_suite
 from activita.tutte import BiPoly
 from test_oracles import EDGE_CASES, W4
@@ -162,18 +161,18 @@ def test_witness_pass_runs_when_the_first_order_does_not_shell(monkeypatch):
     assert steps == [len(matroid.independent_sets) + 1]
 
 
-def corrupt_second_report(field, value):
-    """Set one field of the second report that ``shelling.verify_shelling``
-    returns, so the corruption sits on an order after the first."""
+def corrupt_report(field, value, nth=2):
+    """Set one field of the ``nth`` report that ``shelling.verify_shelling``
+    returns; the second sits on an order after the first."""
 
     def patch(monkeypatch):
         real = shelling.verify_shelling
         reports = []
 
-        def corrupted(cx, order, check_properties=True):
-            report = real(cx, order, check_properties=check_properties)
+        def corrupted(cx, order):
+            report = real(cx, order)
             reports.append(report)
-            if len(reports) == 2:
+            if len(reports) == nth:
                 setattr(report, field, value(report))
             return report
 
@@ -182,17 +181,25 @@ def corrupt_second_report(field, value):
     return patch
 
 
-def wrong_flip_closed_form(monkeypatch):
-    def wrong(m):
-        closed = flip_restrictions(m)
+def falsify(field, nth=2):
+    return corrupt_report(field, lambda report: False, nth)
+
+
+def fails(name):
+    """``shelling.<name>`` returns False: the flag it stands for fails."""
+    return lambda monkeypatch: monkeypatch.setattr(shelling, name, lambda *args: False)
+
+
+def wrong_closed_form(monkeypatch):
+    """The closed form a check hands to ``verify_orders`` is off at one tag."""
+    real = suite.verify_orders
+
+    def wrong(cx, orders, closed_form):
+        closed = dict(closed_form)
         closed[next(iter(closed))] ^= 1
-        return closed
+        return real(cx, orders, closed)
 
-    monkeypatch.setattr(suite, "flip_restrictions", wrong)
-
-
-def falsify(field):
-    return corrupt_second_report(field, lambda report: False)
+    monkeypatch.setattr(suite, "verify_orders", wrong)
 
 
 def bruteforce_drops_the_last_set(monkeypatch):
@@ -393,7 +400,6 @@ def u24():
     return uniform(2, 4)
 
 
-REVERSED = corrupt_second_report("restrictions", lambda report: report.restrictions[::-1])
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
 ACTIVITY, CRAPO, TUTTE = suite.check_activity, suite.check_crapo, suite.check_tutte
 POSETS = suite.check_posets
@@ -441,11 +447,13 @@ MUTANTS = {
     "nbc-iff-no-external-activity": (
         m5, ACTIVITY, empty_set_is_not_nbc, {"nbc-iff-no-external-activity"}, "activity-duality"
     ),
-    "restriction-sets-z": (m5, MAIN, REVERSED, {"restriction-sets-z"}, "shelling-extint"),
-    "property-H": (m5, MAIN, falsify("property_h"), {"property-H"}, "shelling-extint"),
-    "h-complex": (m5, MAIN, falsify("h_complex"), {"h-complex"}, "shelling-extint"),
+    "restriction-sets-z": (m5, MAIN, wrong_closed_form, {"restriction-sets-z"}, "shelling-extint"),
+    "property-H": (m5, MAIN, fails("property_H_check"), {"property-H"}, "shelling-extint"),
+    "h-complex": (m5, MAIN, fails("h_complex_check"), {"h-complex"}, "shelling-extint"),
+    # the h-vector match is read once per restriction map, from its first report
     "h-vector-from-restrictions": (
-        m5, MAIN, falsify("matches_complex_h"), {"h-vector-from-restrictions"}, "shelling-extint"
+        m5, MAIN, falsify("matches_complex_h", nth=1), {"h-vector-from-restrictions"},
+        "shelling-extint",
     ),
     "witness-certifies-first-order": (
         m5, MAIN, witness_table_mutant(no_exchange_witness), {"witness-certifies-first-order"},
@@ -456,14 +464,14 @@ MUTANTS = {
         "restriction-sets-z",
     ),
     "restriction-sets-flip": (
-        m5, FLIP, wrong_flip_closed_form, {"restriction-sets-flip"}, "shelling-flip"
+        m5, FLIP, wrong_closed_form, {"restriction-sets-flip"}, "shelling-flip"
     ),
     # equal restriction sets give equal polynomials, so a report whose
     # polynomial differs also fails the closed form
     "bivariate-order-invariant": (
         m5,
         FLIP,
-        corrupt_second_report("restrictions", lambda report: [0] * len(report.restrictions)),
+        corrupt_report("restrictions", lambda report: [0] * len(report.restrictions)),
         {"restriction-sets-flip", "bivariate-order-invariant"},
         "shelling-flip",
     ),
@@ -471,9 +479,9 @@ MUTANTS = {
     "nbc-induced-subcomplexes": (
         m5, NBC, drop_an_induced_facet, {"nbc-induced-subcomplexes"}, "nbc-facet-count"
     ),
-    "restriction-sets-nbc": (m5, NBC, REVERSED, {"restriction-sets-nbc"}, "shelling-nbc"),
-    "property-H-nbc": (m5, NBC, falsify("property_h"), {"property-H-nbc"}, "shelling-nbc"),
-    "h-complex-nbc": (m5, NBC, falsify("h_complex"), {"h-complex-nbc"}, "shelling-nbc"),
+    "restriction-sets-nbc": (m5, NBC, wrong_closed_form, {"restriction-sets-nbc"}, "shelling-nbc"),
+    "property-H-nbc": (m5, NBC, fails("property_H_check"), {"property-H-nbc"}, "shelling-nbc"),
+    "h-complex-nbc": (m5, NBC, fails("h_complex_check"), {"h-complex-nbc"}, "shelling-nbc"),
     "tutte-oracle-agreement": (
         m5, TUTTE, deletion_contraction_swaps_the_variables, {"tutte-oracle-agreement"},
         "tutte-duality",
