@@ -18,8 +18,8 @@ import click
 from .activity import activity_profile
 from .bitsets import parse_subset, subset_label, subset_str
 from .complexes import COMPLEX_KINDS, SimplicialComplex, blocks, build_complex
-from .corpus import builtin_corpus, corpus_from_env
-from .errors import ActivitaError, ParseError
+from .corpus import builtin_corpus
+from .errors import ActivitaError
 from .matroid import Matroid
 from .orders import POSET_KINDS, Poset, build_poset, random_extension
 from .shelling import ShellingReport, h_complex_check, property_H_check, verify_shelling
@@ -214,10 +214,6 @@ def verify(matroids: tuple[str, ...], cap: int, seed: int,
            report_path: str | None, builtin: bool) -> None:
     """Run the full theorem-verification suite; nonzero exit on any failure."""
     entries = [(k, m, "the built-in corpus") for k, m in builtin_corpus().items()] if builtin else []
-    try:
-        entries += corpus_from_env()
-    except ParseError as exc:
-        raise click.UsageError(str(exc)) from exc
     entries += [(Path(path).stem, _load(path), path) for path in matroids]
     corpus: dict[str, Matroid] = {}
     sources: dict[str, str] = {}

@@ -7,15 +7,8 @@ Hasse diagrams are the ground truth that the test suite pins down exactly.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 from .bitsets import parse_subset
-from .errors import ParseError
 from .matroid import Matroid, from_bases, graphic, uniform
-from .specio import parse_spec
-
-CORPUS_DIR_ENV = "ACTIVITA_CORPUS_DIR"
 
 M5_BASIS_STRINGS = ("345", "135", "245", "235", "125", "134", "234", "124")
 
@@ -37,17 +30,3 @@ def builtin_corpus() -> dict[str, Matroid]:
         "triangle-pendant": graphic(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
     }
 
-
-def corpus_from_env() -> list[tuple[str, Matroid, str]]:
-    """Extra corpus entries (name, matroid, file) from *.json files under
-    $ACTIVITA_CORPUS_DIR."""
-    directory = os.environ.get(CORPUS_DIR_ENV)
-    if not directory:
-        return []
-    out = []
-    for path in sorted(Path(directory).glob("*.json")):
-        try:
-            out.append((path.stem, parse_spec(path.read_text()), str(path)))
-        except (ParseError, OSError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return out

@@ -17,7 +17,7 @@ from collections import defaultdict
 from functools import cached_property, reduce, wraps
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bitsets import MAX_GROUND, elems_of, mask_of, subset_str
 from .errors import (
@@ -223,6 +223,14 @@ def from_bases(n: int, bases: Iterable[int], provenance: str = "explicit") -> Ma
     return Matroid(n, blist, provenance)
 
 
+def _by_rank(n: int, rank: Callable[[Iterable[int]], int], provenance: str) -> Matroid:
+    """The matroid on n elements whose bases are the r-subsets c of range(n)
+    with rank(c) = r, where r = rank(range(n)); element i + 1 is index i."""
+    r = rank(range(n))
+    bases = [mask_of(i + 1 for i in c) for c in combinations(range(n), r) if rank(c) == r]
+    return from_bases(n, bases, provenance)
+
+
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid U(r, n): every r-subset is a basis."""
     _ground_size(n)
@@ -246,11 +254,10 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     m = _ground_size(len(edges))
 
     def forest_size(edge_idxs: Iterable[int]) -> int:
-        parent = list(range(vertices + 1))
+        parent: dict[int, int] = {}  # union-find over the endpoints met so far
 
         def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
+            while x in parent:
                 x = parent[x]
             return x
 
@@ -263,13 +270,7 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
                 used += 1
         return used
 
-    r = forest_size(range(m))
-    bases = [
-        mask_of(i + 1 for i in c)
-        for c in combinations(range(m), r)
-        if forest_size(c) == r
-    ]
-    return from_bases(m, bases, provenance="graphic")
+    return _by_rank(m, forest_size, "graphic")
 
 
 def _is_prime(p: int) -> bool:
@@ -305,13 +306,7 @@ def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
             rank += 1
         return rank
 
-    r = col_rank(list(range(n)))
-    bases = [
-        mask_of(j + 1 for j in c)
-        for c in combinations(range(n), r)
-        if col_rank(c) == r
-    ]
-    return from_bases(n, bases, provenance="linear")
+    return _by_rank(n, col_rank, "linear")
 
 
 def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:

@@ -210,14 +210,17 @@ class TestVerifyCommand:
         assert all(f["ok"] for f in data["findings"])
         assert "PASS m5: shelling-extint" in result.output
 
-    def test_env_corpus_dir(self, runner, tmp_path, monkeypatch):
+    def test_environment_does_not_extend_the_corpus(self, runner, m5_path, tmp_path, monkeypatch):
+        # matroids come only from the arguments and --builtin
         extra = tmp_path / "extra"
         extra.mkdir()
         (extra / "u12.json").write_text('{"type": "uniform", "r": 1, "n": 2}')
+        argv = ["verify", m5_path, "--no-builtin", "--cap", "3"]
+        unset = runner.invoke(main, argv)
         monkeypatch.setenv("ACTIVITA_CORPUS_DIR", str(extra))
-        result = runner.invoke(main, ["verify", "--no-builtin", "--cap", "3"])
-        assert result.exit_code == 0, result.output
-        assert "u12" in result.output
+        result = runner.invoke(main, argv)
+        assert result.exit_code == unset.exit_code == 0, result.output
+        assert result.output == unset.output
 
     def test_no_matroids_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--no-builtin"])
@@ -237,25 +240,19 @@ class TestVerifyCommand:
             # a second matroid named "bad", and m5 beside the built-in m5
             ('{"type": "uniform", "r": 1, "n": 2}', ["{tmp}/other/bad.json"]),
             ('{"type": "uniform", "r": 1, "n": 2}', ["{tmp}/m5.json", "--builtin"]),
-            ('{"type": "uniform", "r": 1, "n": 2}', ["ACTIVITA_CORPUS_DIR={tmp}/other"]),
         ],
         ids=[
             "unequal-cardinality", "bool-int", "float-vertex", "int-subset",
             "str-entry", "float-entry", "cap-zero", "cap-negative",
-            "duplicate-file-name", "duplicate-builtin-name", "duplicate-env-name",
+            "duplicate-file-name", "duplicate-builtin-name",
         ],
     )
-    def test_bad_spec_is_usage_error(self, runner, tmp_path, monkeypatch, spec, args):
+    def test_bad_spec_is_usage_error(self, runner, tmp_path, spec, args):
         bad = tmp_path / "bad.json"
         (tmp_path / "other").mkdir()
         for path in (bad, tmp_path / "other" / "bad.json", tmp_path / "m5.json"):
             path.write_text(spec)
-        argv = ["verify", str(bad), "--no-builtin"]
-        for arg in (a.format(tmp=tmp_path) for a in args):
-            if arg.startswith("ACTIVITA_CORPUS_DIR="):
-                monkeypatch.setenv(*arg.split("=", 1))
-            else:
-                argv.append(arg)
+        argv = ["verify", str(bad), "--no-builtin", *(a.format(tmp=tmp_path) for a in args)]
         result = runner.invoke(main, argv)
         assert result.exit_code == 2
         if "{tmp}" in "".join(args):  # the error names the matroid and both sources
@@ -359,3 +356,14 @@ class TestCorpusCommand:
         # dumped specs parse back to the same matroids
         for path in out.glob("*.json"):
             parse_spec(path.read_text())
+
+    def test_dumped_specs_verify_like_the_builtin_corpus(self, runner, tmp_path):
+        # the one route for extra matroids: `corpus --dir D`, then `verify --no-builtin D/*.json`
+        out = tmp_path / "specs"
+        assert runner.invoke(main, ["corpus", "--dir", str(out)]).exit_code == 0
+        specs = [str(p) for p in sorted(out.glob("*.json"))]
+        dumped = runner.invoke(main, ["verify", "--no-builtin", *specs, "--cap", "20"])
+        builtin = runner.invoke(main, ["verify", "--cap", "20"])
+        assert dumped.exit_code == builtin.exit_code == 0, dumped.output
+        assert dumped.output.endswith("317/317 checks passed\n")
+        assert set(dumped.output.splitlines()) == set(builtin.output.splitlines())

@@ -2,6 +2,7 @@
 per-matroid memo."""
 
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,13 @@ class TestGraphic:
     def test_self_loop_is_loop(self):
         m = graphic(2, [(1, 2), (2, 2)])
         assert m.loops == mask_of([2])
+
+    def test_isolated_vertices_cost_nothing(self):
+        # the forests are sized over the edges' endpoints, not over every vertex
+        k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        started = time.perf_counter()
+        assert graphic(10**7, k4) == graphic(4, k4)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestLinear:
