@@ -1,9 +1,10 @@
 """External/internal activities, Crapo's decomposition, and broken circuits.
 
 An element e outside S is externally active for S when some circuit inside
-S ∪ {e} has e as its maximum; internal activity is external activity of the
-complement taken in the dual matroid, which is the normative route here (the
-exchange characterization for bases is kept as an independent cross-check).
+S ∪ {e} has e as its maximum: defined by circuits, computed by closure.
+Internal activity is external activity of the complement in the dual matroid,
+the normative route here (the exchange characterization for bases is kept as
+an independent cross-check).
 """
 
 from __future__ import annotations
@@ -40,16 +41,24 @@ class CrapoDecomposition:
 
 
 def externally_active(matroid: Matroid, subset: int) -> int:
-    """Mask of externally active elements for a subset.
+    """Mask of externally active elements for a subset, by closure.
 
-    e is collected iff some circuit has maximum e, e ∉ S, and the rest of the
-    circuit lies in S (i.e. S contains the corresponding broken circuit).
+    e ∉ S is active iff S ∩ [1, e) spans e (Björner 1992, §7.3), since a
+    circuit of S ∪ e with maximum e lies in (S ∩ [1, e)) ∪ e.  One pass over
+    e = 1..n keeps ``span``, a greedy basis of S ∩ [1, e), whose closure is
+    that of S ∩ [1, e): each element left out depended on it.  So e ∉ S is
+    active iff span ∪ e is dependent: n independence tests.
     """
-    active = 0
-    for circ in matroid.circuits:
-        top = 1 << (circ.bit_length() - 1)
-        if not (subset & top) and (circ ^ top) & ~subset == 0:
-            active |= top
+    independent = matroid.is_independent
+    span = active = 0
+    bit, top = 1, 1 << matroid.n
+    while bit < top:
+        if subset & bit:
+            if independent(span | bit):
+                span |= bit
+        elif not independent(span | bit):
+            active |= bit
+        bit <<= 1
     return active
 
 
@@ -67,26 +76,17 @@ def activity_profile_by_exchange(matroid: Matroid, basis: int) -> ActivityProfil
 
     e ∉ B is externally active iff no larger e' ∈ B gives a basis B∖e'∪e;
     e ∈ B is internally active iff no larger e' ∉ B gives a basis B∖e∪e'.
+    Either way the exchange is B △ {e, e'} with e' on the other side of B.
     """
     if not matroid.is_basis(basis):
         raise NotABasis(f"{subset_str(basis, matroid.n)} is not a basis")
-    full = matroid.full_mask
-    ea = ia = 0
+    full, active = matroid.full_mask, 0
     for e in range(1, matroid.n + 1):
         ebit = 1 << (e - 1)
-        bigger = full & ~((ebit << 1) - 1)
-        if basis & ebit:
-            swaps = bigger & ~basis
-            if not any(
-                matroid.is_basis((basis ^ ebit) | 1 << x) for x in iter_bits(swaps)
-            ):
-                ia |= ebit
-        else:
-            swaps = bigger & basis
-            if not any(
-                matroid.is_basis((basis ^ 1 << x) | ebit) for x in iter_bits(swaps)
-            ):
-                ea |= ebit
+        others = full & ~((ebit << 1) - 1) & (~basis if basis & ebit else basis)
+        if not any(matroid.is_basis(basis ^ ebit ^ 1 << x) for x in iter_bits(others)):
+            active |= ebit
+    ea, ia = active & ~basis, active & basis
     return ActivityProfile(ea=ea, ep=full & ~basis & ~ea, ia=ia, ip=basis & ~ia)
 
 

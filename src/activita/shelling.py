@@ -129,18 +129,13 @@ def verify_shelling_pairwise(
     """Literal quantifier form of the shelling condition (brute-force oracle)."""
     if sorted(order) != sorted(cx.facets):
         raise NotAPermutation("order is not a permutation of the complex's facets")
-    for k in range(len(order)):
-        fk = order[k]
+    for k, fk in enumerate(order):
         for i in range(k):
-            inter_ik = order[i] & fk
-            ok = False
-            for j in range(k):
-                inter_jk = order[j] & fk
-                gone = fk & ~inter_jk
-                if gone.bit_count() == 1 and inter_ik & ~inter_jk == 0:
-                    ok = True
-                    break
-            if not ok:
+            # some j < k with F_j ∩ F_k = F_k ∖ e for one vertex e, and F_i ∩ F_k ⊆ F_j
+            if not any(
+                (fk & ~order[j]).bit_count() == 1 and not order[i] & fk & ~order[j]
+                for j in range(k)
+            ):
                 return False, (i, k)
     return True, None
 
@@ -397,8 +392,6 @@ def exchange_down_basis(matroid: Matroid, a_basis: int, a: int) -> int:
     rest = a_basis ^ abit
     for d in range(matroid.n, 0, -1):
         dbit = 1 << (d - 1)
-        if dbit & (rest | abit):
-            continue
-        if matroid.is_basis(rest | dbit):
+        if not dbit & (rest | abit) and matroid.is_basis(rest | dbit):
             return rest | dbit
     raise WitnessNotFound(f"no exchange above element {a}")

@@ -120,16 +120,27 @@ def check_matroid_axioms(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verd
     return [m.dual.dual.bases == m.bases, in_no_basis and minimal, uniq, mono, sub]
 
 
+def _externally_active_by_circuits(m: Matroid, s: int) -> int:
+    """The definition: e ∉ S is active iff some circuit C with maximum e has
+    C∖e ⊆ S, that is C∖S = {max C}.  The oracle of the closure form."""
+    return sum({c & ~s for c in m.circuits if c & ~s == 1 << c.bit_length() - 1})
+
+
 def check_activity(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
+    """``activity-exchange-crosscheck`` also holds the activities of every
+    subset of m and of its dual to the circuit definition."""
     full = m.full_mask
-    partition = duality = True
+    partition = duality = by_circuits = True
     for s in range(1 << m.n):
         prof = activity_profile(m, s)
         partition &= prof.ea | prof.ep == full & ~s and not prof.ea & prof.ep
         partition &= prof.ia | prof.ip == s and not prof.ia & prof.ip
         dual_prof = activity_profile(m.dual, full & ~s)
         duality &= prof.ia == dual_prof.ea and prof.ea == dual_prof.ia
+        by_circuits &= prof.ea == _externally_active_by_circuits(m, s)
+        by_circuits &= prof.ia == _externally_active_by_circuits(m.dual, full & ~s)
     exchange = all(activity_profile(m, b) == activity_profile_by_exchange(m, b) for b in m.bases)
+    exchange &= by_circuits
     nbc_ok = all(is_nbc(m, i) == (activity_profile(m, i).ea == 0) for i in m.independent_sets)
     return [partition, duality, exchange, nbc_ok]
 

@@ -196,12 +196,8 @@ class IdentityReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.h_matches
-            and self.nbc_matches
-            and self.bivariate_matches
-            and self.collapse_matches
-        )
+        flags = (self.h_matches, self.nbc_matches, self.bivariate_matches, self.collapse_matches)
+        return all(flags)
 
 
 def identity_report(matroid: Matroid) -> IdentityReport:

@@ -114,16 +114,23 @@ class TestCrapo:
         with pytest.raises(NotIndependent):
             crapo_decompose_independent(m5_matroid, ps5("123"))
 
-    def test_guards_fire_on_broken_structure(self):
-        # bypassing validation with a non-matroid makes the uniqueness guard trip
+    def test_guards_fire_on_broken_structure(self, monkeypatch):
+        # bypassing validation with a non-matroid makes the guards trip
+        import activita.activity as activity
         from activita.errors import DecompositionNotFound, DecompositionNotUnique
         from activita.matroid import Matroid
+        from activita.suite import _externally_active_by_circuits
 
         broken = Matroid(4, [0b0011, 0b1100])
-        with pytest.raises((DecompositionNotFound, DecompositionNotUnique)):
+        # by closure, 1 lies in no interval [B∖IA(B), B∪EA(B)]: 12 is [12, 1234], 34 is [∅, 34]
+        with pytest.raises(DecompositionNotFound, match="^no Crapo decomposition of 1$"):
             for s in range(16):
                 crapo_decompose_subset(broken, s)
-        # ∅ lies in the intervals of both bases, and is named as ∅
+        # by the circuit definition every element of the family is a loop (each
+        # fundamental circuit is a singleton), so ∅ lies in the intervals of
+        # both bases, and is named as ∅
+        monkeypatch.setattr(activity, "externally_active", _externally_active_by_circuits)
+        broken = Matroid(4, [0b0011, 0b1100])
         with pytest.raises(DecompositionNotUnique, match="^2 Crapo decompositions of ∅$"):
             crapo_decompose_subset(broken, 0)
 

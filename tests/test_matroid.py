@@ -3,6 +3,7 @@ per-matroid memo."""
 
 import pickle
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from activita.errors import (
 )
 from activita.activity import broken_circuits, related_basis
 from activita.corpus import m5
+from activita.specio import parse_spec
 from activita.matroid import (
     from_bases,
     graphic,
@@ -140,6 +142,22 @@ class TestGraphic:
         started = time.perf_counter()
         assert graphic(10**7, k4) == graphic(4, k4)
         assert time.perf_counter() - started < 1.0
+
+
+LADDER = Path(__file__).resolve().parents[1] / "specs" / "ladder"
+
+
+def test_ladder_specs_and_a_cold_uniform_6_14():
+    # spanning trees of K5 (Cayley: 5^3) and of the wheels W5 and W6, C(10, 5), C(12, 4)
+    counts = {"K5": 125, "W5": 121, "u5-10": 252, "u4-12": 495, "W6": 320}
+    assert {p.stem for p in LADDER.glob("*.json")} == set(counts)
+    for name, count in counts.items():
+        assert len(parse_spec((LADDER / f"{name}.json").read_bytes()).bases) == count, name
+    # the exchange check by fundamental cocircuits: one pass over the 3,003
+    # bases per distinct cocircuit, not one per pair of bases
+    started = time.perf_counter()
+    assert len(uniform(6, 14).bases) == 3003
+    assert time.perf_counter() - started < 3.0
 
 
 class TestLinear:

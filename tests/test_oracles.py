@@ -8,7 +8,10 @@ lookups that its lattice table replaced, the grouped witness pass against the pe
 it replaced, the per-order property (H), h-complex, h-vector and bivariate
 checks against the once-per-restriction-map checks that replaced them, the
 f-vector oracles: inclusion-exclusion, the submask walk and the memoized
-Shannon expansion that the ZDD count replaced, and the recursive enumeration of linear extensions that the explicit stack
+Shannon expansion that the ZDD count replaced, the recursive enumeration of
+linear extensions that the explicit stack replaced, the closure form of
+external and internal activity against the circuit definition, and the
+exchange check by fundamental cocircuits against the pairwise scan it
 replaced.  Two invariants besides: ``blocks`` inverts ``xyz``, and the
 activity Tutte polynomial keeps under relabeling and swaps q and t under
 duality.
@@ -20,7 +23,7 @@ all-zero matrix or a graph of self-loops gives rank 0.
 """
 
 import random
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from math import comb
 
 import pytest
@@ -30,6 +33,7 @@ from hypothesis import strategies as st
 from activita.activity import (
     activity_profile,
     crapo_decompose_independent,
+    externally_active,
     crapo_decompose_subset,
     nbc_sets,
     related_basis,
@@ -37,10 +41,10 @@ from activita.activity import (
 import activita.orders as orders
 import activita.shelling as shelling
 import activita.suite as suite
-from activita.bitsets import MAX_GROUND, iter_bits, submasks, subset_label
+from activita.bitsets import MAX_GROUND, iter_bits, parse_subset, submasks, subset_label
 from activita.complexes import blocks, build_complex, face_counts, xyz
 from activita.corpus import builtin_corpus, m5
-from activita.errors import LatticeFailure, NotIndependent
+from activita.errors import ExchangeAxiomViolated, LatticeFailure, NotIndependent
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
     POSET_KINDS,
@@ -623,3 +627,88 @@ def small_posets(draw):
 @settings(max_examples=150, deadline=None)
 def test_explicit_stack_extensions_match_recursion(poset, limit):
     assert orders._enumerate_extensions(poset, limit) == recursive_extensions(poset, limit)
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_activities_by_closure_match_the_circuit_definition(m):
+    # EA on every subset of m and of its dual, so IA = EA of the complement too
+    by_circuits = suite._externally_active_by_circuits
+    for matroid in (m, m.dual):
+        for s in range(1 << m.n):
+            assert externally_active(matroid, s) == by_circuits(matroid, s)
+    for s in range(1 << m.n):
+        prof = activity_profile(m, s)
+        assert prof.ia == by_circuits(m.dual, m.full_mask & ~s)
+
+
+def exchange_pairwise(bases):
+    """The first (a, b, x) in the loop over ordered pairs of bases that the
+    cocircuit check replaced: x ∈ a∖b with no y ∈ b∖a making a∖x∪y a basis.
+    None when the family satisfies the exchange axiom."""
+    basis_set = set(bases)
+    for a in bases:
+        for b in bases:
+            for x in iter_bits(a & ~b):
+                if not any((a ^ 1 << x) | 1 << y in basis_set for y in iter_bits(b & ~a)):
+                    return a, b, x + 1
+    return None
+
+
+def assert_exchange_matches_pairwise(n, bases):
+    """``from_bases`` accepts the family iff the pairwise scan does, and a
+    rejection names bases a, b and an element x ∈ a∖b that the pairwise
+    definition says no y ∈ b∖a exchanges for.  Returns whether it accepted."""
+    bases = sorted(set(bases))
+    try:
+        from_bases(n, bases)
+        accepted = True
+    except ExchangeAxiomViolated as err:
+        accepted = False
+        a, b, x = parse_subset(err.witness[0], n), parse_subset(err.witness[1], n), err.witness[2]
+        assert exchange_pairwise(bases) is not None
+        xbit = 1 << x - 1
+        assert a in bases and b in bases and a & xbit and not b & xbit
+        assert not any((a ^ xbit) | 1 << y in bases for y in iter_bits(b & ~a))
+    else:
+        assert exchange_pairwise(bases) is None
+    return accepted
+
+
+def equal_size_families(n):
+    """Every nonempty family of r-subsets of [n], for every r."""
+    for r in range(n + 1):
+        sets = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+        for pick in range(1, 1 << len(sets)):
+            yield [s for x, s in enumerate(sets) if pick >> x & 1]
+
+
+def test_exchange_check_matches_pairwise_scan_on_every_family_up_to_five_elements():
+    # the accepted families are the labeled matroids: 2 + 5 + 16 + 68 + 406 (OEIS A058673)
+    families = [(n, f) for n in range(1, 6) for f in equal_size_families(n)]
+    assert len(families) == 2228
+    assert sum(assert_exchange_matches_pairwise(n, family) for n, family in families) == 497
+
+
+R_SUBSETS_OF_SIX = [[sum(1 << e for e in c) for c in combinations(range(6), r)] for r in range(7)]
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda r: st.lists(st.sampled_from(R_SUBSETS_OF_SIX[r]), min_size=1, max_size=20)
+))
+@example([0b000011, 0b001100])
+@example(R_SUBSETS_OF_SIX[3])  # U(3, 6)
+@settings(max_examples=300, deadline=None)
+def test_exchange_check_matches_pairwise_scan_on_six_elements(family):
+    assert_exchange_matches_pairwise(6, family)
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=40, deadline=None)
+def test_exchange_check_accepts_every_matroid_and_its_sub_families_as_pairwise(m):
+    # a matroid's bases pass both; dropping one basis often breaks exchange
+    assert exchange_pairwise(m.bases) is None
+    for drop in m.bases[1:4]:  # a family of one basis is always a matroid's
+        assert_exchange_matches_pairwise(m.n, [b for b in m.bases if b != drop])

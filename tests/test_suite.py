@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import activita.activity as activity
 import activita.shelling as shelling
 import activita.suite as suite
 import activita.tutte as tutte
@@ -241,6 +242,13 @@ def whole_b_plus_e_as_circuit(monkeypatch):
     """Answer (B, e) with all of B ∪ e: dependent and inside no basis, but not
     minimal wherever the true circuit misses an element of B."""
     monkeypatch.setattr(Matroid, "fundamental_circuit", lambda m, basis, e: basis | 1 << (e - 1))
+
+
+def activities_from_whole_b_plus_e(monkeypatch):
+    """B ∪ e as every circuit, and the activities read off those circuits by
+    the definition, which the closure form of ``externally_active`` ignores."""
+    whole_b_plus_e_as_circuit(monkeypatch)
+    monkeypatch.setattr(activity, "externally_active", suite._externally_active_by_circuits)
 
 
 def circuit_of_the_next_element(monkeypatch):
@@ -644,18 +652,19 @@ def test_a_check_that_raises_fails_every_declared_name(monkeypatch):
 
 
 def test_a_failing_crapo_partition_names_the_set_and_the_way_it_failed(monkeypatch):
-    # with B ∪ e as every circuit, element 1 lies in no interval [B∖IA(B), B∪EA(B)],
-    # and the error fails every Crapo finding
-    whole_b_plus_e_as_circuit(monkeypatch)
+    # with activities from B ∪ e as every circuit, element 1 lies in no interval
+    # [B∖IA(B), B∪EA(B)], and the error fails every Crapo finding
+    activities_from_whole_b_plus_e(monkeypatch)
     findings = {f.check: (f.ok, f.detail) for f in run_check(suite.check_crapo, "m5", m5())}
     error = (False, "DecompositionNotFound: no Crapo decomposition of 1")
     assert findings == dict.fromkeys(suite.FINDINGS["check_crapo"], error)
 
 
 def test_an_order_with_no_linear_extension_fails_without_raising(monkeypatch):
-    # B ∪ e as every circuit leaves extint-ind with a cycle: no linear extension,
-    # so the shelling samples are empty and the Tutte identities have no order
-    whole_b_plus_e_as_circuit(monkeypatch)
+    # activities from B ∪ e as every circuit leave extint-ind with a cycle: no
+    # linear extension, so the shelling samples are empty and the Tutte
+    # identities have no order
+    activities_from_whole_b_plus_e(monkeypatch)
     findings = run_suite({"m5": m5()}, cap=10, seed=0)
     # every declared name once, bar the crosscheck that m5's 24 facets skip
     declared = [name for names in suite.FINDINGS.values() for name in names]
@@ -671,3 +680,14 @@ def test_an_order_with_no_linear_extension_fails_without_raising(monkeypatch):
     no_extension = "NoLinearExtension: no linear extension of the 24 elements"
     for name in suite.FINDINGS["check_tutte"]:
         assert (found[name].ok, found[name].detail) == (False, no_extension)
+
+
+@pytest.mark.parametrize("mutant", [a_basis_listed_as_a_circuit, whole_b_plus_e_as_circuit])
+def test_circuit_mutants_fail_the_activity_crosscheck(monkeypatch, mutant):
+    # activities are computed by closure, so a wrong circuit leaves them as
+    # they are, and the circuit definition that the crosscheck reads disagrees
+    # (circuit_of_the_next_element lists the same circuits, and changes neither)
+    mutant(monkeypatch)
+    findings = {f.check: f.ok for f in run_check(ACTIVITY, "m5", m5())}
+    assert not findings["activity-exchange-crosscheck"]
+    assert findings["activity-partition"] and findings["activity-duality"]
