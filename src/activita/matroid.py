@@ -269,13 +269,9 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     return _by_rank(m, forest_size, "graphic")
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
-
-
 def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
     """Column matroid of a matrix over GF(p), p a prime at most 13."""
-    if not (_is_prime(p) and p <= 13):
+    if p not in (2, 3, 5, 7, 11, 13):
         raise NotPrime(f"{p} is not a prime at most 13")
     rows = [[x % p for x in row] for row in matrix]
     if not rows or not rows[0]:

@@ -71,10 +71,13 @@ def matroid_from_dict(spec: dict) -> Matroid:
 def parse_spec(text: str | bytes) -> Matroid:
     """Parse a JSON matroid spec; construction errors propagate unchanged."""
     try:
-        spec = json.loads(text)
+        return matroid_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return matroid_from_dict(spec)
+    except ValueError as exc:  # from json.loads: an integer past sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # JSON or "dual" levels nested past the recursion limit
+        raise ParseError("spec nested too deeply") from exc
 
 
 def spec_dict(matroid: Matroid) -> dict:

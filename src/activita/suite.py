@@ -24,7 +24,7 @@ from .activity import (
     related_basis,
 )
 from .bitsets import elems_of, iter_bits, subset_label
-from .complexes import build_complex, induced_subcomplex, xyz
+from .complexes import build_complex, independence_complex, induced_subcomplex, xyz
 from .errors import ActivitaError
 from .matroid import Matroid
 from .orders import (
@@ -50,7 +50,6 @@ from .shelling import (
 from .tutte import (
     BiPoly,
     bivariate_restriction_polynomial,
-    h_polynomial,
     identity_report,
     tutte_by_activities,
     tutte_by_deletion_contraction,
@@ -237,8 +236,7 @@ def _sampled_shelling(
     """Shell the complex ``kinds[0]`` along sampled extensions of the poset
     ``kinds[1]``.  Returns the verdicts of the five flags of
     :func:`verify_orders`, the first with the sample size as its detail, the
-    orders, and the restriction sets once per restriction map; a caller names
-    a prefix of the verdicts."""
+    orders, and the restriction sets once per restriction map."""
     cx = build_complex(m, kinds[0])
     sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=seed)
     flags, restrictions = verify_orders(cx, sample.orders, closed_form)
@@ -248,8 +246,8 @@ def _sampled_shelling(
 
 def check_shelling_main(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """Every (sampled) extension of the independent-set order shells the complex,
-    with restriction sets z_I, property (H), and an h-complex matching the
-    independence complex; the brute-force crosscheck needs at most 12 facets."""
+    with restriction sets z_I, property (H), an h-complex, and as h-vector the f-vector
+    of the independence complex and n zeros; the brute-force crosscheck needs at most 12 facets."""
     verdicts, orders, _ = _sampled_shelling(
         m, cap, seed, ("augmented-ea", "extint-ind"),
         {i: xyz(m.n, zs=i) for i in m.independent_sets}
@@ -267,7 +265,8 @@ def check_shelling_main(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdi
     for x in (ind.index[k] for k in first):
         shelled, early = shelled and not early & ind.up_rows[x], early | 1 << x
     error = witness_pass(m)[0]
-    return [*verdicts, crosscheck, (shelled and not error, error if shelled else "")]
+    h_is_f = verdicts[4] and cx.fh.h == independence_complex(m).fh.f + (0,) * m.n
+    return [*verdicts[:4], h_is_f, crosscheck, (shelled and not error, error if shelled else "")]
 
 
 def check_shelling_flip(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
@@ -287,21 +286,21 @@ def check_shelling_ea(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict
 
 
 def check_nbc_suite(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
-    cx, tutte, sets = build_complex(m, "augmented-nbc"), tutte_by_activities(m), nbc_sets(m)
+    """The augmented nbc complex has a facet per nbc set, induces the nbc complex, is
+    shelled by extensions of ``nbc-extint``, and has as h-vector the nbc complex's f-vector."""
+    cx, nbc, sets = build_complex(m, "augmented-nbc"), build_complex(m, "nbc"), nbc_sets(m)
     full = m.full_mask
     z_part = induced_subcomplex(cx, xyz(m.n, zs=full))
     xz_part = induced_subcomplex(build_complex(m, "augmented-ea"), xyz(m.n, full, 0, full))
     induced = (
-        sorted(z_part.facets) == sorted(build_complex(m, "nbc").facets)
+        sorted(z_part.facets) == sorted(nbc.facets)
         and sorted(xz_part.facets) == sorted(build_complex(m, "ea").facets)
     )
-    facet_count = len(cx.facets) == len(sets) == tutte.evaluate(2, 0)
     shelling = _sampled_shelling(
         m, cap, seed, ("augmented-nbc", "nbc-extint"), {s: xyz(m.n, zs=s) for s in sets}
     )[0]
-    q_plus_1 = BiPoly({(0, 0): 1, (1, 0): 1})
-    h_ok = h_polynomial(cx.fh.h) == tutte.subst(q_plus_1, BiPoly.zero())
-    return [facet_count, induced, *shelling[:4], h_ok]
+    h_is_f = shelling[4] and cx.fh.h == nbc.fh.f
+    return [len(cx.facets) == len(sets), induced, *shelling[:4], h_is_f]
 
 
 def check_witnesses(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
@@ -323,14 +322,14 @@ def check_witnesses(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
 
 
 def check_tutte(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
-    by_act = tutte_by_activities(m)
+    report = identity_report(m)
+    by_act = report.tutte
     swapped = BiPoly({(t, q): v for (q, t), v in by_act.coeffs.items()})
     evals_ok = (
         by_act.evaluate(2, 1) == len(m.independent_sets)
         and by_act.evaluate(1, 1) == len(m.bases)
         and by_act.evaluate(2, 0) == len(nbc_sets(m))
     )
-    report = identity_report(m)
     return [
         by_act == tutte_by_deletion_contraction(m), tutte_by_activities(m.dual) == swapped, evals_ok,
         report.h_matches, report.nbc_matches, report.bivariate_matches, report.collapse_matches,

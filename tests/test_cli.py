@@ -12,7 +12,7 @@ import activita.shelling as shelling
 from activita.cli import main
 from activita.corpus import builtin_corpus
 from activita.complexes import COMPLEX_KINDS
-from activita.errors import ParseError, UnequalCardinality
+from activita.errors import NotPrime, ParseError, UnequalCardinality
 from activita.specio import matroid_from_dict, parse_spec, spec_dict
 
 M5_SPEC = {
@@ -194,6 +194,34 @@ def test_an_oversized_ground_set_is_refused_before_any_enumeration(
     assert time.monotonic() - started < 1.0
     assert result.exit_code == 2
     assert "ground set size 65 outside 1..64" in result.output
+
+
+def linear_spec(p: str) -> str:
+    return f'{{"type": "linear", "p": {p}, "matrix": [[1, 1]]}}'
+
+
+HOSTILE = {  # spec text, the error parse_spec raises, the message the CLI prints
+    "p-10^400": (linear_spec(str(10**400)), NotPrime, "is not a prime at most 13"),
+    "p-10^18+3": (linear_spec(str(10**18 + 3)), NotPrime, "is not a prime at most 13"),
+    "p-of-5001-digits": (linear_spec("1" + "0" * 5000), ParseError, "invalid JSON: Exceeds"),
+    "dual-100000-deep": (
+        '{"type": "dual", "of": ' * 100_000 + '{"type": "uniform", "r": 1, "n": 2}' + "}" * 100_000,
+        ParseError, "spec nested too deeply",
+    ),
+}
+
+
+@pytest.mark.parametrize("text,error,message", HOSTILE.values(), ids=HOSTILE)
+def test_a_hostile_spec_is_refused_at_once(runner, tmp_path, text, error, message):
+    with pytest.raises(error, match=message):
+        parse_spec(text)
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    started = time.monotonic()
+    result = runner.invoke(main, ["tutte", str(path)])
+    assert time.monotonic() - started < 1.0
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 class TestVerifyCommand:

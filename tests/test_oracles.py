@@ -12,9 +12,9 @@ Shannon expansion that the ZDD count replaced, the recursive enumeration of
 linear extensions that the explicit stack replaced, the closure form of
 external and internal activity against the circuit definition, and the
 exchange check by fundamental cocircuits against the pairwise scan it
-replaced.  Two invariants besides: ``blocks`` inverts ``xyz``, and the
-activity Tutte polynomial keeps under relabeling and swaps q and t under
-duality.
+replaced.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
+Tutte polynomial keeps under relabeling and swaps q and t under duality, and
+the h-vectors of the augmented complexes are f-vectors by face counts.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -42,7 +42,7 @@ import activita.orders as orders
 import activita.shelling as shelling
 import activita.suite as suite
 from activita.bitsets import MAX_GROUND, iter_bits, parse_subset, submasks, subset_label
-from activita.complexes import blocks, build_complex, face_counts, xyz
+from activita.complexes import blocks, build_complex, face_counts, independence_complex, xyz
 from activita.corpus import builtin_corpus, m5
 from activita.errors import ExchangeAxiomViolated, LatticeFailure, NotIndependent
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
@@ -348,6 +348,17 @@ def test_face_counts_of_any_family_match_oracles(facets):
 def test_face_counts_of_augmented_complexes_match_oracles(m):
     for kind in ("augmented-ea", "augmented-nbc"):
         assert_face_counts_match_oracles(build_complex(m, kind).facets)
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_h_vectors_of_the_augmented_complexes_are_f_vectors(m):
+    # h(augmented-ea) is f(independence complex) then n zeros, as h_i = 0 for
+    # i > r of its n + r + 1 entries; h(augmented-nbc) is f(nbc), both () with a loop
+    h_ea = build_complex(m, "augmented-ea").fh.h
+    assert h_ea == independence_complex(m).fh.f + (0,) * m.n
+    assert build_complex(m, "augmented-nbc").fh.h == build_complex(m, "nbc").fh.f
 
 
 def lattice_laws_hold(m) -> bool:

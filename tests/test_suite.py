@@ -2,8 +2,10 @@
 mutants that each turn one finding of the matroid-axiom, activity, Crapo,
 shelling, witness or Tutte checks to FAIL."""
 
+import re
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ import activita.suite as suite
 import activita.tutte as tutte
 from activita.activity import activity_profile, related_basis
 from activita.bitsets import elems_of, mask_of, parse_subset
-from activita.complexes import SimplicialComplex
+from activita.complexes import FHVector, SimplicialComplex
 from activita.corpus import builtin_corpus, m5
 from activita.errors import NoLinearExtension
 from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
@@ -51,6 +53,17 @@ def test_full_suite_on_m5(m5_matroid):
         "bivariate-identity",
     ):
         assert expected in checks
+
+
+def test_the_claims_table_of_the_readme_names_declared_findings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## The claims of the abstract\n")[1].split("\n## ")[0]
+    rows = [line for line in table.splitlines() if line.startswith("| ")][2:]
+    declared = {name for names in suite.FINDINGS.values() for name in names}
+    assert len(rows) == 6  # containment, H-shelling and h = f, for each of two complexes
+    for row in rows:
+        named = re.findall(r"`([A-Za-z-]+)`", "".join(row.split("|")[3:]))  # past complex, claim
+        assert named and set(named) <= declared, row
 
 
 NAMED_CASES = {**builtin_corpus(), "W4": W4, "u48": uniform(4, 8)}
@@ -211,6 +224,28 @@ def bruteforce_drops_the_last_set(monkeypatch):
 def count_an_nbc_set_twice(monkeypatch):
     real = suite.nbc_sets
     monkeypatch.setattr(suite, "nbc_sets", lambda m: real(m) + real(m)[:1])
+
+
+def nbc_complex_counts_a_face_too_many(monkeypatch):
+    """The plain nbc complex, facets unchanged, reports one more face of top size."""
+    real = suite.build_complex
+
+    def miscounted(m, kind):
+        cx = real(m, kind)
+        if kind != "nbc":
+            return cx
+        copy = SimplicialComplex(cx.facets, cx.tags)
+        copy.fh = FHVector(cx.fh.f[:-1] + (cx.fh.f[-1] + 1,), cx.fh.h)
+        return copy
+
+    monkeypatch.setattr(suite, "build_complex", miscounted)
+
+
+def independence_complex_drops_a_basis(monkeypatch):
+    real = suite.independence_complex
+    monkeypatch.setattr(
+        suite, "independence_complex", lambda m: SimplicialComplex(real(m).facets[1:])
+    )
 
 
 def drop_an_induced_facet(monkeypatch):
@@ -463,6 +498,10 @@ MUTANTS = {
         m5, MAIN, falsify("matches_complex_h", nth=1), {"h-vector-from-restrictions"},
         "shelling-extint",
     ),
+    "h-vector-from-restrictions/independence-f-vector": (
+        m5, MAIN, independence_complex_drops_a_basis, {"h-vector-from-restrictions"},
+        "shelling-extint",
+    ),
     "witness-certifies-first-order": (
         m5, MAIN, witness_table_mutant(no_exchange_witness), {"witness-certifies-first-order"},
         "shelling-extint",
@@ -490,6 +529,12 @@ MUTANTS = {
     "restriction-sets-nbc": (m5, NBC, wrong_closed_form, {"restriction-sets-nbc"}, "shelling-nbc"),
     "property-H-nbc": (m5, NBC, fails("property_H_check"), {"property-H-nbc"}, "shelling-nbc"),
     "h-complex-nbc": (m5, NBC, fails("h_complex_check"), {"h-complex-nbc"}, "shelling-nbc"),
+    "nbc-h-identity": (
+        m5, NBC, nbc_complex_counts_a_face_too_many, {"nbc-h-identity"}, "nbc-induced-subcomplexes"
+    ),
+    "nbc-h-identity/restrictions": (
+        m5, NBC, falsify("matches_complex_h", nth=1), {"nbc-h-identity"}, "shelling-nbc"
+    ),
     "tutte-oracle-agreement": (
         m5, TUTTE, deletion_contraction_swaps_the_variables, {"tutte-oracle-agreement"},
         "tutte-duality",
@@ -551,7 +596,8 @@ UNSHELLED = {  # check: the findings an order that does not shell fails
            "h-vector-from-restrictions", "witness-certifies-first-order"},
     FLIP: {"shelling-flip", "restriction-sets-flip", "bivariate-order-invariant"},
     suite.check_shelling_ea: {"shelling-ea"},
-    NBC: {"shelling-nbc", "restriction-sets-nbc", "property-H-nbc", "h-complex-nbc"},
+    NBC: {"shelling-nbc", "restriction-sets-nbc", "property-H-nbc", "h-complex-nbc",
+          "nbc-h-identity"},
 }
 
 
