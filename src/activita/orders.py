@@ -7,11 +7,9 @@ enumeration and sampling, lattice operations, boolean cover intervals, and the
 flip involution.
 
 Each order has one definition here, and :func:`build_poset` materializes it
-once per matroid as rows that are ANDs of column bitsets, O(m·n) big-int
-operations on m elements; other code reads the relation from that poset.
-:func:`poset_certificate` checks every row against the definition (by
-related-basis blocks on independent sets), the equivalent forms and the
-poset axioms for the suite's ``poset-axioms`` finding, once per matroid.
+once per matroid as rows that are ANDs of column bitsets; other code reads
+the relation from that poset.  :func:`poset_certificate` checks its rows
+against the definitions, evaluated a row at a time, for the suite.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ import random
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from operator import and_
+from functools import cache, cached_property, partial, reduce
+from operator import and_, itemgetter
 
 from .activity import activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, submasks, subset_label, subset_str
@@ -34,26 +32,41 @@ BASIS_ORDER_KINDS = ("ext", "int", "extint")
 POSET_KINDS = ("ext-bases", "int-bases", "extint-bases", "extint-ind", "flip-ind", "nbc-extint")
 
 
-# -- pairwise comparisons ------------------------------------------------------
+# -- comparisons ---------------------------------------------------------------
 
 
 def compare_bases(matroid: Matroid, kind: str, a: int, b: int) -> bool:
     """Whether a <= b for bases in the external/internal/combined order.
 
-    ext: A ⊆ B ∪ EA(B); int: A∖IA(A) ⊆ B; extint: IP(A) ∩ EP(B) = ∅.
-    """
+    ext: A ⊆ B ∪ EA(B); int: A∖IA(A) ⊆ B; extint: IP(A) ∩ EP(B) = ∅.  The
+    bit of b in :func:`basis_order_row` of a, so a call costs O(B)."""
+    row = basis_order_row(matroid, kind, a)
+    if not matroid.is_basis(b):
+        raise NotABasis(subset_str(b, matroid.n))
+    return row >> matroid.bases.index(b) & 1 == 1
+
+
+@memoized
+def _basis_columns(matroid: Matroid) -> tuple[list[int], list[int]]:
+    """B ∪ EA(B) and EP(B) of each basis B, in ``matroid.bases`` order."""
+    profiles = [activity_profile(matroid, b) for b in matroid.bases]
+    return [b | p.ea for b, p in zip(matroid.bases, profiles)], [p.ep for p in profiles]
+
+
+def basis_order_row(matroid: Matroid, kind: str, a: int) -> int:
+    """The bitset over ``matroid.bases`` of the bases B with a <= B: the
+    definition of the order ``kind`` applied to A and every B at once."""
     if kind not in BASIS_ORDER_KINDS:
         raise ValueError(f"unknown basis order {kind!r}")
-    for x in (a, b):
-        if not matroid.is_basis(x):
-            raise NotABasis(subset_str(x, matroid.n))
-    pa = activity_profile(matroid, a)
-    pb = activity_profile(matroid, b)
-    if kind == "ext":
-        return a & ~(b | pb.ea) == 0
-    if kind == "int":
-        return (a & ~pa.ia) & ~b == 0
-    return pa.ip & pb.ep == 0
+    if not matroid.is_basis(a):
+        raise NotABasis(subset_str(a, matroid.n))
+    pa, (closed, passive) = activity_profile(matroid, a), _basis_columns(matroid)
+    if kind == "ext":  # A ⊆ B ∪ EA(B)
+        return sum(1 << y for y, c in enumerate(closed) if not a & ~c)
+    if kind == "int":  # A∖IA(A) ⊆ B
+        need = a & ~pa.ia
+        return sum(1 << y for y, b in enumerate(matroid.bases) if not need & ~b)
+    return sum(1 << y for y, ep in enumerate(passive) if not pa.ip & ep)  # IP(A) ∩ EP(B) = ∅
 
 
 def _key(matroid: Matroid, s: int) -> int:
@@ -63,9 +76,10 @@ def _key(matroid: Matroid, s: int) -> int:
     return (s & ~p.ia) | p.ea
 
 
-def _related_blocks(matroid: Matroid, elements: Sequence[int]) -> tuple[list[int], dict[int, int]]:
+@memoized
+def _related_blocks(matroid: Matroid, elements: tuple[int, ...]) -> tuple[list, dict]:
     """The related basis of each element, and each basis's block: the bitset
-    of the elements related to it."""
+    of the elements related to it; memoized per matroid and elements."""
     bases, blocks = [], {}
     for y, i in enumerate(elements):
         bases.append(related_basis(matroid, i))
@@ -112,6 +126,15 @@ class Poset:
     def leq(self, a: int, b: int) -> bool:
         return self.up_rows[self.index[a]] >> self.index[b] & 1 == 1
 
+    def restricted_rows(self, elements: Sequence[int]) -> list[int]:
+        """The up-rows of the sub-order on ``elements``, in their order: the
+        bits of each row at their indexes, picked from its binary digits."""
+        at, top = [self.index[e] for e in elements], len(self.elements) - 1
+        if not at:  # itemgetter needs an index, and there are no nbc sets with a loop
+            return []
+        pick = itemgetter(*(top - j for j in reversed(at)))  # highest digit first
+        return [int("".join(pick(format(self.up_rows[i], f"0{top + 1}b"))), 2) for i in at]
+
     @cached_property
     def down_rows(self) -> tuple[int, ...]:
         """The columns of ``up_rows``: each row in binary, lowest bit first, read by column."""
@@ -119,14 +142,14 @@ class Poset:
         return tuple(int("".join(col), 2) for col in zip(*bits))
 
     @cached_property
-    def down_row_index(self) -> dict[int, int]:
-        """Element index keyed by its down-row."""
-        return {row: i for i, row in enumerate(self.down_rows)}
+    def element_by_down_row(self) -> dict[int, int]:
+        """Each element keyed by its down-row."""
+        return dict(zip(self.down_rows, self.elements))
 
     @cached_property
-    def up_row_index(self) -> dict[int, int]:
-        """Element index keyed by its up-row."""
-        return {row: i for i, row in enumerate(self.up_rows)}
+    def element_by_up_row(self) -> dict[int, int]:
+        """Each element keyed by its up-row."""
+        return dict(zip(self.up_rows, self.elements))
 
     @cached_property
     def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -232,25 +255,16 @@ def _row_disagreement(elems, rows, expected, n: int, what: str) -> str:
 
 def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
     """The detail of the suite's ``poset-axioms`` finding on the posets of
-    :data:`POSET_KINDS`, keyed by kind, or "" when it passes: the six orders
-    are partial orders, every row agrees with the order's definition, and the
-    basis orders with their equivalent forms.  ``extint-ind`` and ``flip-ind``
-    compare sets with the same related basis by containment and others by
-    key(I) ⊆ key(K), key(S) = S∖IA(S)∪EA(S), so they are certified by
-    related-basis blocks.  The finding requires key(I) = key(RB(I)) for every
-    I (Las Vergnas, "Active orders for matroid bases", 2001), or names I.
-    Then the definition's row of I in the block of A is ``rel`` inside it
-    and, outside, the union of the blocks of the bases C ≠ A with key(A) ⊆
-    key(C): each row is the definition's own row, at Σ|block|² calls of
-    ``rel``, and a failure names the pair a per-pair scan names.
-    """
+    :data:`POSET_KINDS`, keyed by kind, or "": the six orders are partial
+    orders, their rows are the definitions' rows (:func:`basis_order_row`;
+    ``nbc-extint`` is ``extint-ind`` restricted to the nbc sets), and the
+    basis orders agree with their equivalent forms.  Given key(I) = key(RB(I))
+    for every I, key(S) = S∖IA(S)∪EA(S) (Las Vergnas, "Active orders for
+    matroid bases", 2001), the ``extint-ind`` or ``flip-ind`` row of I in
+    the block of A is ``rel`` inside it and, outside, the union of the blocks
+    of the bases C ≠ A with key(A) ⊆ key(C).  A failure names the pair a
+    per-pair scan names, or the first I whose key is not RB(I)'s."""
     n, bases, ind = matroid.n, matroid.bases, posets["extint-ind"]
-    definitions = {
-        **{f"{k}-bases": partial(compare_bases, matroid, k) for k in BASIS_ORDER_KINDS},
-        "extint-ind": partial(leq_extint_ind, matroid),
-        "flip-ind": partial(leq_flip_ind, matroid),
-        "nbc-extint": ind.leq,  # extint-ind restricted to nbc sets
-    }
     related, blocks = _related_blocks(matroid, ind.elements)
     keys = [_key(matroid, b) for b in bases]
     above = {  # basis A: the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C)
@@ -263,14 +277,17 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
         "",
     )
     for kind, poset in posets.items():
-        elems, rel, blocked = poset.elements, definitions[kind], kind in ("extint-ind", "flip-ind")
+        elems, blocked = poset.elements, kind in ("extint-ind", "flip-ind")
         if blocked:  # rel inside each block, the blocks above it outside
+            rel = partial(leq_extint_ind if kind == "extint-ind" else leq_flip_ind, matroid)
             expected = (
                 above[a] | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
                 for i, a in zip(elems, related)
             )
+        elif kind == "nbc-extint":
+            expected = ind.restricted_rows(elems)
         else:
-            expected = (sum(1 << y for y, b in enumerate(elems) if rel(a, b)) for a in elems)
+            expected = (basis_order_row(matroid, kind.split("-")[0], a) for a in elems)
         violation = (
             poset_axiom_violation(poset, n)
             or blocked and key_break
@@ -283,7 +300,7 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
     profiles = [activity_profile(matroid, b) for b in bases]
     forms = [0] * len(bases)  # where a basis order and one of its equivalent forms differ
     for kind, sets in (
-        ("ext-bases", [b | p.ea for b, p in zip(bases, profiles)]),  # A∪EA(A) ⊆ B∪EA(B)
+        ("ext-bases", _basis_columns(matroid)[0]),  # A∪EA(A) ⊆ B∪EA(B)
         ("int-bases", [b & ~p.ia for b, p in zip(bases, profiles)]),  # A∖IA(A) ⊆ B∖IA(B)
         ("extint-bases", keys),  # key(A) ⊆ key(B)
         ("extint-bases", [p.ip | p.ea for p in profiles]),  # IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
@@ -396,10 +413,13 @@ def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionS
 # -- lattice structure ------------------------------------------------------------
 
 
-def _bound_rows(poset: Poset, x: int, y: int) -> tuple[int, int]:
-    """The row indexes of the glb and lub of the elements at rows x and y."""
-    glb = poset.down_row_index.get(poset.down_rows[x] & poset.down_rows[y])
-    lub = poset.up_row_index.get(poset.up_rows[x] & poset.up_rows[y])
+def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
+    """Greatest lower bound and least upper bound in a materialized poset:
+    the elements whose down-row is down(a) ∧ down(b) and whose up-row is
+    up(a) ∧ up(b), unique by antisymmetry; a missing one raises LatticeFailure."""
+    x, y = poset.index[a], poset.index[b]
+    glb = poset.element_by_down_row.get(poset.down_rows[x] & poset.down_rows[y])
+    lub = poset.element_by_up_row.get(poset.up_rows[x] & poset.up_rows[y])
     if glb is None:
         raise LatticeFailure("no greatest lower bound")
     if lub is None:
@@ -407,52 +427,39 @@ def _bound_rows(poset: Poset, x: int, y: int) -> tuple[int, int]:
     return glb, lub
 
 
-def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
-    """Greatest lower bound and least upper bound in a materialized poset.
+def meet_join_row(matroid: Matroid, i: int) -> list[tuple[int, int]]:
+    """Meet and join of the independent set i with each independent set K,
+    in ``extint-ind`` order: related sets by intersection and union,
+    comparable ones at the lower and the upper set, and sets related to
+    incomparable bases A, C at the basis A ∧ C and at IP(A ∨ C), read from
+    the bases poset once per C."""
+    ind = build_poset(matroid, "extint-ind")
+    related = _related_blocks(matroid, ind.elements)[0]
+    x = ind.index.get(i)
+    if x is None:
+        raise NotIndependent(subset_str(i, matroid.n))
+    a, width, bases = related[x], len(ind), build_poset(matroid, "extint-bases")
+    up, down = (format(row[x], f"0{width}b")[::-1] for row in (ind.up_rows, ind.down_rows))
 
-    The glb is the element whose down-row equals the common lower bounds of a
-    and b, the lub the element whose up-row equals their common upper bounds;
-    rows are distinct by antisymmetry, so each lookup has at most one answer,
-    and no answer raises LatticeFailure.
-    """
-    glb, lub = _bound_rows(poset, poset.index[a], poset.index[b])
-    return poset.elements[glb], poset.elements[lub]
+    @cache
+    def basis_bounds(c: int) -> tuple[int, int]:
+        meet, join = poset_meet_join(bases, a, c)
+        return meet, activity_profile(matroid, join).ip
 
-
-@memoized
-def _lattice_table(matroid: Matroid) -> tuple:
-    """What :func:`meet_join_ind` reads, O(I + B): the ``extint-ind`` up-rows
-    and index, the row of each independent set's related basis in the
-    ``extint-bases`` poset, that poset, and IP of each basis."""
-    ind, bases = build_poset(matroid, "extint-ind"), build_poset(matroid, "extint-bases")
-    related = [bases.index[a] for a in _related_blocks(matroid, ind.elements)[0]]
-    ips = [activity_profile(matroid, b).ip for b in bases.elements]
-    return ind.up_rows, ind.index, related, bases, ips
+    return [
+        (i & k, i | k) if c == a else (i, k) if up[y] == "1" else (k, i) if down[y] == "1"
+        else basis_bounds(c)
+        for y, (k, c) in enumerate(zip(ind.elements, related))
+    ]
 
 
 def meet_join_ind(matroid: Matroid, i: int, k: int) -> tuple[int, int]:
-    """Meet and join of two independent sets in the external/internal order.
-
-    Related sets meet and join by intersection and union.  Sets related to
-    incomparable bases A, C meet at the basis A ∧ C and join at IP(A ∨ C),
-    with the basis meet/join taken in the materialized bases poset; each
-    call reads the matroid's lattice table once.  The suite's
-    ``lattice-laws`` finding checks every answer against the bounds read
-    from the independent-set poset (:func:`poset_meet_join`).
-    """
-    up, index, related, bases, ips = _lattice_table(matroid)
-    x, y = index.get(i), index.get(k)
-    if x is None or y is None:
-        raise NotIndependent(subset_str(k if x is not None else i, matroid.n))
-    a, c = related[x], related[y]
-    if a == c:
-        return i & k, i | k
-    if up[x] >> y & 1:
-        return i, k
-    if up[y] >> x & 1:
-        return k, i
-    meet, join = _bound_rows(bases, a, c)
-    return bases.elements[meet], ips[join]
+    """Meet and join of two independent sets in the external/internal order:
+    the entry of k in :func:`meet_join_row` of i, so a call costs O(I)."""
+    row = meet_join_row(matroid, i)
+    if not matroid.is_independent(k):
+        raise NotIndependent(subset_str(k, matroid.n))
+    return row[matroid.independent_sets.index(k)]
 
 
 def boolean_interval(matroid: Matroid, b: int, c: int) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from .orders import (
     build_poset,
     flip_involution,
     linear_extensions,
-    meet_join_ind,
+    meet_join_row,
     poset_axiom_violation,
     poset_certificate,
     poset_meet_join,
@@ -165,10 +165,8 @@ def check_posets(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     detail = poset_certificate(m, posets)
     ind = posets["extint-ind"]
     ext, inn, both = (posets[k].up_rows for k in ("ext-bases", "int-bases", "extint-bases"))
-    at = [ind.index[b] for b in m.bases]
-    restricted = [sum(1 << y for y, j in enumerate(at) if ind.up_rows[i] >> j & 1) for i in at]
     refines = all(not (e | i) & ~c for e, i, c in zip(ext, inn, both))
-    return [(not detail, detail), refines, restricted == list(both)]
+    return [(not detail, detail), refines, ind.restricted_rows(m.bases) == list(both)]
 
 
 def check_boolean_intervals(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
@@ -179,33 +177,28 @@ def check_boolean_intervals(m: Matroid, cap: int = 200, seed: int = 0) -> list[V
 
 def check_lattice(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     """``lattice-laws``: the closed-form meet and join of independent sets
-    are the lattice operations of the ``extint-ind`` order.
-
-    A certificate: it passes iff ``extint-ind`` is a partial order and
-    :func:`meet_join_ind` equals :func:`poset_meet_join` on every ordered
-    pair (its row lookups, made here).  The latter's meet of a, b is the x
-    with down(x) = down(a) ∧ down(b), so x ≤ a, b by reflexivity and every
-    common lower bound lies below x: x is the greatest lower bound, and
-    dually the join is the least upper bound.  In a partial order these
-    operations are idempotent, commutative, associative and absorptive
-    (Davey and Priestley, *Introduction to Lattices and Order*, ch. 2), so
-    the closed forms obey the lattice laws.
-    """
+    are the lattice operations of the ``extint-ind`` order.  A certificate:
+    it passes iff ``extint-ind`` is a partial order and every entry (g, j)
+    of :func:`meet_join_row` of i at k has down(g) = down(i) ∧ down(k) and
+    up(j) = up(i) ∧ up(k), so g ≤ i, k by reflexivity and every common lower
+    bound lies below g: g is the greatest lower bound, and dually j the least
+    upper bound.  These operations of a partial order are idempotent,
+    commutative, associative and absorptive (Davey and Priestley, *Introduction
+    to Lattices and Order*, ch. 2), so the closed forms obey the lattice laws."""
     ind = build_poset(m, "extint-ind")
-    violation = poset_axiom_violation(ind, m.n)
-    if violation:
+    if violation := poset_axiom_violation(ind, m.n):
         return [(False, f"extint-ind: {violation}")]
     elems, down, up = ind.elements, ind.down_rows, ind.up_rows
-    glb_at, lub_at = ind.down_row_index, ind.up_row_index
+    down_of, up_of = dict(zip(elems, down)), dict(zip(elems, up))
     for x, i in enumerate(elems):
-        for y, k in enumerate(elems):
-            got = meet_join_ind(m, i, k)
-            glb, lub = glb_at.get(down[x] & down[y]), lub_at.get(up[x] & up[y])
-            if glb is None or lub is None:
-                poset_meet_join(ind, i, k)  # raises the LatticeFailure naming the missing bound
-            if got != (elems[glb], elems[lub]):
-                pair = f"{subset_label(i, m.n)}, {subset_label(k, m.n)}"
-                return [(False, f"closed-form meet/join disagrees with poset bounds on {pair}")]
+        wrong = (
+            y for y, ((g, j), d, u) in enumerate(zip(meet_join_row(m, i), down, up))
+            if down_of.get(g) != down[x] & d or up_of.get(j) != up[x] & u
+        )
+        for y in wrong:  # the first pair that fails: a missing bound raises, or it disagrees
+            poset_meet_join(ind, i, elems[y])
+            pair = f"{subset_label(i, m.n)}, {subset_label(elems[y], m.n)}"
+            return [(False, f"closed-form meet/join disagrees with poset bounds on {pair}")]
     return [True]
 
 

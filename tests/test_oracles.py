@@ -2,8 +2,9 @@
 column-bitset posets and their covers against the per-pair build and the
 down-row scan they replaced, the ``poset-axioms`` block certificate against
 the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
-certificate replaced, ``meet_join_ind`` against the per-call related-basis
-lookups that its lattice table replaced, the grouped witness pass against the per-pair
+certificate replaced, ``meet_join_row`` against the per-call related-basis
+lookups that its rows replaced, the basis orders' rows and the ``nbc-extint``
+gather against the per-pair definitions, the grouped witness pass against the per-pair
 ``shelling_witness``, the witness table against the per-pair exchange search
 it replaced, the per-order property (H), h-complex, h-vector and bivariate
 checks against the once-per-restriction-map checks that replaced them, the
@@ -47,14 +48,16 @@ from activita.corpus import builtin_corpus, m5
 from activita.errors import ExchangeAxiomViolated, LatticeFailure, NotIndependent
 from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
+    BASIS_ORDER_KINDS,
     POSET_KINDS,
     Poset,
+    basis_order_row,
     build_poset,
-    compare_bases,
     leq_extint_ind,
     leq_flip_ind,
     linear_extensions,
     meet_join_ind,
+    meet_join_row,
     poset_axiom_violation,
     poset_meet_join,
 )
@@ -124,10 +127,16 @@ def test_is_independent_matches_basis_scan(m):
 
 
 def per_pair_rows(m, kind):
-    """The poset rows built with one comparison per ordered pair."""
+    """The poset rows built with one comparison per ordered pair: each basis
+    order's definition spelled out from the activity profiles, and the
+    orders on independent sets by ``leq_extint_ind`` and ``leq_flip_ind``."""
     if kind.endswith("-bases"):
-        elements = m.bases
-        rel = lambda a, b: compare_bases(m, kind.split("-")[0], a, b)
+        elements, p = m.bases, lambda s: activity_profile(m, s)
+        rel = {
+            "ext-bases": lambda a, b: a & ~(b | p(b).ea) == 0,  # A ⊆ B ∪ EA(B)
+            "int-bases": lambda a, b: (a & ~p(a).ia) & ~b == 0,  # A∖IA(A) ⊆ B
+            "extint-bases": lambda a, b: p(a).ip & p(b).ep == 0,  # IP(A) ∩ EP(B) = ∅
+        }[kind]
     else:
         elements = nbc_sets(m) if kind == "nbc-extint" else m.independent_sets
         rel = lambda a, b: (leq_flip_ind if kind == "flip-ind" else leq_extint_ind)(m, a, b)
@@ -179,6 +188,24 @@ def test_block_certificate_matches_per_pair_scan(m, seed):
             )
             detail = per_pair_poset_detail(m)
             assert poset_axioms() == (not detail, detail)
+
+
+@pytest.mark.parametrize("kind", ["ext-bases", "int-bases", "extint-bases"])
+def test_a_flipped_bit_of_a_basis_order_row_is_the_per_pair_detail(kind):
+    m = m5()
+    real = build_poset(m, kind)
+    for x in range(len(real)):  # one bit of one row at a time, every bit in turn
+        for y in range(len(real)):
+            rows = list(real.up_rows)
+            rows[x] ^= 1 << y
+            mutant = Poset(real.elements, tuple(rows))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    suite, "build_poset", lambda m, k: mutant if k == kind else build_poset(m, k)
+                )
+                [f] = [f for f in run_check(check_posets, "m5", m) if f.check == "poset-axioms"]
+                detail = per_pair_poset_detail(m)
+            assert detail.startswith(f"{kind}: ") and (f.ok, f.detail) == (False, detail)
 
 
 def down_row_covers(up_rows):
@@ -363,7 +390,7 @@ def test_h_vectors_of_the_augmented_complexes_are_f_vectors(m):
 
 def lattice_laws_hold(m) -> bool:
     """Idempotence, commutativity, absorption and associativity of
-    ``meet_join_ind`` over all independent sets, checked directly.
+    ``meet_join_row`` over all independent sets, checked directly.
 
     meet[a][b] and join[a][b] are index tables over ``m.independent_sets``;
     associativity for all c at once is one row comparison,
@@ -373,7 +400,7 @@ def lattice_laws_hold(m) -> bool:
     pos = {e: a for a, e in enumerate(elems)}
     meet, join = [], []
     for i in elems:
-        bounds = [meet_join_ind(m, i, k) for k in elems]
+        bounds = meet_join_row(m, i)
         meet.append([pos[lo] for lo, _ in bounds])
         join.append([pos[hi] for _, hi in bounds])
     for a, (meet_a, join_a) in enumerate(zip(meet, join)):
@@ -405,8 +432,8 @@ def test_lattice_certificate_and_law_sweep(m):
 
 
 def meet_join_per_call(matroid, i, k):
-    """``meet_join_ind`` as it was before its lattice table: two related-basis
-    lookups and the two posets fetched on every call."""
+    """The meet and join of one pair as ``meet_join_ind`` made them before
+    rows: two related-basis lookups and the two posets fetched on every call."""
     a = related_basis(matroid, i)
     c = related_basis(matroid, k)
     if a == c:
@@ -424,13 +451,37 @@ MEET_JOIN_CASES = {**builtin_corpus(), "W4": W4, "u48": uniform(4, 8)}
 MEET_JOIN_CASES.update((f"edge{x}", m) for x, m in enumerate(EDGE_CASES))
 
 
+def assert_rows_match_per_pair_rows(m):
+    """The basis orders' rows and the ``nbc-extint`` gather against
+    :func:`per_pair_rows`."""
+    for kind in BASIS_ORDER_KINDS:
+        rows = tuple(basis_order_row(m, kind, a) for a in m.bases)
+        assert rows == per_pair_rows(m, f"{kind}-bases"), kind
+    gathered = build_poset(m, "extint-ind").restricted_rows(nbc_sets(m))
+    assert tuple(gathered) == per_pair_rows(m, "nbc-extint")
+
+
+def assert_meet_join_rows_match_per_call(m):
+    sets = m.independent_sets
+    for i in sets:
+        assert meet_join_row(m, i) == [meet_join_per_call(m, i, k) for k in sets]
+
+
+@pytest.mark.parametrize("name", MEET_JOIN_CASES)
+def test_basis_rows_and_nbc_gather_match_per_pair_rows(name):
+    assert_rows_match_per_pair_rows(MEET_JOIN_CASES[name])
+
+
 @pytest.mark.parametrize("name", MEET_JOIN_CASES)
 def test_meet_join_matches_the_per_call_oracle(name):
-    m = MEET_JOIN_CASES[name]
-    sets = m.independent_sets
-    pairs = [(i, k) for i in sets for k in sets]
-    fast = [meet_join_ind(m, i, k) for i, k in pairs]
-    assert fast == [meet_join_per_call(m, i, k) for i, k in pairs]
+    assert_meet_join_rows_match_per_call(MEET_JOIN_CASES[name])
+
+
+@given(small_matroids())
+@settings(max_examples=40, deadline=None)
+def test_rows_match_the_per_pair_oracles_on_small_matroids(m):
+    assert_rows_match_per_pair_rows(m)
+    assert_meet_join_rows_match_per_call(m)
 
 
 def test_meet_join_rejects_a_dependent_set():

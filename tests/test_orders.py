@@ -549,13 +549,16 @@ class TestLattice:
     def test_wrong_closed_form_fails_lattice_laws(self, m5_matroid, monkeypatch):
         import activita.suite as suite
 
-        real = suite.meet_join_ind
+        real = suite.meet_join_row
 
-        def swapped_on_one_pair(m, i, k):
-            meet, join = real(m, i, k)
-            return (join, meet) if (i, k) == (ps5("23"), ps5("14")) else (meet, join)
+        def swapped_on_one_pair(m, i):
+            row = real(m, i)
+            if i == ps5("23"):
+                y = m.independent_sets.index(ps5("14"))
+                row[y] = row[y][::-1]
+            return row
 
-        monkeypatch.setattr(suite, "meet_join_ind", swapped_on_one_pair)
+        monkeypatch.setattr(suite, "meet_join_row", swapped_on_one_pair)
         [finding] = run_check(check_lattice, "m5", m5_matroid)
         assert finding.check == "lattice-laws" and finding.ok is False
         assert finding.detail.endswith("disagrees with poset bounds on 23, 14")
