@@ -144,6 +144,17 @@ def related_basis(matroid: Matroid, indep: int) -> int:
 
 
 @memoized
+def _related_blocks(matroid: Matroid, elements: tuple[int, ...]) -> tuple[list, dict]:
+    """The related basis of each element, and each basis's block: the bitset
+    of the elements related to it; memoized per matroid and elements."""
+    bases, blocks = [], {}
+    for y, i in enumerate(elements):
+        bases.append(related_basis(matroid, i))
+        blocks[bases[-1]] = blocks.get(bases[-1], 0) | 1 << y
+    return bases, blocks
+
+
+@memoized
 def broken_circuits(matroid: Matroid) -> tuple[int, ...]:
     """Circuits with their maximum element removed, deduplicated, sorted, memoized."""
     return tuple(sorted({circ ^ (1 << (max_elem(circ) - 1)) for circ in matroid.circuits}))

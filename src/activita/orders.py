@@ -1,15 +1,13 @@
 """Las Vergnas active orders on bases and independent sets.
 
-Three classical partial orders on the bases (external, internal, and the
-external/internal order refining both), the extension of the external/internal
-order to all independent sets, its block-flipped variant, linear-extension
-enumeration and sampling, lattice operations, boolean cover intervals, and the
-flip involution.
+Three classical partial orders on the bases (external, internal, and the external/internal
+order refining both), the extension of the external/internal order to all independent sets,
+its block-flipped variant, linear extensions (counted over down-sets up to a cap, enumerated
+or sampled), lattice operations, boolean cover intervals, and the flip involution.
 
-Each order has one definition here, and :func:`build_poset` materializes it
-once per matroid as rows that are ANDs of column bitsets; other code reads
-the relation from that poset.  :func:`poset_certificate` checks its rows
-against the definitions, evaluated a row at a time, for the suite.
+Each order has one definition here, and :func:`build_poset` materializes it once per matroid
+as rows that are ANDs of column bitsets; other code reads the relation from that poset.
+:func:`poset_certificate` checks its rows against the definitions, a row at a time, for the suite.
 """
 
 from __future__ import annotations
@@ -19,9 +17,9 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 
-from .activity import activity_profile, nbc_sets, related_basis
+from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, submasks, subset_label, subset_str
 from .errors import (
     EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover, NotIndependent
@@ -74,17 +72,6 @@ def _key(matroid: Matroid, s: int) -> int:
     containment of their keys in both orders on independent sets."""
     p = activity_profile(matroid, s)
     return (s & ~p.ia) | p.ea
-
-
-@memoized
-def _related_blocks(matroid: Matroid, elements: tuple[int, ...]) -> tuple[list, dict]:
-    """The related basis of each element, and each basis's block: the bitset
-    of the elements related to it; memoized per matroid and elements."""
-    bases, blocks = [], {}
-    for y, i in enumerate(elements):
-        bases.append(related_basis(matroid, i))
-        blocks[bases[-1]] = blocks.get(bases[-1], 0) | 1 << y
-    return bases, blocks
 
 
 def leq_extint_ind(matroid: Matroid, i: int, k: int) -> bool:
@@ -142,34 +129,36 @@ class Poset:
         return tuple(int("".join(col), 2) for col in zip(*bits))
 
     @cached_property
-    def element_by_down_row(self) -> dict[int, int]:
-        """Each element keyed by its down-row."""
-        return dict(zip(self.down_rows, self.elements))
+    def element_by_rows(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Each element keyed by its down-row, and keyed by its up-row."""
+        return dict(zip(self.down_rows, self.elements)), dict(zip(self.up_rows, self.elements))
 
     @cached_property
-    def element_by_up_row(self) -> dict[int, int]:
-        """Each element keyed by its up-row."""
-        return dict(zip(self.up_rows, self.elements))
+    def cover_tables(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+        """Each index's number of lower covers and its upper covers (its strict up-set minus
+        all strictly above some element of it), and the bitset of the minimal elements."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self.up_rows)]
+        below, upper = [0] * len(strict), []
+        for row in strict:
+            above, rest = 0, row
+            while rest:  # what lies above a visited j adds nothing: its up-set is in strict[j]
+                j = (rest & -rest).bit_length() - 1
+                above |= strict[j]
+                rest &= ~(above | 1 << j)
+            upper.append(tuple(iter_bits(row & ~above)))
+            for j in upper[-1]:
+                below[j] += 1
+        minimal = ((1 << len(strict)) - 1) & ~reduce(or_, strict, 0)  # in no other up-row
+        return tuple(below), tuple(upper), minimal
 
     @cached_property
     def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction: (i, j) with elements[j] covering elements[i],
-        sorted.  The covers of i are its strict up-set minus everything
-        strictly above some element of it."""
-        strict = [row & ~(1 << i) for i, row in enumerate(self.up_rows)]
-        out = []
-        for i, row in enumerate(strict):
-            above = 0
-            for j in iter_bits(row):
-                above |= strict[j]
-            out.extend((i, j) for j in iter_bits(row & ~above))
-        return tuple(out)
+        """(i, j) with elements[j] covering elements[i], sorted."""
+        return tuple((i, j) for i, js in enumerate(self.cover_tables[1]) for j in js)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) element pairs."""
-        return tuple(
-            (self.elements[i], self.elements[j]) for i, j in self.cover_index_pairs
-        )
+        return tuple((self.elements[i], self.elements[j]) for i, j in self.cover_index_pairs)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -322,90 +311,91 @@ class ExtensionSample:
     exhaustive: bool
 
 
-def _enumerate_extensions(poset: Poset, limit: int):
-    """Backtracking enumeration, choosing the minimal available element first,
-    on an explicit stack: for each placed prefix, the bitsets of the placed,
-    the available and the not yet tried elements."""
-    m = len(poset.elements)
-    up, down = poset.up_rows, poset.down_rows
-    found, prefix = [], [0] * m
-    avail = sum(1 << i for i in range(m) if not down[i] & ~(1 << i))
-    stack = [(0, avail, avail)]
+def _place(poset: Poset, placed: int, avail: int, i: int) -> tuple[int, int]:
+    """The placed and available bitsets after placing the available i on the down-set ``placed``."""
+    placed |= 1 << i
+    for j in poset.cover_tables[1][i]:  # no element but an upper cover of i can become available
+        if not poset.down_rows[j] & ~(placed | 1 << j):
+            avail |= 1 << j
+    return placed, avail ^ 1 << i
+
+
+def _count_extensions(poset: Poset, limit: int) -> int:
+    """e(∅), the number of linear extensions, or a number above ``limit`` if there are more:
+    e(D) = Σ e(D ∪ i) over the minimal unplaced i, memoized per down-set D on an explicit stack
+    of [D, available, untried, sum so far] lists; each sum stops once past ``limit``."""
+    first = poset.cover_tables[2]
+    memo, stack = {(1 << len(poset)) - 1: 1}, [[0, first, first, 0]]
     while stack:
-        placed, avail, untried = stack.pop()
-        if len(stack) == m:
-            found.append(tuple(poset.elements[i] for i in prefix))
-            if len(found) > limit:
-                return found, False
-        elif untried:
+        placed, avail, untried, total = node = stack[-1]
+        if untried and total <= limit and placed not in memo:
             low = untried & -untried
-            stack.append((placed, avail, untried ^ low))
-            prefix[len(stack) - 1] = i = low.bit_length() - 1
-            placed, avail = placed | low, avail ^ low
-            above = up[i] & ~placed
-            while above:  # j unplaced: nothing above j is available
-                j = (above & -above).bit_length() - 1
-                if not down[j] & ~placed & ~(1 << j):
-                    avail |= 1 << j
-                above &= ~(up[j] | 1 << j)
-            stack.append((placed, avail, avail))
-    return found, True
+            node[2] ^= low
+            down_set, avail = _place(poset, placed, avail, low.bit_length() - 1)
+            stack.append([down_set, avail, avail, 0])
+        else:
+            total = memo.setdefault(stack.pop()[0], total)
+            if stack:
+                stack[-1][3] += total
+    return total
 
 
-def first_extension(poset: Poset) -> tuple[int, ...]:
-    """The lexicographically first linear extension: the first order that
-    :func:`linear_extensions` enumerates (greedy minimal element)."""
-    found = _enumerate_extensions(poset, 0)[0]
-    if not found:
-        raise NoLinearExtension(f"no linear extension of the {len(poset)} elements")
-    return found[0]
+def _enumerate_extensions(poset: Poset) -> list[tuple[int, ...]]:
+    """Every linear extension, by backtracking that places the lowest available index first,
+    on an explicit stack: for each prefix, the bitsets of the placed, the available and the
+    untried elements, and the index placed next, so the entries below a full prefix spell it."""
+    first = poset.cover_tables[2]
+    found, stack = [], [(0, first, first, 0)]
+    while stack:
+        placed, avail, untried, _ = stack.pop()
+        if len(stack) == len(poset):
+            found.append(tuple(poset.elements[entry[3]] for entry in stack))
+        elif untried:
+            i = (untried & -untried).bit_length() - 1
+            stack.append((placed, avail, untried ^ 1 << i, i))
+            placed, avail = _place(poset, placed, avail, i)
+            stack.append((placed, avail, avail, 0))
+    return found
 
 
-def random_extension(poset: Poset, rng: random.Random) -> tuple[int, ...]:
-    """One random linear extension via random topological sorting.
-
-    The placed elements always form a down-set, so an element is available
-    once its lower covers are placed.  ``avail`` lists the available elements
-    in index order and is updated as elements are placed, so one order costs
-    O(covers) plus the list updates.  It is the list a rescan of the whole
-    poset at every step would build, so ``rng.choice`` draws the same orders
-    from a seed as that rescan, which ``tests/test_orders.py`` keeps as the
-    reference.
-    """
-    m = len(poset.elements)
-    unplaced_below = [0] * m
-    upper: list[list[int]] = [[] for _ in range(m)]
-    for i, j in poset.cover_index_pairs:
-        unplaced_below[j] += 1
-        upper[i].append(j)
-    avail = [i for i in range(m) if not unplaced_below[i]]
-    order = []
-    for _ in range(m):
+def _greedy_extension(poset: Poset, pick) -> tuple[int, ...]:
+    """Place ``pick(avail)`` until all are placed: the placed elements form a down-set, so
+    ``avail``, the available indexes in order, gains an element once its lower covers are."""
+    below, upper, minimal = poset.cover_tables
+    below, avail, order = list(below), list(iter_bits(minimal)), []
+    for _ in poset.elements:
         if not avail:  # the rows hold a cycle
-            raise NoLinearExtension(f"no linear extension of the {m} elements")
-        i = rng.choice(avail)
+            raise NoLinearExtension(f"no linear extension of the {len(poset)} elements")
+        i = pick(avail)
         avail.remove(i)
         order.append(poset.elements[i])
         for j in upper[i]:
-            unplaced_below[j] -= 1
-            if not unplaced_below[j]:
+            below[j] -= 1
+            if not below[j]:
                 insort(avail, j)
     return tuple(order)
 
 
-def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionSample:
-    """All linear extensions if there are at most ``cap``, else ``cap`` samples.
+def first_extension(poset: Poset) -> tuple[int, ...]:
+    """The first order :func:`linear_extensions` enumerates: the lexicographically first."""
+    return _greedy_extension(poset, itemgetter(0))
 
-    Exhaustive enumeration follows lexicographic backtracking order; sampling
-    uses seeded random topological sorting (uniformity is not required, only
-    coverage diversity).  Both place an element only after everything below
-    it, so every emitted order is a linear extension by construction.
-    """
+
+def random_extension(poset: Poset, rng: random.Random) -> tuple[int, ...]:
+    """One random linear extension by random topological sorting on cover tables built once
+    per poset.  Its ``avail`` is the list a rescan at every step would build, so ``rng.choice``
+    draws the same orders from a seed as that rescan, which ``tests/test_oracles.py`` keeps."""
+    return _greedy_extension(poset, rng.choice)
+
+
+def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionSample:
+    """All linear extensions if there are at most ``cap``, else ``cap`` samples, as a count over
+    down-sets capped at ``cap`` decides: lexicographic backtracking, or seeded random topological
+    sorting (for coverage, not uniformity); both place an element only after all below it."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    found, completed = _enumerate_extensions(poset, cap)
-    if completed:
-        return ExtensionSample(found, exhaustive=True)
+    if _count_extensions(poset, cap) <= cap:
+        return ExtensionSample(_enumerate_extensions(poset), exhaustive=True)
     rng = random.Random(seed)
     return ExtensionSample([random_extension(poset, rng) for _ in range(cap)], exhaustive=False)
 
@@ -417,9 +407,9 @@ def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
     """Greatest lower bound and least upper bound in a materialized poset:
     the elements whose down-row is down(a) ∧ down(b) and whose up-row is
     up(a) ∧ up(b), unique by antisymmetry; a missing one raises LatticeFailure."""
-    x, y = poset.index[a], poset.index[b]
-    glb = poset.element_by_down_row.get(poset.down_rows[x] & poset.down_rows[y])
-    lub = poset.element_by_up_row.get(poset.up_rows[x] & poset.up_rows[y])
+    (by_down, by_up), x, y = poset.element_by_rows, poset.index[a], poset.index[b]
+    glb = by_down.get(poset.down_rows[x] & poset.down_rows[y])
+    lub = by_up.get(poset.up_rows[x] & poset.up_rows[y])
     if glb is None:
         raise LatticeFailure("no greatest lower bound")
     if lub is None:

@@ -20,12 +20,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .activity import activity_profile, crapo_decompose_independent, nbc_sets, related_basis
+from .activity import (
+    _related_blocks, activity_profile, crapo_decompose_independent, nbc_sets, related_basis
+)
 from .bitsets import iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import SimplicialComplex, facet_F, xyz
 from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid, memoized
-from .orders import _related_blocks, build_poset
+from .orders import build_poset
 
 
 @dataclass
@@ -56,19 +58,16 @@ class Witness:
 def verify_shelling(cx: SimplicialComplex, order: list[int] | tuple[int, ...]) -> ShellingReport:
     """Check a facet order for the shelling property and report restrictions.
 
-    R_k is the union of F_k ∖ G over the neighbours G of F_k placed before
-    it.  The faces new at step k lie in [R_k, F_k] (a face of F_k missing a
-    vertex v of R_k lies in F_k ∖ v, a face of an earlier facet) and the new
-    faces of all steps partition the complex, so Σ_k 2^(d−|R_k|) is at least
-    the face count, with equality iff each R_k is new, which is the pairwise
-    condition R_k ⊄ F_i for all i < k.  That costs O(s·d) plus the neighbour
-    pairs; only on a shortfall does an O(s²) scan name the first failing
-    pair (i, k).
+    R_k is the union of F_k ∖ G over the neighbours G of F_k placed before it.  The faces
+    new at step k lie in [R_k, F_k] (a face of F_k missing a vertex v of R_k lies in F_k ∖ v,
+    a face of an earlier facet) and the new faces of all steps partition the complex, so
+    Σ_k 2^(d−|R_k|) is at least the face count, with equality iff each R_k is new, which is
+    the pairwise condition R_k ⊄ F_i for all i < k.  That costs O(s·d) plus the neighbour
+    pairs; only on a shortfall does an O(s²) scan name the first failing pair (i, k).
     """
-    if sorted(order) != sorted(cx.facets):
+    pos, neighbours = dict(zip(order, range(len(order)))), cx.neighbours
+    if len(pos) != len(order) or pos.keys() != neighbours.keys():  # keyed by every facet
         raise NotAPermutation("order is not a permutation of the complex's facets")
-    pos = {f: k for k, f in enumerate(order)}
-    neighbours = cx.neighbours
     restrictions = []
     for k, fk in enumerate(order):
         common = -1  # R_k = F_k ∖ ∩G over the neighbours G placed before F_k

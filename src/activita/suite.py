@@ -1,12 +1,12 @@
 """The theorem-verification suite run over a corpus of matroids.
 
-FINDINGS declares each check's finding names in order.  A check takes (m, cap,
-seed) and returns one verdict per name: ok, (ok, detail), or None where the
-name does not apply.  Only run_check makes findings of verdicts; it fails every
-declared name of a check that raises an ActivitaError, the ones the check would
-have skipped too.  Checks run the certificates of the layers
-(orders.poset_certificate, shelling.verify_orders); shellings use every linear
-extension, or cap samples.
+FINDINGS declares each check's finding names in order.  A check takes (m, cap, seed) and
+returns one verdict per name: ok, (ok, detail), or None where the name does not apply.  Only
+run_check makes findings of verdicts; it fails every declared name of a check that raises an
+ActivitaError, the ones the check would have skipped too.  Checks run the certificates of the
+layers (orders.poset_certificate, shelling.verify_orders); shellings use every linear
+extension when a count over down-sets, stopped once past cap, finds at most cap, else cap
+samples, drawn from cover tables built once per poset.
 """
 
 from __future__ import annotations

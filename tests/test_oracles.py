@@ -10,7 +10,9 @@ it replaced, the per-order property (H), h-complex, h-vector and bivariate
 checks against the once-per-restriction-map checks that replaced them, the
 f-vector oracles: inclusion-exclusion, the submask walk and the memoized
 Shannon expansion that the ZDD count replaced, the recursive enumeration of
-linear extensions that the explicit stack replaced, the closure form of
+linear extensions that the explicit stack replaced, and the capped count and
+``linear_extensions`` against it: enumerate up to cap + 1 orders, else sample
+the rescan's draws, the decision the count replaced; the closure form of
 external and internal activity against the circuit definition, and the
 exchange check by fundamental cocircuits against the pairwise scan it
 replaced.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
@@ -23,6 +25,7 @@ self-loops give loops, bridges and lone nonzero columns give coloops, and an
 all-zero matrix or a graph of self-loops gives rank 0.
 """
 
+import math
 import random
 from itertools import combinations, zip_longest
 from math import comb
@@ -635,7 +638,7 @@ def test_shelling_properties_read_an_order_only_through_its_restriction_map(name
         assert len(restrictions) == len(by_map)
 
 
-def recursive_extensions(poset, limit):
+def recursive_extensions(poset, limit=math.inf):
     """The recursive backtracking enumeration that the explicit stack replaced:
     the minimal available element first, stopping after ``limit + 1`` orders,
     with whether it got through all of them first."""
@@ -662,6 +665,35 @@ def recursive_extensions(poset, limit):
     return found, rec(0)
 
 
+def rescan_extension(poset, rng):
+    """The sampler with its available list rebuilt by a full scan at every
+    step, O(m²) per order: the reference the incremental sampler must match."""
+    m = len(poset.elements)
+    down = poset.down_rows
+    placed = 0
+    order = []
+    for _ in range(m):
+        avail = [
+            i
+            for i in range(m)
+            if not placed >> i & 1 and not down[i] & ~placed & ~(1 << i)
+        ]
+        i = rng.choice(avail)
+        order.append(poset.elements[i])
+        placed |= 1 << i
+    return tuple(order)
+
+
+def enumerate_then_sample(poset, cap, seed):
+    """The decision the capped count replaced: enumerate up to ``cap + 1``
+    orders, exhaustive when there were no more, else ``cap`` seeded draws."""
+    found, completed = recursive_extensions(poset, cap)
+    if completed:
+        return found, True
+    rng = random.Random(seed)
+    return [rescan_extension(poset, rng) for _ in range(cap)], False
+
+
 @st.composite
 def small_posets(draw):
     """Partial orders on at most 7 distinct masks: the transitive closure of
@@ -682,13 +714,37 @@ def small_posets(draw):
     return Poset(tuple(elements), tuple(up))
 
 
+ANTICHAIN_7 = Poset(tuple(range(7)), tuple(1 << i for i in range(7)))  # 7! = 5040 orders
+
+
+@given(small_posets())
+@example(Poset((), ()))
+@example(ANTICHAIN_7)
+@settings(max_examples=150, deadline=None)
+def test_explicit_stack_extensions_match_recursion(poset):
+    found = orders._enumerate_extensions(poset)
+    assert found == recursive_extensions(poset)[0]
+    assert orders.first_extension(poset) == found[0]  # the greedy walk is the first order
+
+
 @given(small_posets(), st.sampled_from([0, 1, 2, 7, 100, 5039, 5040]))
 @example(Poset((), ()), 0)
-@example(Poset(tuple(range(7)), tuple(1 << i for i in range(7))), 5039)  # 7! = 5040 orders
-@example(Poset(tuple(range(7)), tuple(1 << i for i in range(7))), 5040)
+@example(ANTICHAIN_7, 5039)
+@example(ANTICHAIN_7, 5040)
 @settings(max_examples=150, deadline=None)
-def test_explicit_stack_extensions_match_recursion(poset, limit):
-    assert orders._enumerate_extensions(poset, limit) == recursive_extensions(poset, limit)
+def test_capped_count_is_exact_up_to_the_limit(poset, limit):
+    exact, count = len(recursive_extensions(poset)[0]), orders._count_extensions(poset, limit)
+    assert count == exact if exact <= limit else count > limit
+
+
+@pytest.mark.parametrize("kind", POSET_KINDS)
+def test_linear_extensions_match_enumerate_then_sample(kind):
+    for m in builtin_corpus().values():
+        poset = build_poset(m, kind)
+        for cap in (1, 20, 200):
+            for seed in range(3):
+                sample = linear_extensions(poset, cap=cap, seed=seed)
+                assert (sample.orders, sample.exhaustive) == enumerate_then_sample(poset, cap, seed)
 
 
 @with_edge_cases

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+import activita.orders as orders
 from activita.activity import related_basis
 from activita.bitsets import iter_bits, parse_subset, subset_label, subset_str
 from activita.errors import LatticeFailure, NoLinearExtension, NotACover, NotIndependent
@@ -28,7 +29,7 @@ from activita.orders import (
 )
 from activita.suite import check_lattice, check_posets, run_check
 from test_complexes import W4
-from test_oracles import lattice_laws_hold
+from test_oracles import lattice_laws_hold, rescan_extension
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -428,11 +429,20 @@ class TestLinearExtensions:
         assert sys.getrecursionlimit() < n
         chain = Poset(tuple(range(n)), tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
         assert first_extension(chain) == chain.elements
+        assert orders._count_extensions(chain, 1) == 1
         sample = linear_extensions(chain, cap=1)
         assert (sample.orders, sample.exhaustive) == ([chain.elements], True)
 
+    def test_the_empty_poset_has_one_extension(self):
+        empty = Poset((), ())
+        assert orders._count_extensions(empty, 1) == 1
+        assert first_extension(empty) == ()
+        sample = linear_extensions(empty, cap=1)
+        assert (sample.orders, sample.exhaustive) == ([()], True)
+
     def test_a_cycle_has_no_linear_extension(self):
         cycle = Poset((1, 2), (0b11, 0b11))  # 1 ≤ 2 and 2 ≤ 1
+        assert orders._count_extensions(cycle, 1) == 0
         sample = linear_extensions(cycle, cap=1)
         assert (sample.orders, sample.exhaustive) == ([], True)
         with pytest.raises(NoLinearExtension, match="no linear extension of the 2 elements"):
@@ -466,25 +476,6 @@ class TestLinearExtensions:
         check()
 
 
-def rescan_extension(poset, rng):
-    """The sampler with its available list rebuilt by a full scan at every
-    step, O(m²) per order: the reference the incremental sampler must match."""
-    m = len(poset.elements)
-    down = poset.down_rows
-    placed = 0
-    order = []
-    for _ in range(m):
-        avail = [
-            i
-            for i in range(m)
-            if not placed >> i & 1 and not down[i] & ~placed & ~(1 << i)
-        ]
-        i = rng.choice(avail)
-        order.append(poset.elements[i])
-        placed |= 1 << i
-    return tuple(order)
-
-
 @pytest.mark.parametrize("kind", POSET_KINDS)
 def test_random_extension_draws_the_rescan_orders(corpus, kind):
     # same seed, same orders: sampled verify output depends on it
@@ -494,6 +485,17 @@ def test_random_extension_draws_the_rescan_orders(corpus, kind):
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(3):
                 assert random_extension(poset, fast) == rescan_extension(poset, slow)
+
+
+def test_draws_leave_the_cached_cover_tables_unchanged(m5_matroid):
+    # each draw copies the counts and the available list it updates
+    poset = build_poset(m5_matroid, "extint-ind")
+    first = random_extension(poset, random.Random(0))
+    rng = random.Random(1)
+    for _ in range(100):
+        random_extension(poset, rng)
+    assert poset.cover_tables == Poset(poset.elements, poset.up_rows).cover_tables
+    assert random_extension(poset, random.Random(0)) == first
 
 
 class TestLattice:

@@ -97,9 +97,15 @@ class TestVerifyShelling:
         assert restrictions == [[0, 0b1000, 0b100, 0b1100], [0, 0b100, 0b1000, 0b1001]]
 
     def test_not_a_permutation(self, m5_matroid):
-        cx = build_complex(m5_matroid, "ea")
-        with pytest.raises(NotAPermutation):
-            verify_shelling(cx, list(cx.facets[:-1]))
+        cx, other = build_complex(m5_matroid, "ea"), build_complex(m5_matroid, "augmented-ea")
+        facets, foreign = list(cx.facets), other.facets[0]
+        assert foreign not in facets
+        # one missing; one repeated in its place; one foreign; every facet and one again
+        for order in (
+            facets[:-1], facets[:-1] + facets[:1], facets[:-1] + [foreign], facets + facets[:1]
+        ):
+            with pytest.raises(NotAPermutation):
+                verify_shelling(cx, order)
 
     def test_pairwise_oracle_agrees(self, m5_matroid, corpus):
         # on shellings and on a known failure
