@@ -8,6 +8,7 @@ from .activity import (
     broken_circuits,
     crapo_decompose_independent,
     crapo_decompose_subset,
+    flip_involution,
     is_nbc,
     nbc_sets,
     related_basis,
@@ -40,7 +41,6 @@ from .orders import (
     build_poset,
     compare_bases,
     first_extension,
-    flip_involution,
     leq_extint_ind,
     leq_flip_ind,
     linear_extensions,

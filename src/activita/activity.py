@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import iter_bits, max_elem, subset_label, subset_str
+from .bitsets import iter_bits, max_elem, submasks, subset_label, subset_str
 from .errors import (
     DecompositionNotFound,
     DecompositionNotUnique,
@@ -91,24 +91,33 @@ def activity_profile_by_exchange(matroid: Matroid, basis: int) -> ActivityProfil
 
 
 def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:
-    """Unique (B, X ⊆ EA(B), Y ⊆ IA(B)) with subset = B∖Y ∪ X.
-
-    Found by scanning the bases in canonical order for the interval
-    [B∖IA(B), B∪EA(B)] containing the subset; uniqueness is checked.  This
-    scan is the oracle for :func:`crapo_decompose_independent`.
-    """
+    """Unique (B, X ⊆ EA(B), Y ⊆ IA(B)) with subset = B∖Y ∪ X, found by scanning the
+    bases for the intervals [B∖IA(B), B∪EA(B)] that hold it: O(B) a call."""
     hits = []
     for b in matroid.bases:
         prof = activity_profile(matroid, b)
-        if (b & ~prof.ia) & ~subset == 0 and subset & ~(b | prof.ea) == 0:
-            hits.append(CrapoDecomposition(basis=b, x=subset & ~b, y=b & ~subset))
-    if not hits:
-        raise DecompositionNotFound(f"no Crapo decomposition of {subset_label(subset, matroid.n)}")
-    if len(hits) > 1:
-        raise DecompositionNotUnique(
-            f"{len(hits)} Crapo decompositions of {subset_label(subset, matroid.n)}"
-        )
-    return hits[0]
+        if not b & ~prof.ia & ~subset and not subset & ~(b | prof.ea):
+            hits.append(b)
+    if len(hits) != 1:
+        label = subset_label(subset, matroid.n)
+        if hits:
+            raise DecompositionNotUnique(f"{len(hits)} Crapo decompositions of {label}")
+        raise DecompositionNotFound(f"no Crapo decomposition of {label}")
+    return CrapoDecomposition(basis=hits[0], x=subset & ~hits[0], y=hits[0] & ~subset)
+
+
+def crapo_decompositions(matroid: Matroid) -> list[CrapoDecomposition]:
+    """Every subset's decomposition, by marking each basis's interval on a table of all 2^n
+    subsets (O(2^n) time and memory); where none or two mark one, the scan raises its error."""
+    table = [-1] * (1 << matroid.n)  # -1: no basis yet, -2: two bases
+    for b in matroid.bases:
+        prof = activity_profile(matroid, b)
+        for sub in submasks(prof.ea | prof.ia):
+            table[b & ~prof.ia | sub] = b if table[b & ~prof.ia | sub] == -1 else -2
+    return [
+        CrapoDecomposition(b, s & ~b, b & ~s) if b >= 0 else crapo_decompose_subset(matroid, s)
+        for s, b in enumerate(table)
+    ]
 
 
 def crapo_decompose_independent(matroid: Matroid, indep: int) -> CrapoDecomposition:
@@ -141,6 +150,12 @@ def related_basis(matroid: Matroid, indep: int) -> int:
         if not basis & bit and matroid.is_independent(basis | bit):
             basis |= bit
     return basis
+
+
+def flip_involution(matroid: Matroid, indep: int) -> int:
+    """Flip an independent set inside its boolean block: S∪IP ↦ (IA∖S)∪IP."""
+    prof = activity_profile(matroid, related_basis(matroid, indep))
+    return (prof.ia & ~indep) | prof.ip
 
 
 @memoized

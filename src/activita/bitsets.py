@@ -7,7 +7,9 @@ operations.  The string form is ascending digit concatenation for n <= 9
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import reduce
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND = 64
 
@@ -53,6 +55,19 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def columns(sets: Sequence[int], width: int) -> list[int]:
+    """The bitset {k : e ∈ sets[k]} for each bit e < width."""
+    return [sum(1 << k for k, s in enumerate(sets) if s >> e & 1) for e in range(width)]
+
+
+def containment_rows(need: Sequence[int], have: Sequence[int], width: int) -> list[int]:
+    """Row x = {y : need[x] ⊆ have[y]}: the AND over e ∈ need[x] of the
+    column bitset {y : e ∈ have[y]}, once per distinct need."""
+    cols, full = columns(have, width), (1 << len(have)) - 1
+    rows = {a: reduce(and_, [cols[e] for e in iter_bits(a)], full) for a in set(need)}
+    return [rows[a] for a in need]
 
 
 def subset_str(mask: int, n: int) -> str:

@@ -104,10 +104,6 @@ def order(matroid: str, kind: str, dot_path: str | None, as_json: bool) -> None:
             click.echo(f"  {a or chr(0x2205)} < {b or chr(0x2205)}")
 
 
-def _facet_json(mask: int, n: int, tag: int) -> dict:
-    return dict(zip("xyzI", (subset_str(s, n) for s in (*blocks(n, mask), tag))))
-
-
 @main.command("complex")
 @click.argument("matroid", type=click.Path())
 @click.option("--kind", type=click.Choice(COMPLEX_KINDS), default="augmented-ea")
@@ -120,7 +116,8 @@ def complex_cmd(matroid: str, kind: str, as_json: bool) -> None:
         "kind": kind,
         "dimension": cx.dimension,
         "facets": [
-            _facet_json(mask, m.n, tag) for mask, tag in zip(cx.facets, cx.tags)
+            dict(zip("xyzI", (subset_str(s, m.n) for s in (*blocks(m.n, mask), tag))))
+            for mask, tag in zip(cx.facets, cx.tags)
         ],
         "f": list(cx.fh.f),
         "h": list(cx.fh.h),

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, inf
+from operator import or_
 
 from .activity import (
     activity_profile,
@@ -155,9 +156,7 @@ def face_counts(facets: Iterable[int]) -> tuple[int, ...]:
                 v = 1 << g.bit_length() - 1
                 top, g = node(v, 0, top), g ^ v
             return top
-        union = 0
-        for g in fam:
-            union |= g
+        union = reduce(or_, fam)
         v = union & -union
         lo = [g for g in fam if not g & v]
         return node(v, build(lo) if lo else 0, build([g ^ v for g in fam if g & v]))

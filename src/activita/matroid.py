@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
-from .bitsets import MAX_GROUND, elems_of, iter_bits, mask_of, subset_str
+from .bitsets import MAX_GROUND, columns, elems_of, iter_bits, mask_of, subset_str
 from .errors import (
     ElementInBasis,
     EmptyBases,
@@ -44,6 +44,7 @@ class Matroid:
         self.bases = tuple(sorted(set(bases)))
         self.rank = self.bases[0].bit_count() if self.bases else 0
         self.provenance = provenance
+        self._basis_set = frozenset(self.bases)
         # one dict of results per memoized function, keyed by its argument
         self._cache: defaultdict = defaultdict(dict)
 
@@ -63,10 +64,6 @@ class Matroid:
     def rank_of(self, subset: int) -> int:
         """Rank of a subset: max |subset ∩ B| over bases B."""
         return max((subset & b).bit_count() for b in self.bases)
-
-    @cached_property
-    def _basis_set(self) -> frozenset[int]:
-        return frozenset(self.bases)
 
     @cached_property
     def _independent_set(self) -> frozenset[int]:
@@ -182,7 +179,7 @@ def _check_exchange(n: int, bases: Sequence[int]) -> None:
     {b : e ∈ b} over e ∈ C(a, x): O(B·r·(n−r)) column ORs for B bases.
     """
     basis_set, every = set(bases), (1 << len(bases)) - 1
-    holders = [sum(1 << k for k, b in enumerate(bases) if b >> e & 1) for e in range(n)]
+    holders = columns(bases, n)
     for a in bases:
         outside = [(1 << y, holders[y]) for y in iter_bits(~a & (1 << n) - 1)]
         for x in iter_bits(a):

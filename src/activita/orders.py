@@ -3,7 +3,7 @@
 Three classical partial orders on the bases (external, internal, and the external/internal
 order refining both), the extension of the external/internal order to all independent sets,
 its block-flipped variant, linear extensions (counted over down-sets up to a cap, enumerated
-or sampled), lattice operations, boolean cover intervals, and the flip involution.
+or sampled), lattice operations and boolean cover intervals.
 
 Each order has one definition here, and :func:`build_poset` materializes it once per matroid
 as rows that are ANDs of column bitsets; other code reads the relation from that poset.
@@ -17,10 +17,10 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 
 from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
-from .bitsets import iter_bits, submasks, subset_label, subset_str
+from .bitsets import containment_rows, iter_bits, submasks, subset_label, subset_str
 from .errors import (
     EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover, NotIndependent
 )
@@ -162,23 +162,13 @@ class Poset:
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
-        """Length of the longest chain below each element (for Hasse ranking),
-        pushed up the strict up-rows along a linear extension: an element
-        comes after every element whose up-set is larger."""
-        h = [0] * len(self.elements)
-        for i in sorted(range(len(h)), key=lambda i: -self.up_rows[i].bit_count()):
-            for j in iter_bits(self.up_rows[i] & ~(1 << i)):
+        """Length of the longest chain below each element (for Hasse ranking), pushed up
+        the upper covers along the first linear extension: O(covers) besides the tables."""
+        h = [0] * len(self)
+        for i in map(self.index.get, _greedy_extension(self, itemgetter(0))):
+            for j in self.cover_tables[1][i]:
                 h[j] = max(h[j], h[i] + 1)
         return tuple(h)
-
-
-def _containment_rows(need: Sequence[int], have: Sequence[int], n: int) -> list[int]:
-    """Row x = {y : need[x] ⊆ have[y]}: the AND over e ∈ need[x] of the
-    column bitset {y : e ∈ have[y]}, once per distinct need."""
-    cols = [sum(1 << y for y, h in enumerate(have) if h >> e & 1) for e in range(n)]
-    full = (1 << len(have)) - 1
-    rows = {a: reduce(and_, [cols[e] for e in iter_bits(a)], full) for a in set(need)}
-    return [rows[a] for a in need]
 
 
 @memoized
@@ -196,18 +186,18 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
         profs = [activity_profile(matroid, b) for b in elements]
         closed = [b | p.ea for b, p in zip(elements, profs)]
         if kind == "ext-bases":
-            rows = _containment_rows(elements, closed, n)
+            rows = containment_rows(elements, closed, n)
         elif kind == "int-bases":
-            rows = _containment_rows([b & ~p.ia for b, p in zip(elements, profs)], elements, n)
+            rows = containment_rows([b & ~p.ia for b, p in zip(elements, profs)], elements, n)
         else:
-            rows = _containment_rows([p.ip for p in profs], closed, n)
+            rows = containment_rows([p.ip for p in profs], closed, n)
     elif kind in ("extint-ind", "flip-ind", "nbc-extint"):
         elements = nbc_sets(matroid) if kind == "nbc-extint" else matroid.independent_sets
         bases, blocks = _related_blocks(matroid, elements)
         keys = [_key(matroid, i) for i in elements]
         sets = [matroid.full_mask & ~i for i in elements] if kind == "flip-ind" else elements
-        within = _containment_rows(sets, sets, n)
-        across = _containment_rows(keys, keys, n)
+        within = containment_rows(sets, sets, n)
+        across = containment_rows(keys, keys, n)
         rows = [w & blocks[b] | a & ~blocks[b] for w, a, b in zip(within, across, bases)]
     else:
         raise ValueError(f"unknown poset kind {kind!r}")
@@ -218,8 +208,16 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
 
 
 def poset_axiom_violation(poset: Poset, n: int) -> str:
-    """The first failure of reflexivity, antisymmetry or transitivity, or ""."""
-    rows, elems = poset.up_rows, poset.elements
+    """The first failure of reflexivity, antisymmetry or transitivity, or "".  Rows are a
+    partial order iff each i has up(i) ∧ down(i) = {i} and up(i) = {i} ∪ ⋃ up(u) over its
+    upper covers u (so no cycle of covers, and transitivity by induction upward): O(N + covers)
+    row operations.  A failure runs the per-pair scan, to name it."""
+    rows, elems, down, upper = poset.up_rows, poset.elements, poset.down_rows, poset.cover_tables[1]
+    if all(
+        row & down[i] == 1 << i and row == reduce(or_, [rows[u] for u in upper[i]], 1 << i)
+        for i, row in enumerate(rows)
+    ):
+        return ""
     for i, row in enumerate(rows):
         a = subset_label(elems[i], n)
         if not row >> i & 1:
@@ -229,7 +227,7 @@ def poset_axiom_violation(poset: Poset, n: int) -> str:
                 return f"not antisymmetric on {a}, {subset_label(elems[j], n)}"
             if rows[j] & ~row:
                 return f"not transitive from {a} through {subset_label(elems[j], n)}"
-    return ""
+    raise EquivalenceMismatch("the cover certificate of the poset axioms fails, the scan passes")
 
 
 def _row_disagreement(elems, rows, expected, n: int, what: str) -> str:
@@ -294,7 +292,7 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
         ("extint-bases", keys),  # key(A) ⊆ key(B)
         ("extint-bases", [p.ip | p.ea for p in profiles]),  # IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
     ):
-        wants = _containment_rows(sets, sets, n)
+        wants = containment_rows(sets, sets, n)
         forms = [f | row ^ want for f, row, want in zip(forms, posets[kind].up_rows, wants)]
     what = "equivalent forms of the basis orders disagree"
     return _row_disagreement(bases, forms, [0] * len(forms), n, what)
@@ -475,9 +473,3 @@ def boolean_interval(matroid: Matroid, b: int, c: int) -> tuple[int, ...]:
             f"boolean block differs from order interval above {subset_str(b, matroid.n)}"
         )
     return block
-
-
-def flip_involution(matroid: Matroid, indep: int) -> int:
-    """Flip an independent set inside its boolean block: S∪IP ↦ (IA∖S)∪IP."""
-    prof = activity_profile(matroid, related_basis(matroid, indep))
-    return (prof.ia & ~indep) | prof.ip

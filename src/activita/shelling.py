@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .activity import (
     _related_blocks, activity_profile, crapo_decompose_independent, nbc_sets, related_basis
 )
-from .bitsets import iter_bits, min_elem, submasks, subset_label, subset_str
+from .bitsets import columns, iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import SimplicialComplex, facet_F, xyz
 from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
 from .matroid import Matroid, memoized
@@ -140,11 +140,8 @@ def verify_shelling_pairwise(
 
 
 def restriction_sets_bruteforce(order: list[int] | tuple[int, ...]) -> list[int]:
-    """Restriction sets as the unique minimal new face added by each facet.
-
-    Enumerates every face of each facet; exponential in facet size, intended
-    as an oracle on small complexes.
-    """
+    """Restriction sets as the unique minimal new face added by each facet, enumerating
+    every face of each facet: exponential in facet size, an oracle for small complexes."""
     out = []
     for k, fk in enumerate(order):
         new = [a for a in submasks(fk) if all(a & ~g for g in order[:k])]  # in no earlier facet
@@ -218,12 +215,6 @@ def flip_restrictions(matroid: Matroid) -> dict[int, int]:
 # -- witness construction ----------------------------------------------------------
 
 
-def _star_equation_holds(matroid: Matroid, i: int, j: int, k: int, c: int) -> bool:
-    """F(I)∩F(K) ⊆ F(J)∩F(K) = F(K)∖z_c, on the facet masks."""
-    fi, fj, fk = (facet_F(matroid, s) for s in (i, j, k))
-    return fj & fk == fk & ~xyz(matroid.n, zs=1 << (c - 1)) and not fi & fk & ~fj
-
-
 @memoized
 def _witness_table(matroid: Matroid) -> dict[int, tuple[tuple[int, int], ...]]:
     """good(C) for every basis C: the (c, B) with c ∈ IP(C), largest first, and
@@ -262,8 +253,8 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
     sets (otherwise ComparablePair).  Internally related pairs delete the
     smallest element of K∖I from K; unrelated pairs take the exchange (B, c)
     of the related bases from ``_witness_table`` and transport the deletion
-    set Y.  The returned witness always satisfies J < K and the facet equation.
-    This is the per-pair definition that :func:`witness_groups` must agree with.
+    set Y.  The returned witness always satisfies J < K and the facet equation
+    F(I)∩F(K) ⊆ F(J)∩F(K) = F(K)∖z_c; :func:`witness_groups` must agree with this per pair.
     """
     a = related_basis(matroid, i)
     c_basis = related_basis(matroid, k)
@@ -290,7 +281,8 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         witness = Witness(J=j, c=c, case="unrelated", B=basis_b)
     if not (ind_poset.leq(witness.J, k) and witness.J != k):
         raise WitnessNotFound("constructed witness does not precede K")
-    if not _star_equation_holds(matroid, i, witness.J, k, witness.c):
+    fi, fj, fk = (facet_F(matroid, s) for s in (i, witness.J, k))
+    if fj & fk != fk & ~xyz(matroid.n, zs=1 << (witness.c - 1)) or fi & fk & ~fj:
         raise WitnessNotFound("constructed witness violates the facet equation")
     return witness
 
@@ -326,13 +318,13 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     elems, table, full = ind.elements, _witness_table(matroid), (1 << len(ind)) - 1
     facets = [facet_F(matroid, i) for i in elems]
     related, blocks = _related_blocks(matroid, elems)
-    in_col = [sum(1 << x for x, i in enumerate(elems) if i >> e & 1) for e in range(matroid.n)]
+    in_col = columns(elems, matroid.n)
+    z_col = columns([f >> 2 * matroid.n for f in facets], matroid.n)
     ep_col = [
         sum(block for a, block in blocks.items() if activity_profile(matroid, a).ep >> e & 1)
         for e in range(matroid.n)
     ]
     z_bits = [xyz(matroid.n, zs=1 << e) for e in range(matroid.n)]
-    z_col = [sum(1 << x for x, f in enumerate(facets) if f & zb) for zb in z_bits]
     for y, (k, fk, c_basis) in enumerate(zip(elems, facets, related)):
         deleted, block, rest, groups = c_basis & ~k, blocks[c_basis], full & ~ind.up_rows[y], []
         peel = [(block & ~in_col[e], Witness(k ^ 1 << e, e + 1, "related")) for e in iter_bits(k)]

@@ -8,7 +8,10 @@ formulas tying the activity complexes to Tutte evaluations.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import and_, or_
 
 from .activity import activity_profile
 from .complexes import build_complex, xyz
@@ -37,6 +40,14 @@ class BiPoly:
     def monomial(cls, qexp: int, texp: int, coeff: int = 1) -> "BiPoly":
         return cls({(qexp, texp): coeff})
 
+    @classmethod
+    def collect(cls, terms: Iterable[tuple[tuple[int, int], int]]) -> "BiPoly":
+        """The sum of the terms ((q-exponent, t-exponent), coefficient)."""
+        out: dict[tuple[int, int], int] = {}
+        for key, v in terms:
+            out[key] = out.get(key, 0) + v
+        return cls(out)
+
     def __add__(self, other: "BiPoly") -> "BiPoly":
         out = dict(self.coeffs)
         for key, v in other.coeffs.items():
@@ -52,10 +63,7 @@ class BiPoly:
         return BiPoly(out)
 
     def __pow__(self, e: int) -> "BiPoly":
-        result = BiPoly.one()
-        for _ in range(e):
-            result = result * self
-        return result
+        return reduce(BiPoly.__mul__, [self] * e, BiPoly.one())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
@@ -65,28 +73,19 @@ class BiPoly:
 
     def subst(self, qval: "BiPoly", tval: "BiPoly") -> "BiPoly":
         """Substitute polynomials for q and t; exponents must be nonnegative."""
-        out = BiPoly.zero()
-        for (qe, te), v in self.coeffs.items():
-            if qe < 0 or te < 0:
-                raise ValueError("cannot substitute into a Laurent exponent")
-            out = out + BiPoly({(0, 0): v}) * qval**qe * tval**te
-        return out
+        if any(qe < 0 or te < 0 for qe, te in self.coeffs):
+            raise ValueError("cannot substitute into a Laurent exponent")
+        terms = (BiPoly({(0, 0): v}) * qval**qe * tval**te for (qe, te), v in self.coeffs.items())
+        return sum(terms, BiPoly())
 
     def evaluate(self, qval: int, tval: int) -> int:
         """Numeric evaluation; exponents must be nonnegative."""
-        total = 0
-        for (qe, te), v in self.coeffs.items():
-            if qe < 0 or te < 0:
-                raise ValueError("cannot evaluate a Laurent exponent at an integer")
-            total += v * qval**qe * tval**te
-        return total
+        if any(qe < 0 or te < 0 for qe, te in self.coeffs):
+            raise ValueError("cannot evaluate a Laurent exponent at an integer")
+        return sum(v * qval**qe * tval**te for (qe, te), v in self.coeffs.items())
 
     def subst_t_equals_q(self) -> "BiPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (qe, te), v in self.coeffs.items():
-            key = (qe + te, 0)
-            out[key] = out.get(key, 0) + v
-        return BiPoly(out)
+        return BiPoly.collect(((qe + te, 0), v) for (qe, te), v in self.coeffs.items())
 
     def min_q_exponent(self) -> int:
         return min((qe for qe, _ in self.coeffs), default=0)
@@ -114,46 +113,29 @@ class BiPoly:
 
 def tutte_by_activities(matroid: Matroid) -> BiPoly:
     """T(q, t) = sum over bases of q^(#internally active) t^(#externally active)."""
-    total = BiPoly.zero()
-    for b in matroid.bases:
-        prof = activity_profile(matroid, b)
-        total = total + BiPoly.monomial(prof.ia.bit_count(), prof.ea.bit_count())
-    return total
+    profiles = (activity_profile(matroid, b) for b in matroid.bases)
+    return BiPoly.collect(((p.ia.bit_count(), p.ea.bit_count()), 1) for p in profiles)
 
 
 def tutte_by_deletion_contraction(matroid: Matroid) -> BiPoly:
-    """Independent oracle: the standard loop/coloop/delete+contract recursion.
-
-    Memoized on the (ground set, bases) signature of each minor.
-    """
-    memo: dict[tuple[int, frozenset[int]], BiPoly] = {}
+    """Independent oracle: the standard loop/coloop/delete+contract recursion."""
     q = BiPoly.monomial(1, 0)
     t = BiPoly.monomial(0, 1)
 
+    @cache
     def rec(ground: int, bases: frozenset[int]) -> BiPoly:
         if not ground:
             return BiPoly.one()
-        key = (ground, bases)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         ebit = ground & -ground
         rest = ground ^ ebit
-        covered = 0
-        common = ground
-        for b in bases:
-            covered |= b
-            common &= b
+        covered, common = reduce(or_, bases, 0), reduce(and_, bases, ground)
         if not covered & ebit:  # loop
-            out = t * rec(rest, bases)
-        elif common & ebit:  # coloop
-            out = q * rec(rest, frozenset(b ^ ebit for b in bases))
-        else:
-            deleted = frozenset(b for b in bases if not b & ebit)
-            contracted = frozenset(b ^ ebit for b in bases if b & ebit)
-            out = rec(rest, deleted) + rec(rest, contracted)
-        memo[key] = out
-        return out
+            return t * rec(rest, bases)
+        if common & ebit:  # coloop
+            return q * rec(rest, frozenset(b ^ ebit for b in bases))
+        deleted = frozenset(b for b in bases if not b & ebit)
+        contracted = frozenset(b ^ ebit for b in bases if b & ebit)
+        return rec(rest, deleted) + rec(rest, contracted)
 
     return rec(matroid.full_mask, frozenset(matroid.bases))
 
@@ -174,11 +156,9 @@ def bivariate_restriction_polynomial(
     """
     d = matroid.n + matroid.rank
     ymask, zmask = xyz(matroid.n, ys=matroid.full_mask), xyz(matroid.n, zs=matroid.full_mask)
-    coeffs: dict[tuple[int, int], int] = {}
-    for r in restrictions:
-        key = (-(r & ymask).bit_count(), d - (r & zmask).bit_count())
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return BiPoly(coeffs)
+    return BiPoly.collect(
+        ((-(r & ymask).bit_count(), d - (r & zmask).bit_count()), 1) for r in restrictions
+    )
 
 
 @dataclass

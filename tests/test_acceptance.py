@@ -14,6 +14,7 @@ from activita.activity import (
     activity_profile_by_exchange,
     crapo_decompose_independent,
     crapo_decompose_subset,
+    flip_involution,
     nbc_sets,
 )
 from activita.bitsets import parse_subset, subset_str
@@ -23,7 +24,6 @@ from activita.matroid import uniform
 from activita.orders import (
     boolean_interval,
     build_poset,
-    flip_involution,
     leq_extint_ind,
     linear_extensions,
 )

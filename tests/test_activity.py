@@ -101,6 +101,17 @@ class TestCrapo:
         dec = crapo_decompose_subset(m5_matroid, ps5("345"))
         assert (dec.basis, dec.x, dec.y) == (ps5("345"), 0, 0)
 
+    def test_one_subset_scans_the_bases_and_marks_no_table(self, m5_matroid, monkeypatch):
+        # one decomposition costs O(B) profile lookups; only crapo_decompositions
+        # pays for the table of all 2^n subsets
+        import activita.activity as activity
+
+        monkeypatch.setattr(activity, "submasks", None)
+        dec = crapo_decompose_subset(m5_matroid, ps5("23"))
+        assert (dec.basis, dec.x, dec.y) == (ps5("235"), 0, ps5("5"))
+        with pytest.raises(TypeError):
+            activity.crapo_decompositions(m5_matroid)
+
     def test_independent_examples(self, m5_matroid):
         dec = crapo_decompose_independent(m5_matroid, ps5("14"))
         assert (dec.basis, dec.y) == (ps5("134"), ps5("3"))
@@ -119,7 +130,7 @@ class TestCrapo:
         import activita.activity as activity
         from activita.errors import DecompositionNotFound, DecompositionNotUnique
         from activita.matroid import Matroid
-        from activita.suite import _externally_active_by_circuits
+        from test_oracles import externally_active_by_circuits
 
         broken = Matroid(4, [0b0011, 0b1100])
         # by closure, 1 lies in no interval [B∖IA(B), B∪EA(B)]: 12 is [12, 1234], 34 is [∅, 34]
@@ -129,7 +140,7 @@ class TestCrapo:
         # by the circuit definition every element of the family is a loop (each
         # fundamental circuit is a singleton), so ∅ lies in the intervals of
         # both bases, and is named as ∅
-        monkeypatch.setattr(activity, "externally_active", _externally_active_by_circuits)
+        monkeypatch.setattr(activity, "externally_active", externally_active_by_circuits)
         broken = Matroid(4, [0b0011, 0b1100])
         with pytest.raises(DecompositionNotUnique, match="^2 Crapo decompositions of ∅$"):
             crapo_decompose_subset(broken, 0)

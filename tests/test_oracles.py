@@ -13,9 +13,11 @@ Shannon expansion that the ZDD count replaced, the recursive enumeration of
 linear extensions that the explicit stack replaced, and the capped count and
 ``linear_extensions`` against it: enumerate up to cap + 1 orders, else sample
 the rescan's draws, the decision the count replaced; the closure form of
-external and internal activity against the circuit definition, and the
-exchange check by fundamental cocircuits against the pairwise scan it
-replaced.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
+external and internal activity and the suite's zeta transform against the
+circuit definition, the exchange check by fundamental cocircuits against the
+pairwise scan it replaced, the Crapo table against the per-subset basis scan,
+the circuit axioms by containment rows against the per-(B, e) circuit scan,
+and the cover certificate of the poset axioms against the per-pair scan.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
 Tutte polynomial keeps under relabeling and swaps q and t under duality, and
 the h-vectors of the augmented complexes are f-vectors by face counts.
 
@@ -34,11 +36,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import activita.activity as activity
 from activita.activity import (
     activity_profile,
     crapo_decompose_independent,
-    externally_active,
     crapo_decompose_subset,
+    crapo_decompositions,
+    externally_active,
     nbc_sets,
     related_basis,
 )
@@ -48,8 +52,14 @@ import activita.suite as suite
 from activita.bitsets import MAX_GROUND, iter_bits, parse_subset, submasks, subset_label
 from activita.complexes import blocks, build_complex, face_counts, independence_complex, xyz
 from activita.corpus import builtin_corpus, m5
-from activita.errors import ExchangeAxiomViolated, LatticeFailure, NotIndependent
-from activita.matroid import from_bases, graphic, linear_over_prime_field, relabel, uniform
+from activita.errors import (
+    ActivitaError,
+    EquivalenceMismatch,
+    ExchangeAxiomViolated,
+    LatticeFailure,
+    NotIndependent,
+)
+from activita.matroid import Matroid, from_bases, graphic, linear_over_prime_field, relabel, uniform
 from activita.orders import (
     BASIS_ORDER_KINDS,
     POSET_KINDS,
@@ -111,6 +121,19 @@ def edge_cases(*args):
 with_edge_cases = edge_cases()
 
 
+def crapo_outcome(decompose, m):
+    """The decompositions, or the type and message of the error raised."""
+    try:
+        return decompose(m)
+    except ActivitaError as exc:
+        return type(exc), str(exc)
+
+
+def per_subset_scan(m):
+    """The basis scan of every subset in turn, up to the first that raises."""
+    return [crapo_decompose_subset(m, s) for s in range(1 << m.n)]
+
+
 @with_edge_cases
 @given(small_matroids())
 @settings(max_examples=60, deadline=None)
@@ -119,6 +142,33 @@ def test_related_basis_matches_crapo_scan(m):
         scan = crapo_decompose_subset(m, i)
         assert related_basis(m, i) == scan.basis
         assert crapo_decompose_independent(m, i) == scan
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_crapo_table_matches_the_basis_scan(m):
+    assert crapo_outcome(crapo_decompositions, m) == crapo_outcome(per_subset_scan, m)
+
+
+def test_crapo_table_matches_the_basis_scan_on_corpus_and_w4():
+    for m in [*builtin_corpus().values(), W4]:
+        assert crapo_outcome(crapo_decompositions, m) == crapo_outcome(per_subset_scan, m)
+
+
+@pytest.mark.parametrize("bases", [[0b0011, 0b1100], [0b0011, 0b0101, 0b1100], [0b0101, 0b1010]])
+@pytest.mark.parametrize("by_circuits", [False, True], ids=["closure", "circuits"])
+def test_crapo_table_matches_the_basis_scan_on_families_that_are_no_matroid(
+    monkeypatch, bases, by_circuits
+):
+    # a family that fails exchange can leave a subset in no interval or in two,
+    # and with activities by the circuit definition its intervals hold over 2^n sets
+    if by_circuits:
+        monkeypatch.setattr(
+            activity, "externally_active", lambda m, s: circuit_activities_of(m)[s]
+        )
+    m = Matroid(max(bases).bit_length(), bases)
+    assert crapo_outcome(crapo_decompositions, m) == crapo_outcome(per_subset_scan, m)
 
 
 @with_edge_cases
@@ -714,6 +764,75 @@ def small_posets(draw):
     return Poset(tuple(elements), tuple(up))
 
 
+def poset_axiom_scan(poset, n):
+    """The first failure of reflexivity, antisymmetry or transitivity, one step
+    per comparable pair: the scan that the cover certificate replaced."""
+    rows, elems = poset.up_rows, poset.elements
+    for i, row in enumerate(rows):
+        a = subset_label(elems[i], n)
+        if not row >> i & 1:
+            return f"not reflexive at {a}"
+        for j in iter_bits(row & ~(1 << i)):
+            if rows[j] >> i & 1:
+                return f"not antisymmetric on {a}, {subset_label(elems[j], n)}"
+            if rows[j] & ~row:
+                return f"not transitive from {a} through {subset_label(elems[j], n)}"
+    return ""
+
+
+@st.composite
+def relations(draw):
+    """Relations on at most 7 masks: random rows; a partial order of
+    ``small_posets``, as drawn, with one bit flipped, or without one diagonal
+    bit; and a cycle through the elements in a random order, each element
+    related to itself and the next, alone or with every pair related."""
+    kind = draw(st.sampled_from(["rows", "order", "flip", "diagonal", "cycle", "closed-cycle"]))
+    if kind in ("order", "flip", "diagonal"):
+        poset = draw(small_posets())
+        rows, m = list(poset.up_rows), len(poset)
+        if m and kind != "order":
+            i = draw(st.integers(0, m - 1))
+            rows[i] ^= 1 << (i if kind == "diagonal" else draw(st.integers(0, m - 1)))
+        return Poset(poset.elements, tuple(rows))
+    m = draw(st.integers(0 if kind == "rows" else 1, 7))
+    if kind == "rows":
+        rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m))
+    elif kind == "cycle":
+        rows, at = [0] * m, draw(st.permutations(range(m)))
+        for x, i in enumerate(at):
+            rows[i] = 1 << i | 1 << at[(x + 1) % m]
+    else:
+        rows = [(1 << m) - 1] * m
+    elements = draw(st.lists(st.integers(0, 127), min_size=m, max_size=m, unique=True))
+    return Poset(tuple(elements), tuple(rows))
+
+
+@given(relations())
+@example(Poset((), ()))
+@example(Poset((1, 2, 4), (0b011, 0b110, 0b100)))  # not transitive
+@settings(max_examples=150, deadline=None)
+def test_cover_certificate_names_what_the_per_pair_scan_names(poset):
+    assert poset_axiom_violation(poset, 7) == poset_axiom_scan(poset, 7)
+
+
+@pytest.mark.parametrize("name", MEET_JOIN_CASES)
+def test_cover_certificate_passes_the_six_orders(name):
+    m = MEET_JOIN_CASES[name]
+    for kind in POSET_KINDS:
+        poset = build_poset(m, kind)
+        assert poset_axiom_violation(poset, m.n) == poset_axiom_scan(poset, m.n) == ""
+
+
+def test_a_certificate_the_scan_contradicts_raises(monkeypatch):
+    # covers that leave out the top of a chain fail the certificate on a
+    # partial order, which the scan passes: the disagreement is an error
+    chain = Poset((1, 2, 4), (0b111, 0b110, 0b100))
+    monkeypatch.setattr(Poset, "cover_tables", ((0, 1, 1), ((1,), (), ()), 0b001))
+    with pytest.raises(EquivalenceMismatch):
+        poset_axiom_violation(chain, 3)
+    assert poset_axiom_scan(chain, 3) == ""
+
+
 ANTICHAIN_7 = Poset(tuple(range(7)), tuple(1 << i for i in range(7)))  # 7! = 5040 orders
 
 
@@ -747,18 +866,82 @@ def test_linear_extensions_match_enumerate_then_sample(kind):
                 assert (sample.orders, sample.exhaustive) == enumerate_then_sample(poset, cap, seed)
 
 
+def externally_active_by_circuits(m, s):
+    """The definition, one subset at a time: e ∉ S is active iff some circuit C
+    with maximum e has C∖e ⊆ S, that is C∖S = {max C}.  The oracle of the
+    closure form, and the per-subset scan that the suite's transform replaced."""
+    return sum({c & ~s for c in m.circuits if c & ~s == 1 << c.bit_length() - 1})
+
+
+def circuit_activities_of(m):
+    """EA by the circuit definition for every subset, scanned subset by subset."""
+    return [externally_active_by_circuits(m, s) for s in range(1 << m.n)]
+
+
 @with_edge_cases
 @given(small_matroids())
 @settings(max_examples=60, deadline=None)
 def test_activities_by_closure_match_the_circuit_definition(m):
     # EA on every subset of m and of its dual, so IA = EA of the complement too
-    by_circuits = suite._externally_active_by_circuits
     for matroid in (m, m.dual):
-        for s in range(1 << m.n):
-            assert externally_active(matroid, s) == by_circuits(matroid, s)
+        by_circuits = circuit_activities_of(matroid)
+        assert suite._circuit_activities(matroid) == by_circuits
+        assert [externally_active(matroid, s) for s in range(1 << m.n)] == by_circuits
     for s in range(1 << m.n):
         prof = activity_profile(m, s)
-        assert prof.ia == by_circuits(m.dual, m.full_mask & ~s)
+        assert prof.ia == externally_active_by_circuits(m.dual, m.full_mask & ~s)
+
+
+def test_circuit_activities_match_the_per_subset_scan_on_corpus_and_w4():
+    for m in [*builtin_corpus().values(), W4]:
+        for matroid in (m, m.dual):
+            assert suite._circuit_activities(matroid) == circuit_activities_of(matroid)
+
+
+def circuit_axioms_by_scan(m):
+    """``circuits-not-in-bases`` and ``fundamental-circuit-unique`` as the scans
+    that the basis columns replaced: every (circuit, basis) pair, and for each
+    basis B and e ∉ B every circuit, which must leave fund(B, e) alone in B ∪ e."""
+    in_no_basis = all(c & ~b for c in m.circuits for b in m.bases)
+    minimal = all(m.is_independent(c ^ 1 << x) for c in m.circuits for x in iter_bits(c))
+    unique = all(
+        [c for c in m.circuits if c & ~(b | 1 << x) == 0] == [m.fundamental_circuit(b, x + 1)]
+        for b in m.bases for x in iter_bits(m.full_mask & ~b)
+    )
+    return [in_no_basis and minimal, unique]
+
+
+@st.composite
+def circuit_lists(draw):
+    """A matroid, and its circuits as listed, with a basis, a random set or a
+    listed circuit added once more, or with a circuit dropped."""
+    m = draw(small_matroids())
+    circuits = list(m.circuits)
+    change = draw(st.sampled_from(["none", "basis", "any", "again", "drop"]))
+    if change == "basis":
+        circuits.append(draw(st.sampled_from(m.bases)))
+    elif change == "any":
+        circuits.append(draw(st.integers(1, m.full_mask)))
+    elif change == "again" and circuits:
+        circuits.append(draw(st.sampled_from(circuits)))
+    elif change == "drop" and circuits:
+        circuits.remove(draw(st.sampled_from(circuits)))
+    return m, tuple(sorted(circuits))
+
+
+@given(circuit_lists())
+@settings(max_examples=100, deadline=None)
+def test_circuit_axioms_by_columns_match_the_scans(case):
+    m, circuits = case
+    assert suite.check_matroid_axioms(m)[1:3] == circuit_axioms_by_scan(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matroid, "circuits", property(lambda _: circuits))
+        assert suite.check_matroid_axioms(m)[1:3] == circuit_axioms_by_scan(m)
+
+
+def test_circuit_axioms_by_columns_match_the_scans_on_corpus_and_w4():
+    for m in [*builtin_corpus().values(), W4, *EDGE_CASES]:
+        assert suite.check_matroid_axioms(m)[1:3] == circuit_axioms_by_scan(m) == [True, True]
 
 
 def exchange_pairwise(bases):

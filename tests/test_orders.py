@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 import activita.orders as orders
-from activita.activity import related_basis
+from activita.activity import flip_involution, related_basis
 from activita.bitsets import iter_bits, parse_subset, subset_label, subset_str
 from activita.errors import LatticeFailure, NoLinearExtension, NotACover, NotIndependent
 from activita.matroid import uniform
@@ -18,7 +18,6 @@ from activita.orders import (
     build_poset,
     compare_bases,
     first_extension,
-    flip_involution,
     leq_extint_ind,
     leq_flip_ind,
     linear_extensions,

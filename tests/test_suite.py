@@ -13,16 +13,16 @@ import activita.activity as activity
 import activita.shelling as shelling
 import activita.suite as suite
 import activita.tutte as tutte
-from activita.activity import activity_profile, related_basis
+from activita.activity import CrapoDecomposition, activity_profile, related_basis
 from activita.bitsets import elems_of, mask_of, parse_subset
 from activita.complexes import FHVector, SimplicialComplex
 from activita.corpus import builtin_corpus, m5
-from activita.errors import NoLinearExtension
+from activita.errors import ExchangeAxiomViolated, NoLinearExtension
 from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
 from activita.orders import Poset
 from activita.suite import run_check, run_suite
 from activita.tutte import BiPoly
-from test_oracles import EDGE_CASES, W4
+from test_oracles import EDGE_CASES, W4, equal_size_families, externally_active_by_circuits
 
 
 def test_full_suite_on_m5(m5_matroid):
@@ -283,7 +283,7 @@ def activities_from_whole_b_plus_e(monkeypatch):
     """B ∪ e as every circuit, and the activities read off those circuits by
     the definition, which the closure form of ``externally_active`` ignores."""
     whole_b_plus_e_as_circuit(monkeypatch)
-    monkeypatch.setattr(activity, "externally_active", suite._externally_active_by_circuits)
+    monkeypatch.setattr(activity, "externally_active", externally_active_by_circuits)
 
 
 def circuit_of_the_next_element(monkeypatch):
@@ -308,6 +308,21 @@ def nullity_for_rank(monkeypatch):
     """|S| − r(S) grows with S but is supermodular, strictly so on m5."""
     real = Matroid.rank_of
     monkeypatch.setattr(Matroid, "rank_of", lambda m, s: s.bit_count() - real(m, s))
+
+
+def dependent_sets_on_the_first_basis(monkeypatch):
+    """Crapo's table gives every dependent set the first basis; the
+    independent sets keep theirs, so only the subsets' own verdict sees it."""
+    real = suite.crapo_decompositions
+
+    def moved(m):
+        first = m.bases[0]
+        return [
+            d if m.is_independent(s) else CrapoDecomposition(first, s & ~first, first & ~s)
+            for s, d in enumerate(real(m))
+        ]
+
+    monkeypatch.setattr(suite, "crapo_decompositions", moved)
 
 
 def decompose_without_deletions(monkeypatch):
@@ -464,6 +479,10 @@ MUTANTS = {
     ),
     "rank-monotone": (m5, AXIOMS, rank_of_the_complement, {"rank-monotone"}, "rank-submodular"),
     "rank-submodular": (m5, AXIOMS, nullity_for_rank, {"rank-submodular"}, "rank-monotone"),
+    "crapo-partition-subsets": (
+        m5, CRAPO, dependent_sets_on_the_first_basis, {"crapo-partition-subsets"},
+        "crapo-partition-independent",
+    ),
     "crapo-partition-independent": (
         m5, CRAPO, decompose_without_deletions, {"crapo-partition-independent"},
         "crapo-partition-subsets",
@@ -695,6 +714,25 @@ def test_a_check_that_raises_fails_every_declared_name(monkeypatch):
     detail = "NoLinearExtension: no linear extension of the 24 elements"
     expected = [(name, False, detail) for name in suite.FINDINGS["check_shelling_main"]]
     assert [(f.check, f.ok, f.detail) for f in findings] == expected
+
+
+def test_every_finding_passes_on_every_labeled_matroid_on_at_most_five_elements():
+    # the equal-size families that from_bases accepts are the labeled matroids
+    # on [n], every element order included (OEIS A058673)
+    counts, corpus = [], {}
+    for n in range(1, 6):
+        accepted = []
+        for family in equal_size_families(n):
+            try:
+                accepted.append(from_bases(n, family))
+            except ExchangeAxiomViolated:
+                pass
+        counts.append(len(accepted))
+        corpus.update((f"n{n}-{x}", m) for x, m in enumerate(accepted))
+    assert counts == [2, 5, 16, 68, 406]
+    findings = run_suite(corpus, cap=1)
+    assert len(findings) == 22657
+    assert [f for f in findings if not f.ok] == []
 
 
 def test_a_failing_crapo_partition_names_the_set_and_the_way_it_failed(monkeypatch):
