@@ -36,7 +36,7 @@ from .activity import (
     nbc_sets,
     related_basis,
 )
-from .bitsets import subset_str
+from .bitsets import iter_bits, subset_str
 from .errors import NotNBC, NotPure
 from .matroid import Matroid, memoized
 
@@ -96,11 +96,8 @@ class SimplicialComplex:
         """
         by_ridge: dict[int, list[int]] = {}
         for f in self.facets:
-            vs = f
-            while vs:
-                v = vs & -vs
-                vs ^= v
-                by_ridge.setdefault(f ^ v, []).append(f)
+            for v in iter_bits(f):
+                by_ridge.setdefault(f ^ 1 << v, []).append(f)
         out: dict[int, list[int]] = {f: [] for f in self.facets}
         for sharing in by_ridge.values():
             if len(sharing) > 1:

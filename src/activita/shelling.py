@@ -25,9 +25,10 @@ from .activity import (
 )
 from .bitsets import columns, iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import SimplicialComplex, facet_F, xyz
-from .errors import ActivitaError, ComparablePair, EquivalenceMismatch, NotAPermutation, WitnessNotFound
+from .errors import (ActivitaError, ComparablePair, EquivalenceMismatch, NoLinearExtension,
+                     NotAPermutation, WitnessNotFound)
 from .matroid import Matroid, memoized
-from .orders import build_poset
+from .orders import Poset, build_poset
 
 
 @dataclass
@@ -75,6 +76,11 @@ def verify_shelling(cx: SimplicialComplex, order: list[int] | tuple[int, ...]) -
             if pos[g] < k:
                 common &= g
         restrictions.append(fk & ~common)
+    return _judge(cx, order, restrictions)
+
+
+def _judge(cx: SimplicialComplex, order, restrictions: list[int]) -> ShellingReport:
+    """The report of :func:`verify_shelling` on a facet order with these restriction sets."""
     d = cx.facet_size
     if sum(1 << (d - r.bit_count()) for r in restrictions) != sum(cx.fh.f):
         for k, rk in enumerate(restrictions):
@@ -90,36 +96,53 @@ def verify_shelling(cx: SimplicialComplex, order: list[int] | tuple[int, ...]) -
 
 
 def verify_orders(
-    cx: SimplicialComplex, orders: list[tuple[int, ...]], closed_form: dict[int, int] | None
+    cx: SimplicialComplex, poset: Poset, orders: list[tuple[int, ...]], closed_form: dict | None
 ) -> tuple[tuple[bool, ...], list[list[int]]]:
-    """Fold :func:`verify_shelling` over orders of facet tags, up to the first
-    that does not shell.  Returns five flags and the restriction sets of each
-    distinct restriction map tag → R: there are orders and every one shells;
-    each map is ``closed_form`` (tag → restriction set), if given; property
-    (H); the restrictions form an h-complex; their h-vector is the complex's.
-    Each flag after the first also requires the first.
-
-    The last four are checked once per map, not per order.  A shelling splits
-    the faces into the intervals [R(F), F], and the first facet containing a
-    face G is the facet whose interval holds G; so the map alone fixes the
-    interval of every face, and with it property (H), the h-complex and the
-    h-vector.
-    """
-    maps = {}
+    """Shell ``cx`` along ``orders``, linear extensions of ``poset`` on its facet tags, up to
+    the first that does not shell.  Returns five flags (there are orders and all shell; each map
+    tag → R is ``closed_form``, if given; property (H); an h-complex; the complex's h-vector)
+    and the restriction sets once per map.  Raises NotAPermutation unless an order lists each
+    tag once, NoLinearExtension unless each after all below it.  A neighbour below F is placed
+    before F in every extension and one above after it, so a table folds those below once and
+    an order is one pass ANDing in the incomparable ones placed: O(s + incomparable neighbour
+    pairs).  The face count and the last four flags read only the map: once per map."""
+    down, at = poset.down_rows, {f: poset.index[t] for t, f in cx.facet_by_tag.items()}
+    table, maps, flags = {}, {}, [bool(orders)] * 4
+    for t, f in cx.facet_by_tag.items():
+        x, below, others = at[f], -1, []
+        for g in cx.neighbours[f]:
+            if down[x] >> at[g] & 1:
+                below &= g
+            elif not down[at[g]] >> x & 1:
+                others.append((1 << at[g], g))
+        table[t] = (1 << x, down[x], f, below, tuple(others))  # others: the incomparable ones
     for order in orders:
-        facets = [cx.facet_by_tag[t] for t in order]
-        report = verify_shelling(cx, facets)
-        if not report.verdict:
-            return (False,) * 5, []
-        maps.setdefault(frozenset(zip(order, report.restrictions)), (facets, report))
-    shelled, reports = bool(orders), maps.values()
-    flags = (
-        closed_form is None or all(closed_form[t] == r for pairs in maps for t, r in pairs),
-        all(property_H_check(cx, facets, report.restrictions) for facets, report in reports),
-        all(h_complex_check(report.restrictions) for _, report in reports),
-        all(report.matches_complex_h for _, report in reports),
-    )
-    return (shelled, *(shelled and ok for ok in flags)), [r.restrictions for _, r in reports]
+        placed, late, varied = 0, 0, {}  # varied: R of each facet with incomparable neighbours
+        for t in order:
+            bit, down_row, f, common, others = table.get(t, (0, 0, 0, -1, ()))
+            placed |= bit
+            late |= down_row & ~placed
+            if others:
+                for y, g in others:
+                    if placed & y:
+                        common &= g
+                varied[t] = f & ~common
+        if len(order) != len(poset) or placed != (1 << len(poset)) - 1:
+            raise NotAPermutation("order is not a permutation of the complex's facets")
+        if late:
+            raise NoLinearExtension("order places an element before one below it")
+        if (key := frozenset(varied.items())) not in maps:
+            facets = [cx.facet_by_tag[t] for t in order]
+            rs = [varied.get(t, f & ~table[t][3]) for t, f in zip(order, facets)]
+            report = _judge(cx, facets, rs)
+            if not report.verdict:
+                return (False,) * 5, []
+            rs = maps[key] = report.restrictions
+            flags = [ok and new for ok, new in zip(flags, (
+                closed_form is None or all(closed_form[t] == r for t, r in zip(order, rs)),
+                property_H_check(cx, facets, rs), h_complex_check(rs), report.matches_complex_h,
+            ))]
+    return (bool(orders), *flags), list(maps.values())
 
 
 def verify_shelling_pairwise(
@@ -171,7 +194,6 @@ def property_H_check(
     verdict reads the order only through the map F ↦ R(F).
     """
     pos = {f: k for k, f in enumerate(order)}
-    neighbours = cx.neighbours
     for k, fk in enumerate(order):
         rk = restrictions[k]
         for v in iter_bits(rk & fk):
@@ -180,11 +202,7 @@ def property_H_check(
             need = rk & g
             if not need:
                 continue
-            first = k
-            for h in neighbours[fk]:
-                if fk & ~h == vbit and pos[h] < first:
-                    first = pos[h]
-            rg = restrictions[first]
+            rg = restrictions[min([k] + [pos[h] for h in cx.neighbours[fk] if fk & ~h == vbit])]
             if rg & ~g:
                 raise EquivalenceMismatch("face outside shelling intervals")
             if need & ~rg:
@@ -193,11 +211,7 @@ def property_H_check(
 
 
 def h_complex_check(restrictions: list[int]) -> bool:
-    """True iff the restriction family is closed under taking subsets.
-
-    A family is closed under subsets iff it is closed under deleting one
-    element, so this is O(|family|·d).
-    """
+    """True iff closed under subsets, that is under deleting one element: O(|family|·d)."""
     family = set(restrictions)
     return all(r & ~(1 << v) in family for r in family for v in iter_bits(r))
 
@@ -265,8 +279,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         )
     if a == c_basis:
         c = min_elem(k & ~i)
-        j = k & ~(1 << (c - 1))
-        witness = Witness(J=j, c=c, case="related")
+        witness = Witness(J=k & ~(1 << (c - 1)), c=c, case="related")
     else:
         ep = activity_profile(matroid, a).ep
         found = [(b, c) for c, b in _witness_table(matroid)[c_basis] if ep >> c - 1 & 1]
@@ -277,8 +290,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         y = c_basis & ~k
         if y & ~activity_profile(matroid, basis_b).ia:
             raise WitnessNotFound("deleted set is not internally active in the new basis")
-        j = basis_b & ~y
-        witness = Witness(J=j, c=c, case="unrelated", B=basis_b)
+        witness = Witness(J=basis_b & ~y, c=c, case="unrelated", B=basis_b)
     if not (ind_poset.leq(witness.J, k) and witness.J != k):
         raise WitnessNotFound("constructed witness does not precede K")
     fi, fj, fk = (facet_F(matroid, s) for s in (i, witness.J, k))

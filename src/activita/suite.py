@@ -43,7 +43,6 @@ from .shelling import (
     flip_restrictions,
     restriction_sets_bruteforce,
     verify_orders,
-    verify_shelling,
     verify_shelling_pairwise,
     witness_pass,
 )
@@ -245,9 +244,9 @@ def _sampled_shelling(
     ``kinds[1]``.  Returns the verdicts of the five flags of
     :func:`verify_orders`, the first with the sample size as its detail, the
     orders, and the restriction sets once per restriction map."""
-    cx = build_complex(m, kinds[0])
-    sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=seed)
-    flags, restrictions = verify_orders(cx, sample.orders, closed_form)
+    cx, poset = build_complex(m, kinds[0]), build_poset(m, kinds[1])
+    sample = linear_extensions(poset, cap=cap, seed=seed)
+    flags, restrictions = verify_orders(cx, poset, sample.orders, closed_form)
     detail = f"{len(sample.orders)} orders, exhaustive={sample.exhaustive}"
     return [(flags[0], detail), *flags[1:]], sample.orders, restrictions
 
@@ -256,23 +255,18 @@ def check_shelling_main(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdi
     """Every (sampled) extension of the independent-set order shells the complex,
     with restriction sets z_I, property (H), an h-complex, and as h-vector the f-vector
     of the independence complex and n zeros; the brute-force crosscheck needs at most 12 facets."""
-    verdicts, orders, _ = _sampled_shelling(
+    verdicts, orders, kept = _sampled_shelling(
         m, cap, seed, ("augmented-ea", "extint-ind"),
         {i: xyz(m.n, zs=i) for i in m.independent_sets}
     )
     cx, first = build_complex(m, "augmented-ea"), orders[0] if orders else ()
     crosscheck = None if len(cx.facets) > 12 else bool(first)  # an empty sample fails it
-    if crosscheck:
+    if crosscheck:  # the sets verify_orders keeps for the first order's map, and its verdict
         order = [cx.facet_by_tag[t] for t in first]
-        report = verify_shelling(cx, order)
-        agree, _ = verify_shelling_pairwise(cx, order)
-        same = report.restrictions == restriction_sets_bruteforce(order)
-        crosscheck = same and agree == report.verdict
+        same = kept[:1] == [restriction_sets_bruteforce(order)]
+        crosscheck = same and verify_shelling_pairwise(cx, order)[0] == verdicts[0][0]
     # an extension of extint-ind shells if the witness pass finds no error: J < K
-    ind, early, shelled = build_poset(m, "extint-ind"), 0, verdicts[0][0]
-    for x in (ind.index[k] for k in first):
-        shelled, early = shelled and not early & ind.up_rows[x], early | 1 << x
-    error = witness_pass(m)[0]
+    shelled, error = verdicts[0][0], witness_pass(m)[0]
     h_is_f = verdicts[4] and cx.fh.h == independence_complex(m).fh.f + (0,) * m.n
     return [*verdicts[:4], h_is_f, crosscheck, (shelled and not error, error if shelled else "")]
 

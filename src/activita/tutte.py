@@ -49,10 +49,7 @@ class BiPoly:
         return cls(out)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, 0) + v
-        return BiPoly(out)
+        return BiPoly.collect([*self.coeffs.items(), *other.coeffs.items()])
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: dict[tuple[int, int], int] = {}

@@ -669,8 +669,8 @@ def test_shelling_properties_read_an_order_only_through_its_restriction_map(name
     # on the suite's samples: cap 200 on the corpus, 20 on W4, seed 0
     m, cap = (W4, 20) if name == "W4" else (builtin_corpus()[name], 200)
     for kinds in SAMPLED_SHELLINGS:
-        cx = build_complex(m, kinds[0])
-        sample = linear_extensions(build_poset(m, kinds[1]), cap=cap, seed=0)
+        cx, poset = build_complex(m, kinds[0]), build_poset(m, kinds[1])
+        sample = linear_extensions(poset, cap=cap, seed=0)
         by_map = {}
         for order in sample.orders:
             facets = [cx.facet_by_tag[t] for t in order]
@@ -683,7 +683,7 @@ def test_shelling_properties_read_an_order_only_through_its_restriction_map(name
             )
             assert report.verdict
             assert by_map.setdefault(frozenset(zip(order, r)), verdicts) == verdicts
-        flags, restrictions = shelling.verify_orders(cx, sample.orders, None)
+        flags, restrictions = shelling.verify_orders(cx, poset, sample.orders, None)
         assert flags[2:] == tuple(all(v[x] for v in by_map.values()) for x in range(3))
         assert len(restrictions) == len(by_map)
 

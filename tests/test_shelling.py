@@ -1,6 +1,7 @@
 """Shelling verification, restriction sets, property (H), and witnesses."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import activita.suite as suite
 from activita import complexes
 from activita.activity import activity_profile, is_nbc, nbc_sets
-from activita.bitsets import mask_of, parse_subset, submasks, subset_str
+from activita.bitsets import iter_bits, mask_of, parse_subset, submasks, subset_str
 from activita.complexes import (
     COMPLEX_KINDS,
     FHVector,
@@ -21,10 +22,12 @@ from activita.corpus import m5
 from activita.errors import (
     ComparablePair,
     EquivalenceMismatch,
+    NoLinearExtension,
     NotAPermutation,
 )
 from activita.matroid import uniform
 from activita.orders import (
+    Poset,
     build_poset,
     compare_bases,
     first_extension,
@@ -54,6 +57,12 @@ def aug_order(m, extension):
     return cx, [cx.facet_by_tag[i] for i in extension]
 
 
+def antichain(cx):
+    """The poset on the facet tags of ``cx`` with no two tags comparable: every
+    permutation of the tags is a linear extension of it."""
+    return Poset(tuple(cx.tags), tuple(1 << x for x in range(len(cx.tags))))
+
+
 class TestVerifyShelling:
     def test_extension_shells_augmented_complex(self, m5_matroid):
         cx, order = aug_order(m5_matroid, first_extension(build_poset(m5_matroid, "extint-ind")))
@@ -78,10 +87,9 @@ class TestVerifyShelling:
         assert report.restrictions == [0]
 
     def test_no_orders_fail_every_flag(self, m5_matroid):
-        cx = build_complex(m5_matroid, "augmented-ea")
-        assert verify_orders(cx, [], None) == ((False,) * 5, [])
-        order = first_extension(build_poset(m5_matroid, "extint-ind"))
-        flags, restrictions = verify_orders(cx, [order], None)
+        cx, poset = build_complex(m5_matroid, "augmented-ea"), build_poset(m5_matroid, "extint-ind")
+        assert verify_orders(cx, poset, [], None) == ((False,) * 5, [])
+        flags, restrictions = verify_orders(cx, poset, [first_extension(poset)], None)
         assert flags == (True,) * 5 and len(restrictions) == 1
 
     def test_every_restriction_map_is_checked(self):
@@ -90,9 +98,10 @@ class TestVerifyShelling:
         # property (H) fails on it too: 1 ∈ R(14), but the face 1 lies in [∅, 12]
         e12, e14, e23, e34 = (mask_of(edge) for edge in ((1, 2), (1, 4), (2, 3), (3, 4)))
         cx = SimplicialComplex((e12, e14, e23, e34))
-        good, bad = (e12, e14, e23, e34), (e12, e23, e34, e14)
-        assert verify_orders(cx, [good, good], None) == ((True,) * 5, [[0, 0b1000, 0b100, 0b1100]])
-        flags, restrictions = verify_orders(cx, [good, bad, good], None)
+        good, bad, free = (e12, e14, e23, e34), (e12, e23, e34, e14), antichain(cx)
+        expected = ((True,) * 5, [[0, 0b1000, 0b100, 0b1100]])
+        assert verify_orders(cx, free, [good, good], None) == expected
+        flags, restrictions = verify_orders(cx, free, [good, bad, good], None)
         assert flags == (True, True, False, False, True)
         assert restrictions == [[0, 0b1000, 0b100, 0b1100], [0, 0b100, 0b1000, 0b1001]]
 
@@ -106,6 +115,21 @@ class TestVerifyShelling:
         ):
             with pytest.raises(NotAPermutation):
                 verify_shelling(cx, order)
+
+    def test_verify_orders_takes_only_permutations_that_extend_the_poset(self, m5_matroid):
+        cx, poset = build_complex(m5_matroid, "augmented-ea"), build_poset(m5_matroid, "extint-ind")
+        order, foreign = first_extension(poset), max(cx.tags) + 1
+        # one missing; one repeated in its place; one foreign; every tag and one again
+        for wrong in (order[:-1], order[:-1] + order[:1], order[:-1] + (foreign,), order + order[:1]):
+            with pytest.raises(NotAPermutation):
+                verify_orders(cx, poset, [order, wrong], None)
+        a, b = poset.covers()[0]  # b covers a: a comes first in every extension
+        swapped = tuple({a: b, b: a}.get(t, t) for t in order)
+        with pytest.raises(NoLinearExtension):
+            verify_orders(cx, poset, [order, swapped], None)
+        # the bases are facet tags of "ea", the other independent sets are not
+        with pytest.raises(NotAPermutation):
+            verify_orders(build_complex(m5_matroid, "ea"), poset, [order], None)
 
     def test_pairwise_oracle_agrees(self, m5_matroid, corpus):
         # on shellings and on a known failure
@@ -344,14 +368,16 @@ class TestWitnessCertification:
             assert findings["witness-certifies-first-order"].ok
 
     def test_order_that_is_no_extension_is_not_certified(self, monkeypatch):
-        # the reversed first extension of m5 still shells, but is no extension
+        # the reversed first extension of m5 still shells, but is no extension:
+        # verify_orders refuses it, and that fails every finding of the check
         m = m5()
         reverse = lambda poset: first_extension(poset)[::-1]
         findings, order = shell_main_with_first_order(monkeypatch, m, reverse)
         assert not is_extension(build_poset(m, "extint-ind"), order)
-        assert findings["shelling-extint"].ok
-        certificate = findings["witness-certifies-first-order"]
-        assert (certificate.ok, certificate.detail) == (False, "")
+        assert verify_shelling(*aug_order(m, order)).verdict
+        detail = "NoLinearExtension: order places an element before one below it"
+        assert {(f.ok, f.detail) for f in findings.values()} == {(False, detail)}
+        assert "witness-certifies-first-order" in findings
         witnesses = {f.check: f.ok for f in suite.run_check(suite.check_witnesses, "m", m)}
         assert witnesses["witness-all-pairs"]
 
@@ -486,6 +512,60 @@ def shuffled_pure_complexes(draw):
     facets = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=20, unique=True))
     cx = SimplicialComplex(tuple(facets))
     return cx, draw(st.permutations(facets))
+
+
+def fold_verify_shelling(cx, orders, closed_form):
+    """The flags and restriction maps of ``verify_orders`` as a fold of
+    ``verify_shelling`` over the orders, one report per order: the reference."""
+    maps = {}
+    for order in orders:
+        facets = [cx.facet_by_tag[t] for t in order]
+        report = verify_shelling(cx, facets)
+        if not report.verdict:
+            return (False,) * 5, []
+        maps.setdefault(frozenset(zip(order, report.restrictions)), (facets, report))
+    shelled, reports = bool(orders), maps.values()
+    flags = (
+        closed_form is None or all(closed_form[t] == r for pairs in maps for t, r in pairs),
+        all(property_H_check(cx, facets, report.restrictions) for facets, report in reports),
+        all(h_complex_check(report.restrictions) for _, report in reports),
+        all(report.matches_complex_h for _, report in reports),
+    )
+    return (shelled, *(shelled and ok for ok in flags)), [r.restrictions for _, r in reports]
+
+
+@st.composite
+def complexes_with_posets(draw):
+    """A pure complex on at most 6 vertices and a random partial order on its facets: edges
+    drawn along a hidden permutation, closed transitively (no edges give the antichain)."""
+    d = draw(st.integers(1, 4))
+    pool = [mask_of(c) for c in combinations(range(1, 7), d)]
+    facets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    s = len(facets)
+    perm = draw(st.permutations(range(s)))
+    edges = draw(st.lists(st.tuples(st.integers(0, s - 1), st.integers(0, s - 1)), max_size=2 * s))
+    up = [1 << x for x in range(s)]
+    for a, b in edges:
+        if perm.index(a) < perm.index(b):
+            up[a] |= 1 << b
+    for a in reversed(perm):  # every edge goes forward in perm: close from the back
+        for b in iter_bits(up[a] & ~(1 << a)):
+            up[a] |= up[b]
+    return SimplicialComplex(tuple(facets)), Poset(tuple(facets), tuple(up))
+
+
+@given(complexes_with_posets(), st.integers(1, 6), st.booleans(), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_verify_orders_is_a_fold_of_verify_shelling(case, count, closed, seed):
+    # the random poset and the antichain, on which every neighbour is incomparable
+    cx, drawn = case
+    for poset in (drawn, antichain(cx)):
+        rng = random.Random(seed)
+        orders = [random_extension(poset, rng) for _ in range(count)]
+        first = verify_shelling(cx, [cx.facet_by_tag[t] for t in orders[0]])
+        closed_form = dict(zip(orders[0], first.restrictions)) if closed else None
+        expected = fold_verify_shelling(cx, orders, closed_form)
+        assert verify_orders(cx, poset, orders, closed_form) == expected
 
 
 class TestNeighbourIndexedVerifier:

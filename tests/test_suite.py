@@ -175,28 +175,15 @@ def test_witness_pass_runs_when_the_first_order_does_not_shell(monkeypatch):
     assert steps == [len(matroid.independent_sets) + 1]
 
 
-def corrupt_report(field, value, nth=2):
-    """Set one field of the ``nth`` report that ``shelling.verify_shelling``
-    returns; the second sits on an order after the first."""
+def falsify(field):
+    """``field`` is False on every report ``shelling._judge`` makes: one per restriction map
+    in ``verify_orders``, one per ``verify_shelling`` call."""
 
     def patch(monkeypatch):
-        real = shelling.verify_shelling
-        reports = []
-
-        def corrupted(cx, order):
-            report = real(cx, order)
-            reports.append(report)
-            if len(reports) == nth:
-                setattr(report, field, value(report))
-            return report
-
-        monkeypatch.setattr(shelling, "verify_shelling", corrupted)
+        real = shelling._judge
+        monkeypatch.setattr(shelling, "_judge", lambda *args: replace(real(*args), **{field: False}))
 
     return patch
-
-
-def falsify(field, nth=2):
-    return corrupt_report(field, lambda report: False, nth)
 
 
 def fails(name):
@@ -208,12 +195,37 @@ def wrong_closed_form(monkeypatch):
     """The closed form a check hands to ``verify_orders`` is off at one tag."""
     real = suite.verify_orders
 
-    def wrong(cx, orders, closed_form):
+    def wrong(cx, poset, orders, closed_form):
         closed = dict(closed_form)
         closed[next(iter(closed))] ^= 1
-        return real(cx, orders, closed)
+        return real(cx, poset, orders, closed)
 
     monkeypatch.setattr(suite, "verify_orders", wrong)
+
+
+def a_second_map_with_empty_restrictions(monkeypatch):
+    """``verify_orders`` returns, after the sample's one restriction map, a second map
+    whose sets are all empty, so its polynomial differs from the first's."""
+    real = suite.verify_orders
+
+    def two_maps(cx, poset, orders, closed_form):
+        flags, kept = real(cx, poset, orders, closed_form)
+        return flags, kept + [[0] * len(kept[0])]
+
+    monkeypatch.setattr(suite, "verify_orders", two_maps)
+
+
+def swap_a_cover_pair(monkeypatch):
+    """The last sampled order has the two elements of the poset's first cover swapped, so
+    the upper one comes first: that order is no linear extension, the others are."""
+    real = suite.linear_extensions
+
+    def swapped(poset, cap, seed):
+        sample, (a, b) = real(poset, cap=cap, seed=seed), poset.covers()[0]
+        last = tuple({a: b, b: a}.get(t, t) for t in sample.orders[-1])
+        return replace(sample, orders=sample.orders[:-1] + [last])
+
+    monkeypatch.setattr(suite, "linear_extensions", swapped)
 
 
 def bruteforce_drops_the_last_set(monkeypatch):
@@ -512,10 +524,9 @@ MUTANTS = {
     "restriction-sets-z": (m5, MAIN, wrong_closed_form, {"restriction-sets-z"}, "shelling-extint"),
     "property-H": (m5, MAIN, fails("property_H_check"), {"property-H"}, "shelling-extint"),
     "h-complex": (m5, MAIN, fails("h_complex_check"), {"h-complex"}, "shelling-extint"),
-    # the h-vector match is read once per restriction map, from its first report
+    # the h-vector match is read once per restriction map, from its report
     "h-vector-from-restrictions": (
-        m5, MAIN, falsify("matches_complex_h", nth=1), {"h-vector-from-restrictions"},
-        "shelling-extint",
+        m5, MAIN, falsify("matches_complex_h"), {"h-vector-from-restrictions"}, "shelling-extint",
     ),
     "h-vector-from-restrictions/independence-f-vector": (
         m5, MAIN, independence_complex_drops_a_basis, {"h-vector-from-restrictions"},
@@ -532,13 +543,9 @@ MUTANTS = {
     "restriction-sets-flip": (
         m5, FLIP, wrong_closed_form, {"restriction-sets-flip"}, "shelling-flip"
     ),
-    # equal restriction sets give equal polynomials, so a report whose
-    # polynomial differs also fails the closed form
+    # every sample of a true shelling has one restriction map, so the mutant adds one
     "bivariate-order-invariant": (
-        m5,
-        FLIP,
-        corrupt_report("restrictions", lambda report: [0] * len(report.restrictions)),
-        {"restriction-sets-flip", "bivariate-order-invariant"},
+        m5, FLIP, a_second_map_with_empty_restrictions, {"bivariate-order-invariant"},
         "shelling-flip",
     ),
     "nbc-facet-count": (m5, NBC, count_an_nbc_set_twice, {"nbc-facet-count"}, "shelling-nbc"),
@@ -552,7 +559,7 @@ MUTANTS = {
         m5, NBC, nbc_complex_counts_a_face_too_many, {"nbc-h-identity"}, "nbc-induced-subcomplexes"
     ),
     "nbc-h-identity/restrictions": (
-        m5, NBC, falsify("matches_complex_h", nth=1), {"nbc-h-identity"}, "shelling-nbc"
+        m5, NBC, falsify("matches_complex_h"), {"nbc-h-identity"}, "shelling-nbc"
     ),
     "tutte-oracle-agreement": (
         m5, TUTTE, deletion_contraction_swaps_the_variables, {"tutte-oracle-agreement"},
@@ -625,6 +632,18 @@ def test_an_order_that_does_not_shell_fails_every_sampled_finding(m5_matroid, mo
     falsify("verdict")(monkeypatch)
     findings = {f.check: f.ok for f in run_check(check, "m5", m5_matroid, 10, 0)}
     assert {name for name, ok in findings.items() if not ok} == UNSHELLED[check]
+
+
+@pytest.mark.parametrize("check", UNSHELLED, ids=["extint", "flip", "ea", "nbc"])
+def test_an_order_that_is_no_linear_extension_fails_every_finding(m5_matroid, monkeypatch, check):
+    # every sampled order is checked as an extension, not only the first; m5's
+    # samples at cap 10 have more than one order
+    swap_a_cover_pair(monkeypatch)
+    findings = run_check(check, "m5", m5_matroid, 10, 0)
+    detail = "NoLinearExtension: order places an element before one below it"
+    assert [(f.check, f.ok, f.detail) for f in findings] == [
+        (name, False, detail) for name in suite.FINDINGS[check.__name__]
+    ]
 
 
 def drop_empty_nbc_set(monkeypatch):
