@@ -1,8 +1,9 @@
 """Subsets of a ground set {1..n} encoded as machine-word bitmasks.
 
-Element e occupies bit e-1, so masks compare and combine with plain integer
-operations.  The string form is ascending digit concatenation for n <= 9
-(e.g. "245") and comma-separated integers otherwise; the empty set is "".
+Element e occupies bit e-1, so masks compare and combine with plain integer operations.  The
+string form is ascending digit concatenation for n <= 9 (e.g. "245") and comma-separated
+integers otherwise; the empty set is "".  A family of sets is a 0/1 matrix, read by
+:func:`columns`, :func:`containment_rows` and :func:`maximal`.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def columns(sets: Sequence[int], width: int) -> list[int]:
-    """The bitset {k : e ∈ sets[k]} for each bit e < width."""
-    return [sum(1 << k for k, s in enumerate(sets) if s >> e & 1) for e in range(width)]
+    """The bitset {k : e ∈ sets[k]} for each bit e < width: the sets' binary digits by column."""
+    spec, low = f"0{width}b", (1 << width) - 1
+    digits = [format(s & low, spec) for s in reversed(sets)]  # highest bit first, last set on top
+    return [int("".join(col), 2) for col in zip("0" * width, *digits)][::-1]  # a zero row: no sets
 
 
 def containment_rows(need: Sequence[int], have: Sequence[int], width: int) -> list[int]:
@@ -68,6 +71,12 @@ def containment_rows(need: Sequence[int], have: Sequence[int], width: int) -> li
     cols, full = columns(have, width), (1 << len(have)) - 1
     rows = {a: reduce(and_, [cols[e] for e in iter_bits(a)], full) for a in set(need)}
     return [rows[a] for a in need]
+
+
+def maximal(family: Sequence[int], width: int) -> list[int]:
+    """The sets of ``family`` (distinct, of bits below ``width``) in no other set of it."""
+    rows = containment_rows(family, family, width)
+    return [s for x, (s, row) in enumerate(zip(family, rows)) if row == 1 << x]
 
 
 def subset_str(mask: int, n: int) -> str:

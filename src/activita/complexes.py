@@ -36,7 +36,7 @@ from .activity import (
     nbc_sets,
     related_basis,
 )
-from .bitsets import iter_bits, subset_str
+from .bitsets import iter_bits, maximal, subset_str
 from .errors import NotNBC, NotPure
 from .matroid import Matroid, memoized
 
@@ -238,8 +238,7 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
         tags = nbc_sets(matroid)
         facets = [facet_G(matroid, s) for s in tags]
     else:  # plain nbc complex: facets are the maximal nbc sets
-        sets = nbc_sets(matroid)
-        tags = tuple(s for s in sets if not any(t != s and s & ~t == 0 for t in sets))
+        tags = tuple(maximal(nbc_sets(matroid), matroid.n))
         facets = [xyz(matroid.n, zs=s) for s in tags]
     cx = SimplicialComplex(tuple(facets), tuple(tags))
     expected_dim = matroid.rank - 1 + (matroid.n if kind.endswith("ea") else 0)
@@ -250,13 +249,12 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
 
 def induced_subcomplex(cx: SimplicialComplex, keep: int) -> SimplicialComplex:
     """The subcomplex induced on the vertex mask ``keep``, built with :func:`xyz`:
-    its facets are the maximal sets F ∩ keep over the facets F of ``cx``.  So
-    the z block of ``augmented-nbc`` induces ``nbc`` and the x and z blocks of
-    ``augmented-ea`` induce ``ea``, facet for facet.
+    its facets are the maximal sets F ∩ keep over the facets F of ``cx``, by
+    :func:`~activita.bitsets.maximal`.  So the z block of ``augmented-nbc`` induces
+    ``nbc`` and the x and z blocks of ``augmented-ea`` induce ``ea``, facet for facet.
     """
-    restricted = {f & keep for f in cx.facets}
-    maximal = [f for f in restricted if not any(g != f and f & ~g == 0 for g in restricted)]
-    return SimplicialComplex(tuple(sorted(maximal)))
+    restricted = sorted({f & keep for f in cx.facets})
+    return SimplicialComplex(tuple(maximal(restricted, keep.bit_length())))
 
 
 def independence_complex(matroid: Matroid) -> SimplicialComplex:

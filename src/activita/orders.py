@@ -20,7 +20,7 @@ from functools import cache, cached_property, partial, reduce
 from operator import itemgetter, or_
 
 from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
-from .bitsets import containment_rows, iter_bits, submasks, subset_label, subset_str
+from .bitsets import columns, containment_rows, iter_bits, submasks, subset_label, subset_str
 from .errors import (
     EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover, NotIndependent
 )
@@ -114,19 +114,14 @@ class Poset:
         return self.up_rows[self.index[a]] >> self.index[b] & 1 == 1
 
     def restricted_rows(self, elements: Sequence[int]) -> list[int]:
-        """The up-rows of the sub-order on ``elements``, in their order: the
-        bits of each row at their indexes, picked from its binary digits."""
-        at, top = [self.index[e] for e in elements], len(self.elements) - 1
-        if not at:  # itemgetter needs an index, and there are no nbc sets with a loop
-            return []
-        pick = itemgetter(*(top - j for j in reversed(at)))  # highest digit first
-        return [int("".join(pick(format(self.up_rows[i], f"0{top + 1}b"))), 2) for i in at]
+        """Up-rows of the sub-order on ``elements``: their down-rows' columns at their indexes."""
+        cols = columns([self.down_rows[self.index[e]] for e in elements], len(self))
+        return [cols[self.index[e]] for e in elements]
 
     @cached_property
     def down_rows(self) -> tuple[int, ...]:
-        """The columns of ``up_rows``: each row in binary, lowest bit first, read by column."""
-        bits = [format(row, f"0{len(self.up_rows)}b")[::-1] for row in reversed(self.up_rows)]
-        return tuple(int("".join(col), 2) for col in zip(*bits))
+        """The columns of ``up_rows``."""
+        return tuple(columns(self.up_rows, len(self)))
 
     @cached_property
     def element_by_rows(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -253,11 +248,8 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
     per-pair scan names, or the first I whose key is not RB(I)'s."""
     n, bases, ind = matroid.n, matroid.bases, posets["extint-ind"]
     related, blocks = _related_blocks(matroid, ind.elements)
-    keys = [_key(matroid, b) for b in bases]
-    above = {  # basis A: the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C)
-        a: sum(blocks[c] for c, kc in zip(bases, keys) if c != a and not ka & ~kc)
-        for a, ka in zip(bases, keys)
-    }
+    keys = [_key(matroid, b) for b in bases]  # above[A] & ~blocks[A]: the blocks of bases above A
+    above = dict(zip(bases, containment_rows(keys, [_key(matroid, a) for a in related], n)))
     key_break = next(
         (f"key of {subset_label(i, n)} is not that of its related basis {subset_label(a, n)}"
          for i, a in zip(ind.elements, related) if _key(matroid, i) != _key(matroid, a)),
@@ -268,7 +260,8 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
         if blocked:  # rel inside each block, the blocks above it outside
             rel = partial(leq_extint_ind if kind == "extint-ind" else leq_flip_ind, matroid)
             expected = (
-                above[a] | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
+                above[a] & ~blocks[a]
+                | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
                 for i, a in zip(elems, related)
             )
         elif kind == "nbc-extint":

@@ -101,11 +101,13 @@ def verify_orders(
     """Shell ``cx`` along ``orders``, linear extensions of ``poset`` on its facet tags, up to
     the first that does not shell.  Returns five flags (there are orders and all shell; each map
     tag → R is ``closed_form``, if given; property (H); an h-complex; the complex's h-vector)
-    and the restriction sets once per map.  Raises NotAPermutation unless an order lists each
-    tag once, NoLinearExtension unless each after all below it.  A neighbour below F is placed
-    before F in every extension and one above after it, so a table folds those below once and
-    an order is one pass ANDing in the incomparable ones placed: O(s + incomparable neighbour
-    pairs).  The face count and the last four flags read only the map: once per map."""
+    and the restriction sets once per map.  Raises NotAPermutation unless the tags are the
+    poset's elements, each once per order, NoLinearExtension unless all below come first.  A
+    neighbour below F precedes F in every extension and one above follows it, so a table folds
+    those below once and an order is one pass ANDing in the incomparable ones placed: O(s +
+    incomparable neighbour pairs).  The face count and the last four flags run once per map."""
+    if cx.facet_by_tag.keys() != poset.index.keys():
+        raise NotAPermutation("the complex's facet tags are not the poset's elements")
     down, at = poset.down_rows, {f: poset.index[t] for t, f in cx.facet_by_tag.items()}
     table, maps, flags = {}, {}, [bool(orders)] * 4
     for t, f in cx.facet_by_tag.items():
@@ -332,10 +334,7 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     related, blocks = _related_blocks(matroid, elems)
     in_col = columns(elems, matroid.n)
     z_col = columns([f >> 2 * matroid.n for f in facets], matroid.n)
-    ep_col = [
-        sum(block for a, block in blocks.items() if activity_profile(matroid, a).ep >> e & 1)
-        for e in range(matroid.n)
-    ]
+    ep_col = columns([activity_profile(matroid, a).ep for a in related], matroid.n)
     z_bits = [xyz(matroid.n, zs=1 << e) for e in range(matroid.n)]
     for y, (k, fk, c_basis) in enumerate(zip(elems, facets, related)):
         deleted, block, rest, groups = c_basis & ~k, blocks[c_basis], full & ~ind.up_rows[y], []

@@ -17,7 +17,9 @@ external and internal activity and the suite's zeta transform against the
 circuit definition, the exchange check by fundamental cocircuits against the
 pairwise scan it replaced, the Crapo table against the per-subset basis scan,
 the circuit axioms by containment rows against the per-(B, e) circuit scan,
-and the cover certificate of the poset axioms against the per-pair scan.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
+and the cover certificate of the poset axioms against the per-pair scan;
+``bitsets.columns`` and ``bitsets.maximal`` against the per-bit transpose and the
+pairwise scan they replaced.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
 Tutte polynomial keeps under relabeling and swaps q and t under duality, and
 the h-vectors of the augmented complexes are f-vectors by face counts.
 
@@ -49,7 +51,9 @@ from activita.activity import (
 import activita.orders as orders
 import activita.shelling as shelling
 import activita.suite as suite
-from activita.bitsets import MAX_GROUND, iter_bits, parse_subset, submasks, subset_label
+from activita.bitsets import (
+    MAX_GROUND, columns, iter_bits, maximal, parse_subset, submasks, subset_label
+)
 from activita.complexes import blocks, build_complex, face_counts, independence_complex, xyz
 from activita.corpus import builtin_corpus, m5
 from activita.errors import (
@@ -420,6 +424,48 @@ def set_families(draw):
 @settings(max_examples=200, deadline=None)
 def test_face_counts_of_any_family_match_oracles(facets):
     assert_face_counts_match_oracles(facets)
+
+
+def columns_bit_by_bit(sets, width: int) -> list[int]:
+    """The per-bit comprehension that the digit-string ``bitsets.columns`` replaced."""
+    return [sum(1 << k for k, s in enumerate(sets) if s >> e & 1) for e in range(width)]
+
+
+def maximal_by_pairwise_scan(family) -> list[int]:
+    """The O(N²) scan that ``bitsets.maximal`` replaced in ``induced_subcomplex`` and in
+    the ``nbc`` branch of ``build_complex``."""
+    return [f for f in family if not any(g != f and f & ~g == 0 for g in family)]
+
+
+@given(set_families(), st.integers(0, 17))
+@example([], 0)
+@example([], 3)  # no sets: a zero column per bit
+@example([0b1, 0b10, 0b11], 1)
+@example([0b111000, 0b101], 3)  # bits at or above the width are ignored
+@example([0b101], 0)
+@settings(max_examples=200, deadline=None)
+def test_columns_match_the_bit_by_bit_transpose(sets, width):
+    assert columns(sets, width) == columns_bit_by_bit(sets, width)
+
+
+@given(set_families())
+@example([])
+@example([0])
+@example([0, 0b1011, 0b0011, 0b1011])  # the empty set, a nested pair, a repeat
+@example([0b1, 0b10, 0b100, 0b111])  # one member holds all the others
+@settings(max_examples=200, deadline=None)
+def test_maximal_matches_the_pairwise_scan(family):
+    family = list(dict.fromkeys(family))  # distinct, in their order
+    for width in (max(family, default=0).bit_length(), 16):
+        assert maximal(family, width) == maximal_by_pairwise_scan(family)
+
+
+def test_a_matroid_with_a_loop_has_no_nbc_sets_and_its_posets_pass():
+    m = EDGE_CASES[2]  # loop 1: every set holds the broken circuit ∅
+    assert nbc_sets(m) == () and build_poset(m, "nbc-extint").up_rows == ()
+    assert build_poset(m, "extint-ind").restricted_rows([]) == []
+    assert build_complex(m, "nbc").facets == build_complex(m, "augmented-nbc").facets == ()
+    assert all(f.ok for f in run_check(check_posets, "loop", m))
 
 
 @with_edge_cases

@@ -131,6 +131,13 @@ class TestVerifyShelling:
         with pytest.raises(NotAPermutation):
             verify_orders(build_complex(m5_matroid, "ea"), poset, [order], None)
 
+    def test_verify_orders_takes_only_a_poset_on_the_facet_tags(self, m5_matroid):
+        # "augmented-ea" tags every independent set; the bases poset has only the bases
+        cx, bases = build_complex(m5_matroid, "augmented-ea"), build_poset(m5_matroid, "extint-bases")
+        for orders in ([], [first_extension(bases)]):
+            with pytest.raises(NotAPermutation, match="facet tags are not the poset's elements"):
+                verify_orders(cx, bases, orders, None)
+
     def test_pairwise_oracle_agrees(self, m5_matroid, corpus):
         # on shellings and on a known failure
         for m in (m5_matroid, corpus["u24"]):
