@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import iter_bits, max_elem, submasks, subset_label, subset_str
+from .bitsets import containment_rows, iter_bits, max_elem, submasks, subset_label, subset_str
 from .errors import (
     DecompositionNotFound,
     DecompositionNotUnique,
@@ -182,5 +182,9 @@ def is_nbc(matroid: Matroid, subset: int) -> bool:
 
 @memoized
 def nbc_sets(matroid: Matroid) -> tuple[int, ...]:
-    """All nbc sets, sorted by mask value (always independent sets), memoized."""
-    return tuple(s for s in matroid.independent_sets if is_nbc(matroid, s))
+    """All nbc sets, sorted by mask value (always independent sets), memoized: the sets in no
+    row of :func:`containment_rows` of the broken circuits against the independent sets."""
+    sets, broken = matroid.independent_sets, 0
+    for row in containment_rows(broken_circuits(matroid), sets, matroid.n):
+        broken |= row
+    return tuple(s for y, s in enumerate(sets) if not broken >> y & 1)

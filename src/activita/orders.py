@@ -16,14 +16,12 @@ import random
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 from operator import itemgetter, or_
 
 from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, containment_rows, iter_bits, submasks, subset_label, subset_str
-from .errors import (
-    EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover, NotIndependent
-)
+from .errors import EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover
 from .matroid import Matroid, memoized
 
 BASIS_ORDER_KINDS = ("ext", "int", "extint")
@@ -408,39 +406,22 @@ def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
     return glb, lub
 
 
-def meet_join_row(matroid: Matroid, i: int) -> list[tuple[int, int]]:
-    """Meet and join of the independent set i with each independent set K,
-    in ``extint-ind`` order: related sets by intersection and union,
-    comparable ones at the lower and the upper set, and sets related to
-    incomparable bases A, C at the basis A ∧ C and at IP(A ∨ C), read from
-    the bases poset once per C."""
-    ind = build_poset(matroid, "extint-ind")
-    related = _related_blocks(matroid, ind.elements)[0]
-    x = ind.index.get(i)
-    if x is None:
-        raise NotIndependent(subset_str(i, matroid.n))
-    a, width, bases = related[x], len(ind), build_poset(matroid, "extint-bases")
-    up, down = (format(row[x], f"0{width}b")[::-1] for row in (ind.up_rows, ind.down_rows))
-
-    @cache
-    def basis_bounds(c: int) -> tuple[int, int]:
-        meet, join = poset_meet_join(bases, a, c)
-        return meet, activity_profile(matroid, join).ip
-
-    return [
-        (i & k, i | k) if c == a else (i, k) if up[y] == "1" else (k, i) if down[y] == "1"
-        else basis_bounds(c)
-        for y, (k, c) in enumerate(zip(ind.elements, related))
-    ]
-
-
 def meet_join_ind(matroid: Matroid, i: int, k: int) -> tuple[int, int]:
-    """Meet and join of two independent sets in the external/internal order:
-    the entry of k in :func:`meet_join_row` of i, so a call costs O(I)."""
-    row = meet_join_row(matroid, i)
-    if not matroid.is_independent(k):
-        raise NotIndependent(subset_str(k, matroid.n))
-    return row[matroid.independent_sets.index(k)]
+    """Meet and join of two independent sets in the external/internal order, O(1) a call:
+    related sets by intersection and union, comparable ones (one bit of an ``extint-ind``
+    row) at the lower and the upper set, and sets related to incomparable bases A, C at the
+    basis A ∧ C and at IP(A ∨ C), the bottom of the block of A ∨ C."""
+    a, c = related_basis(matroid, i), related_basis(matroid, k)  # each raises NotIndependent
+    if a == c:
+        return i & k, i | k
+    ind = build_poset(matroid, "extint-ind")
+    x, y = ind.index[i], ind.index[k]
+    if ind.up_rows[x] >> y & 1:
+        return i, k
+    if ind.down_rows[x] >> y & 1:
+        return k, i
+    meet, join = poset_meet_join(build_poset(matroid, "extint-bases"), a, c)
+    return meet, activity_profile(matroid, join).ip
 
 
 def boolean_interval(matroid: Matroid, b: int, c: int) -> tuple[int, ...]:

@@ -1,27 +1,29 @@
 """The O(n) and O(1) lookups against the basis scans they replaced, the
 column-bitset posets and their covers against the per-pair build and the
-down-row scan they replaced, the ``poset-axioms`` block certificate against
-the per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
-certificate replaced, ``meet_join_row`` against the per-call related-basis
-lookups that its rows replaced, the basis orders' rows and the ``nbc-extint``
-gather against the per-pair definitions, the grouped witness pass against the per-pair
-``shelling_witness``, the witness table against the per-pair exchange search
-it replaced, the per-order property (H), h-complex, h-vector and bivariate
-checks against the once-per-restriction-map checks that replaced them, the
-f-vector oracles: inclusion-exclusion, the submask walk and the memoized
-Shannon expansion that the ZDD count replaced, the recursive enumeration of
-linear extensions that the explicit stack replaced, and the capped count and
-``linear_extensions`` against it: enumerate up to cap + 1 orders, else sample
-the rescan's draws, the decision the count replaced; the closure form of
-external and internal activity and the suite's zeta transform against the
-circuit definition, the exchange check by fundamental cocircuits against the
-pairwise scan it replaced, the Crapo table against the per-subset basis scan,
-the circuit axioms by containment rows against the per-(B, e) circuit scan,
-and the cover certificate of the poset axioms against the per-pair scan;
-``bitsets.columns`` and ``bitsets.maximal`` against the per-bit transpose and the
-pairwise scan they replaced.  Invariants besides: ``blocks`` inverts ``xyz``, the activity
-Tutte polynomial keeps under relabeling and swaps q and t under duality, and
-the h-vectors of the augmented complexes are f-vectors by face counts.
+down-row scan they replaced, the ``poset-axioms`` block certificate against the
+per-pair row scan it replaced, the lattice-law sweep that the ``lattice-laws``
+certificate replaced, and the sweep of all I² pairs that its block-pair reading
+replaced, ``meet_join_ind`` against the per-call lookups it restates, the basis
+orders' rows and the ``nbc-extint`` gather against the per-pair definitions, the
+grouped witness pass against the per-pair ``shelling_witness``, the witness
+table against the per-pair exchange search it replaced, the per-order property
+(H), h-complex, h-vector and bivariate checks against the
+once-per-restriction-map checks that replaced them, the f-vector oracles:
+inclusion-exclusion, the submask walk and the memoized Shannon expansion that
+the ZDD count replaced, the recursive enumeration of linear extensions that the
+explicit stack replaced, and the capped count and ``linear_extensions`` against
+it: enumerate up to cap + 1 orders, else sample the rescan's draws, the decision
+the count replaced; the closure form of external and internal activity and the
+suite's zeta transform against the circuit definition, the nbc sets by
+containment rows against the per-set broken-circuit filter, the exchange check
+by fundamental cocircuits against the pairwise scan it replaced, the Crapo table
+against the per-subset basis scan, the circuit axioms by containment rows
+against the per-(B, e) circuit scan, and the cover certificate of the poset
+axioms against the per-pair scan; ``bitsets.columns`` and ``bitsets.maximal``
+against the per-bit transpose and the pairwise scan they replaced. Invariants
+besides: ``blocks`` inverts ``xyz``, the activity Tutte polynomial keeps under
+relabeling and swaps q and t under duality, and the h-vectors of the augmented
+complexes are f-vectors by face counts.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -45,6 +47,7 @@ from activita.activity import (
     crapo_decompose_subset,
     crapo_decompositions,
     externally_active,
+    is_nbc,
     nbc_sets,
     related_basis,
 )
@@ -74,7 +77,6 @@ from activita.orders import (
     leq_flip_ind,
     linear_extensions,
     meet_join_ind,
-    meet_join_row,
     poset_axiom_violation,
     poset_meet_join,
 )
@@ -136,6 +138,18 @@ def crapo_outcome(decompose, m):
 def per_subset_scan(m):
     """The basis scan of every subset in turn, up to the first that raises."""
     return [crapo_decompose_subset(m, s) for s in range(1 << m.n)]
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_nbc_sets_match_the_per_set_filter(m):
+    assert nbc_sets(m) == tuple(s for s in m.independent_sets if is_nbc(m, s))
+
+
+def test_nbc_sets_match_the_per_set_filter_on_corpus_and_w4():
+    for m in [*builtin_corpus().values(), W4, uniform(4, 8)]:
+        assert nbc_sets(m) == tuple(s for s in m.independent_sets if is_nbc(m, s))
 
 
 @with_edge_cases
@@ -489,17 +503,17 @@ def test_h_vectors_of_the_augmented_complexes_are_f_vectors(m):
 
 def lattice_laws_hold(m) -> bool:
     """Idempotence, commutativity, absorption and associativity of
-    ``meet_join_row`` over all independent sets, checked directly.
+    ``meet_join_ind`` over all pairs of independent sets, checked directly.
 
-    meet[a][b] and join[a][b] are index tables over ``m.independent_sets``;
-    associativity for all c at once is one row comparison,
+    meet[a][b] and join[a][b] are index tables over ``m.independent_sets``,
+    built pair by pair; associativity for all c at once is one row comparison,
     meet[meet[a][b]] == [meet[a][x] for x in meet[b]].
     """
     elems = m.independent_sets
     pos = {e: a for a, e in enumerate(elems)}
     meet, join = [], []
     for i in elems:
-        bounds = meet_join_row(m, i)
+        bounds = [meet_join_ind(m, i, k) for k in elems]
         meet.append([pos[lo] for lo, _ in bounds])
         join.append([pos[hi] for _, hi in bounds])
     for a, (meet_a, join_a) in enumerate(zip(meet, join)):
@@ -528,6 +542,78 @@ def test_lattice_laws_on_w4():
 def test_lattice_certificate_and_law_sweep(m):
     assert run_check(check_lattice, "m", m)[0].ok
     assert lattice_laws_hold(m)
+
+
+def per_pair_lattice_detail(m) -> str:
+    """The ``lattice-laws`` detail by the sweep over all I² pairs that the block-pair
+    reading replaced, or "": the poset axioms of the ``extint-ind`` order the suite
+    builds, then the first pair in row order whose closed form is not that order's
+    bounds, where a missing bound raises LatticeFailure."""
+    ind = suite.build_poset(m, "extint-ind")
+    if violation := poset_axiom_violation(ind, m.n):
+        return f"extint-ind: {violation}"
+    elems, down, up = ind.elements, ind.down_rows, ind.up_rows
+    down_of, up_of = dict(zip(elems, down)), dict(zip(elems, up))
+    for x, i in enumerate(elems):
+        for y, k in enumerate(elems):
+            g, j = meet_join_ind(m, i, k)
+            if down_of.get(g) != down[x] & down[y] or up_of.get(j) != up[x] & up[y]:
+                poset_meet_join(ind, i, k)
+                pair = f"{subset_label(i, m.n)}, {subset_label(k, m.n)}"
+                return f"closed-form meet/join disagrees with poset bounds on {pair}"
+    return ""
+
+
+def per_pair_lattice_ok(m) -> bool:
+    try:
+        return not per_pair_lattice_detail(m)
+    except LatticeFailure:
+        return False
+
+
+def cross_block_cover_drops(m):
+    """The ``extint-ind`` order of m with one cover between two blocks dropped, for
+    each such cover in turn: each is still a partial order, and no longer the order."""
+    ind = build_poset(m, "extint-ind")
+    related = [related_basis(m, e) for e in ind.elements]
+    for i, j in ind.cover_index_pairs:
+        if related[i] != related[j]:
+            rows = list(ind.up_rows)
+            rows[i] &= ~(1 << j)
+            yield Poset(ind.elements, tuple(rows))
+
+
+def lattice_laws_on(m, ind) -> tuple[bool, str, bool]:
+    """``lattice-laws`` and the per-pair sweep with ``ind`` as the suite's ``extint-ind``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            suite, "build_poset", lambda m, k: ind if k == "extint-ind" else build_poset(m, k)
+        )
+        [finding] = run_check(check_lattice, "m", m)
+        return finding.ok, finding.detail, per_pair_lattice_ok(m)
+
+
+@edge_cases(-1)
+@edge_cases(0)
+@given(small_matroids(), st.integers(-1, 20))
+@settings(max_examples=40, deadline=None)
+def test_lattice_laws_pass_exactly_when_the_per_pair_sweep_does(m, drop):
+    # drop picks one of the cross-block cover drops, or -1 none
+    mutants = [build_poset(m, "extint-ind"), *cross_block_cover_drops(m)]
+    ok, _, swept = lattice_laws_on(m, mutants[(drop + 1) % len(mutants)])
+    assert ok == swept
+
+
+def test_every_cross_block_cover_drop_fails_lattice_laws():
+    details = {}
+    for name, m in builtin_corpus().items():
+        for mutant in cross_block_cover_drops(m):
+            assert poset_axiom_violation(mutant, m.n) == ""
+            ok, detail, swept = lattice_laws_on(m, mutant)
+            assert not ok and not swept, name
+            details.setdefault(name, []).append(detail)
+    assert sum(map(len, details.values())) == 68
+    assert details["m5"][0] == "extint-ind: 14 leaves the block form"
 
 
 def meet_join_per_call(matroid, i, k):
@@ -563,7 +649,8 @@ def assert_rows_match_per_pair_rows(m):
 def assert_meet_join_rows_match_per_call(m):
     sets = m.independent_sets
     for i in sets:
-        assert meet_join_row(m, i) == [meet_join_per_call(m, i, k) for k in sets]
+        for k in sets:
+            assert meet_join_ind(m, i, k) == meet_join_per_call(m, i, k)
 
 
 @pytest.mark.parametrize("name", MEET_JOIN_CASES)

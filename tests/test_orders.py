@@ -548,21 +548,23 @@ class TestLattice:
             assert lattice_laws_hold(m), name
 
     def test_wrong_closed_form_fails_lattice_laws(self, m5_matroid, monkeypatch):
+        # meet and join swapped on every pair of sets related to 235 and 134,
+        # two incomparable bases: the check reads that block pair at its bases
         import activita.suite as suite
 
-        real = suite.meet_join_row
+        real = suite.meet_join_ind
+        pair = {ps5("235"), ps5("134")}
 
-        def swapped_on_one_pair(m, i):
-            row = real(m, i)
-            if i == ps5("23"):
-                y = m.independent_sets.index(ps5("14"))
-                row[y] = row[y][::-1]
-            return row
+        def swapped_on_one_block_pair(m, i, k):
+            bounds = real(m, i, k)
+            if {related_basis(m, i), related_basis(m, k)} == pair:
+                return bounds[::-1]
+            return bounds
 
-        monkeypatch.setattr(suite, "meet_join_row", swapped_on_one_pair)
+        monkeypatch.setattr(suite, "meet_join_ind", swapped_on_one_block_pair)
         [finding] = run_check(check_lattice, "m5", m5_matroid)
         assert finding.check == "lattice-laws" and finding.ok is False
-        assert finding.detail.endswith("disagrees with poset bounds on 23, 14")
+        assert finding.detail.endswith("disagrees with poset bounds on 134, 235")
 
     def test_non_transitive_order_fails_lattice_laws(self, m5_matroid, monkeypatch):
         import activita.suite as suite
