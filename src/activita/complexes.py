@@ -206,9 +206,9 @@ def facet_F(matroid: Matroid, indep: int) -> int:
     complex for an independent set I = B∖Y, memoized per matroid.
 
     It equals the related basis facet with z_Y rewritten as y_Y, i.e.
-    x_{B∪EP(B)} y_Y z_{(B∪EA(B))∖Y}, because EA(I) = EA(B), I∪EP(I) = B∪EP(B)
-    and Y = B∖I; the suite's ``related-basis-activities`` finding checks
-    those conditions on every independent set.
+    x_{B∪EP(B)} y_Y z_{(B∪EA(B))∖Y}, because EA(I) = EA(B), so I∪EP(I) =
+    E∖EA(I) = B∪EP(B), and Y = B∖I; the suite's ``related-basis-activities``
+    finding compares EA and IP of I and B on every independent set.
     """
     y = crapo_decompose_independent(matroid, indep).y
     prof = activity_profile(matroid, indep)

@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
-from .bitsets import MAX_GROUND, columns, elems_of, iter_bits, mask_of, subset_str
+from .bitsets import MAX_GROUND, columns, elems_of, iter_bits, mask_of, submasks, subset_str
 from .errors import (
     ElementInBasis,
     EmptyBases,
@@ -39,11 +39,10 @@ class Matroid:
     :func:`from_bases` (or the other constructors, which route through it).
     """
 
-    def __init__(self, n: int, bases: Sequence[int], provenance: str = "explicit"):
+    def __init__(self, n: int, bases: Sequence[int]):
         self.n = n
         self.bases = tuple(sorted(set(bases)))
         self.rank = self.bases[0].bit_count() if self.bases else 0
-        self.provenance = provenance
         self._basis_set = frozenset(self.bases)
         # one dict of results per memoized function, keyed by its argument
         self._cache: defaultdict = defaultdict(dict)
@@ -71,21 +70,8 @@ class Matroid:
 
     @cached_property
     def independent_sets(self) -> tuple[int, ...]:
-        """All independent sets, sorted by mask value."""
-        seen: set[int] = set()
-        stack = list(self.bases)
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            rest = s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if s ^ low not in seen:
-                    stack.append(s ^ low)
-        return tuple(sorted(seen))
+        """All independent sets, sorted by mask value: the subsets of the bases."""
+        return tuple(sorted({s for b in self.bases for s in submasks(b)}))
 
     @cached_property
     def loops(self) -> int:
@@ -135,7 +121,7 @@ class Matroid:
     def dual(self) -> "Matroid":
         """The dual matroid (bases are complements), with the same order."""
         full = self.full_mask
-        return Matroid(self.n, [full & ~b for b in self.bases], provenance="dual-of")
+        return Matroid(self.n, [full & ~b for b in self.bases])
 
     # -- misc ----------------------------------------------------------------
 
@@ -146,7 +132,7 @@ class Matroid:
         return hash((self.n, self.bases))
 
     def __repr__(self) -> str:
-        return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)}, {self.provenance})"
+        return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)})"
 
 
 def memoized(fn):
@@ -199,7 +185,7 @@ def _ground_size(n: int) -> int:
     return n
 
 
-def from_bases(n: int, bases: Iterable[int], provenance: str = "explicit") -> Matroid:
+def from_bases(n: int, bases: Iterable[int]) -> Matroid:
     """Build a matroid from an explicit bases list, verifying the axioms."""
     _ground_size(n)
     blist = sorted(set(bases))
@@ -213,15 +199,15 @@ def from_bases(n: int, bases: Iterable[int], provenance: str = "explicit") -> Ma
         if b & ~full:
             raise RankOutOfRange(f"basis {bin(b)} not within ground set 1..{n}")
     _check_exchange(n, blist)
-    return Matroid(n, blist, provenance)
+    return Matroid(n, blist)
 
 
-def _by_rank(n: int, rank: Callable[[Iterable[int]], int], provenance: str) -> Matroid:
+def _by_rank(n: int, rank: Callable[[Sequence[int]], int]) -> Matroid:
     """The matroid on n elements whose bases are the r-subsets c of range(n)
     with rank(c) = r, where r = rank(range(n)); element i + 1 is index i."""
     r = rank(range(n))
-    bases = [mask_of(i + 1 for i in c) for c in combinations(range(n), r) if rank(c) == r]
-    return from_bases(n, bases, provenance)
+    bases = [sum(1 << i for i in c) for c in combinations(range(n), r) if rank(c) == r]
+    return from_bases(n, bases)
 
 
 def uniform(r: int, n: int) -> Matroid:
@@ -229,8 +215,7 @@ def uniform(r: int, n: int) -> Matroid:
     _ground_size(n)
     if not 0 <= r <= n:
         raise RankOutOfRange(f"rank {r} outside 0..{n}")
-    bases = [mask_of(c) for c in combinations(range(1, n + 1), r)]
-    return from_bases(n, bases, provenance="uniform")
+    return _by_rank(n, lambda c: min(len(c), r))
 
 
 def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
@@ -263,7 +248,7 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
                 used += 1
         return used
 
-    return _by_rank(m, forest_size, "graphic")
+    return _by_rank(m, forest_size)
 
 
 def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
@@ -295,7 +280,7 @@ def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
             rank += 1
         return rank
 
-    return _by_rank(n, col_rank, "linear")
+    return _by_rank(n, col_rank)
 
 
 def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
@@ -306,7 +291,5 @@ def relabel(matroid: Matroid, perm: Sequence[int]) -> Matroid:
     """
     if sorted(perm) != list(range(1, matroid.n + 1)):
         raise RankOutOfRange("perm must be a permutation of 1..n")
-    bases = [
-        mask_of(perm[e - 1] for e in elems_of(b)) for b in matroid.bases
-    ]
-    return from_bases(matroid.n, bases, provenance="explicit")
+    bases = [mask_of(perm[e - 1] for e in elems_of(b)) for b in matroid.bases]
+    return from_bases(matroid.n, bases)

@@ -66,10 +66,10 @@ def basis_order_row(matroid: Matroid, kind: str, a: int) -> int:
 
 
 def _key(matroid: Matroid, s: int) -> int:
-    """key(S) = S∖IA(S)∪EA(S): sets with different related bases compare by
-    containment of their keys in both orders on independent sets."""
+    """key(S) = S∖IA(S)∪EA(S) = IP(S)∪EA(S): sets with different related bases
+    compare by containment of their keys in both orders on independent sets."""
     p = activity_profile(matroid, s)
-    return (s & ~p.ia) | p.ea
+    return p.ip | p.ea
 
 
 def leq_extint_ind(matroid: Matroid, i: int, k: int) -> bool:
@@ -280,8 +280,7 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
     for kind, sets in (
         ("ext-bases", _basis_columns(matroid)[0]),  # A∪EA(A) ⊆ B∪EA(B)
         ("int-bases", [b & ~p.ia for b, p in zip(bases, profiles)]),  # A∖IA(A) ⊆ B∖IA(B)
-        ("extint-bases", keys),  # key(A) ⊆ key(B)
-        ("extint-bases", [p.ip | p.ea for p in profiles]),  # IP(A)∪EA(A) ⊆ IP(B)∪EA(B)
+        ("extint-bases", keys),  # key(A) ⊆ key(B), key = IP ∪ EA
     ):
         wants = containment_rows(sets, sets, n)
         forms = [f | row ^ want for f, row, want in zip(forms, posets[kind].up_rows, wants)]

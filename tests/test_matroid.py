@@ -3,6 +3,7 @@ per-matroid memo."""
 
 import pickle
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from activita.matroid import (
     relabel,
     uniform,
 )
+from test_oracles import W4, small_matroids, with_edge_cases
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -110,6 +112,12 @@ class TestUniform:
     def test_rank_out_of_range(self):
         with pytest.raises(RankOutOfRange):
             uniform(4, 3)
+
+    def test_bases_are_every_r_subset(self):
+        for n in range(1, 9):
+            for r in range(n + 1):
+                subsets = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+                assert uniform(r, n).bases == tuple(sorted(subsets))
 
 
 class TestGraphic:
@@ -217,6 +225,25 @@ class TestRankIndependence:
 
     def test_independent_sets_count(self, m5_matroid):
         assert len(m5_matroid.independent_sets) == 24
+
+
+def subsets_of_some_basis(m):
+    """{S ⊆ [n] : S ⊆ B for some basis B}, by a scan of all 2^n subsets."""
+    return tuple(s for s in range(1 << m.n) if any(not s & ~b for b in m.bases))
+
+
+@with_edge_cases  # rank 0, coloops, and loops beside parallel elements
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_independent_sets_are_the_subsets_of_the_bases(m):
+    for matroid in (m, m.dual):
+        assert matroid.independent_sets == subsets_of_some_basis(matroid)
+
+
+def test_independent_sets_on_eight_elements():
+    for m in (W4, uniform(4, 8), from_bases(8, [0b01100101])):
+        for matroid in (m, m.dual):
+            assert matroid.independent_sets == subsets_of_some_basis(matroid)
 
 
 class TestCircuits:

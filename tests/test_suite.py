@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import activita.activity as activity
+import activita.complexes as complexes
+import activita.orders as orders
 import activita.shelling as shelling
 import activita.suite as suite
 import activita.tutte as tutte
@@ -238,6 +240,14 @@ def count_an_nbc_set_twice(monkeypatch):
     monkeypatch.setattr(suite, "nbc_sets", lambda m: real(m) + real(m)[:1])
 
 
+def nbc_sets_without_the_empty_set(monkeypatch):
+    """Every reader of ``nbc_sets`` sees the nbc sets without ∅: the augmented
+    nbc complex loses the facet of ∅ and still has one per set it is given."""
+    real = activity.nbc_sets
+    for module in (complexes, orders, shelling, suite):
+        monkeypatch.setattr(module, "nbc_sets", lambda m: tuple(s for s in real(m) if s))
+
+
 def nbc_complex_counts_a_face_too_many(monkeypatch):
     """The plain nbc complex, facets unchanged, reports one more face of top size."""
     real = suite.build_complex
@@ -273,7 +283,7 @@ def dual_drops_a_basis(monkeypatch):
     """The dual lists the complements of every basis but the first."""
 
     def dual(m):
-        return Matroid(m.n, [m.full_mask & ~b for b in m.bases[1:]], "dual-of")
+        return Matroid(m.n, [m.full_mask & ~b for b in m.bases[1:]])
 
     monkeypatch.setattr(Matroid, "dual", property(dual))
 
@@ -344,12 +354,13 @@ def decompose_without_deletions(monkeypatch):
 
 
 def move_an_element_on_the_dual(monkeypatch):
-    """Move the lowest element of EA ∪ EP across, on the dual's profiles only."""
-    real = suite.activity_profile
+    """Move the lowest element of EA ∪ EP across, on the profiles of m5's dual
+    only, told apart from m5 by its bases."""
+    real, dual = suite.activity_profile, m5().dual
 
     def moved(m, s):
         prof = real(m, s)
-        if m.provenance != "dual-of":
+        if m != dual:
             return prof
         low = (prof.ea | prof.ep) & -(prof.ea | prof.ep)
         return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
@@ -369,11 +380,10 @@ def empty_set_is_not_nbc(monkeypatch):
 
 
 def dual_polynomial_unswapped(monkeypatch):
-    """The dual's Tutte polynomial comes back as the matroid's own."""
+    """The dual's Tutte polynomial comes back as the matroid's own: the suite
+    calls ``tutte_by_activities`` once, on the dual."""
     real = suite.tutte_by_activities
-    monkeypatch.setattr(
-        suite, "tutte_by_activities", lambda m: real(m.dual if m.provenance == "dual-of" else m)
-    )
+    monkeypatch.setattr(suite, "tutte_by_activities", lambda m: real(m.dual))
 
 
 def augmented_nbc_replaced_by_nbc(monkeypatch):
@@ -549,6 +559,13 @@ MUTANTS = {
         "shelling-flip",
     ),
     "nbc-facet-count": (m5, NBC, count_an_nbc_set_twice, {"nbc-facet-count"}, "shelling-nbc"),
+    # the count of independent sets with no external activity reads no nbc_sets
+    "nbc-facet-count/every-reader": (
+        m5, NBC, nbc_sets_without_the_empty_set,
+        {"nbc-facet-count", "shelling-nbc", "restriction-sets-nbc", "property-H-nbc",
+         "h-complex-nbc", "nbc-h-identity"},
+        "nbc-induced-subcomplexes",
+    ),
     "nbc-induced-subcomplexes": (
         m5, NBC, drop_an_induced_facet, {"nbc-induced-subcomplexes"}, "nbc-facet-count"
     ),
