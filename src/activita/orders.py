@@ -17,7 +17,7 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from operator import itemgetter, or_
+from operator import or_
 
 from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, containment_rows, iter_bits, submasks, subset_label, subset_str
@@ -158,7 +158,7 @@ class Poset:
         """Length of the longest chain below each element (for Hasse ranking), pushed up
         the upper covers along the first linear extension: O(covers) besides the tables."""
         h = [0] * len(self)
-        for i in map(self.index.get, _greedy_extension(self, itemgetter(0))):
+        for i in map(self.index.get, _greedy_extension(self, (0).__mul__)):
             for j in self.cover_tables[1][i]:
                 h[j] = max(h[j], h[i] + 1)
         return tuple(h)
@@ -332,11 +332,11 @@ def _enumerate_extensions(poset: Poset) -> list[tuple[int, ...]]:
     """Every linear extension, by backtracking that places the lowest available index first,
     on an explicit stack: for each prefix, the bitsets of the placed, the available and the
     untried elements, and the index placed next, so the entries below a full prefix spell it."""
-    first = poset.cover_tables[2]
+    first, size = poset.cover_tables[2], len(poset)
     found, stack = [], [(0, first, first, 0)]
     while stack:
         placed, avail, untried, _ = stack.pop()
-        if len(stack) == len(poset):
+        if len(stack) == size:
             found.append(tuple(poset.elements[entry[3]] for entry in stack))
         elif untried:
             i = (untried & -untried).bit_length() - 1
@@ -346,16 +346,19 @@ def _enumerate_extensions(poset: Poset) -> list[tuple[int, ...]]:
     return found
 
 
-def _greedy_extension(poset: Poset, pick) -> tuple[int, ...]:
-    """Place ``pick(avail)`` until all are placed: the placed elements form a down-set, so
-    ``avail``, the available indexes in order, gains an element once its lower covers are."""
+def _greedy_extension(poset: Poset, bits) -> tuple[int, ...]:
+    """Place ``avail[r]``, r = ``bits(n.bit_length())`` drawn again while r >= n = len(avail),
+    until all are placed: ``random.Random.choice``'s draw on ``avail``, the available indexes in
+    order, which gains an index once its lower covers are placed (they form a down-set)."""
     below, upper, minimal = poset.cover_tables
     below, avail, order = list(below), list(iter_bits(minimal)), []
     for _ in poset.elements:
         if not avail:  # the rows hold a cycle
             raise NoLinearExtension(f"no linear extension of the {len(poset)} elements")
-        i = pick(avail)
-        avail.remove(i)
+        n = r = len(avail)
+        while r >= n:
+            r = bits(n.bit_length())
+        i = avail.pop(r)
         order.append(poset.elements[i])
         for j in upper[i]:
             below[j] -= 1
@@ -366,14 +369,15 @@ def _greedy_extension(poset: Poset, pick) -> tuple[int, ...]:
 
 def first_extension(poset: Poset) -> tuple[int, ...]:
     """The first order :func:`linear_extensions` enumerates: the lexicographically first."""
-    return _greedy_extension(poset, itemgetter(0))
+    return _greedy_extension(poset, (0).__mul__)  # bits that are always 0: the first index
 
 
 def random_extension(poset: Poset, rng: random.Random) -> tuple[int, ...]:
-    """One random linear extension by random topological sorting on cover tables built once
-    per poset.  Its ``avail`` is the list a rescan at every step would build, so ``rng.choice``
-    draws the same orders from a seed as that rescan, which ``tests/test_oracles.py`` keeps."""
-    return _greedy_extension(poset, rng.choice)
+    """One random linear extension by random topological sorting on cover tables built once per
+    poset.  Its ``avail`` is the list a rescan at every step would build and each step draws what
+    ``rng.choice`` on it draws, so a seed gives the rescan's orders (``tests/test_oracles.py``);
+    ``rng`` is a ``random.Random`` whose ``choice`` reads ``getrandbits``, not ``random()``."""
+    return _greedy_extension(poset, rng.getrandbits)
 
 
 def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionSample:
@@ -398,10 +402,8 @@ def poset_meet_join(poset: Poset, a: int, b: int) -> tuple[int, int]:
     (by_down, by_up), x, y = poset.element_by_rows, poset.index[a], poset.index[b]
     glb = by_down.get(poset.down_rows[x] & poset.down_rows[y])
     lub = by_up.get(poset.up_rows[x] & poset.up_rows[y])
-    if glb is None:
-        raise LatticeFailure("no greatest lower bound")
-    if lub is None:
-        raise LatticeFailure("no least upper bound")
+    if None in (glb, lub):
+        raise LatticeFailure("no greatest lower bound" if glb is None else "no least upper bound")
     return glb, lub
 
 
@@ -433,9 +435,7 @@ def boolean_interval(matroid: Matroid, b: int, c: int) -> tuple[int, ...]:
     bases_poset = build_poset(matroid, "extint-bases")
     x, y = bases_poset.index.get(b), bases_poset.index.get(c)
     if None in (x, y) or bases_poset.up_rows[x] & bases_poset.down_rows[y] & ~(1 << x) != 1 << y:
-        raise NotACover(
-            f"{subset_str(c, matroid.n)} does not cover {subset_str(b, matroid.n)}"
-        )
+        raise NotACover(f"{subset_str(c, matroid.n)} does not cover {subset_str(b, matroid.n)}")
     prof = activity_profile(matroid, c)
     block = tuple(sorted(s | prof.ip for s in submasks(prof.ia)))
     ind = build_poset(matroid, "extint-ind")

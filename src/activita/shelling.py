@@ -109,7 +109,7 @@ def verify_orders(
     if cx.facet_by_tag.keys() != poset.index.keys():
         raise NotAPermutation("the complex's facet tags are not the poset's elements")
     down, at = poset.down_rows, {f: poset.index[t] for t, f in cx.facet_by_tag.items()}
-    table, maps, flags = {}, {}, [bool(orders)] * 4
+    table, maps, flags, size = {}, {}, [bool(orders)] * 4, len(poset)
     for t, f in cx.facet_by_tag.items():
         x, below, others = at[f], -1, []
         for g in cx.neighbours[f]:
@@ -129,7 +129,7 @@ def verify_orders(
                     if placed & y:
                         common &= g
                 varied[t] = f & ~common
-        if len(order) != len(poset) or placed != (1 << len(poset)) - 1:
+        if len(order) != size or placed != (1 << size) - 1:
             raise NotAPermutation("order is not a permutation of the complex's facets")
         if late:
             raise NoLinearExtension("order places an element before one below it")

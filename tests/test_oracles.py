@@ -878,11 +878,11 @@ def enumerate_then_sample(poset, cap, seed):
 
 
 @st.composite
-def small_posets(draw):
-    """Partial orders on at most 7 distinct masks: the transitive closure of
-    random pairs, each oriented by a random ranking, so that the element
-    indices need not be a linear extension."""
-    m = draw(st.integers(0, 7))
+def small_posets(draw, max_size=7):
+    """Partial orders on at most ``max_size`` distinct masks: the transitive
+    closure of random pairs, each oriented by a random ranking, so that the
+    element indices need not be a linear extension."""
+    m = draw(st.integers(0, max_size))
     rank = draw(st.permutations(range(m)))
     up = [1 << i for i in range(m)]
     if m:
