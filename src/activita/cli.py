@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -35,6 +36,15 @@ def _load(path: str) -> Matroid:
         raise click.UsageError(f"cannot read {path}: {exc}") from exc
     except ActivitaError as exc:
         raise click.UsageError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path: str):
+    """The output ``path``; a failed write or ``mkdir`` in the block is a usage error."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _json(data) -> str:
@@ -86,7 +96,8 @@ def order(matroid: str, kind: str, dot_path: str | None, as_json: bool) -> None:
     m = _load(matroid)
     poset = build_poset(m, kind)
     if dot_path:
-        Path(dot_path).write_text(poset_dot(poset, m.n, kind))
+        with _writing(dot_path) as out:
+            out.write_text(poset_dot(poset, m.n, kind))
         click.echo(f"wrote {dot_path} ({len(poset.covers())} cover edges)")
         return
     data = {
@@ -179,7 +190,8 @@ def shell(matroid: str, kind: str, order_kind: str, seed: int,
     if report_path:
         data = _report_json(cx, facet_order, report, m.n)
         data.update(complex=kind, order=order_kind, seed=seed)
-        Path(report_path).write_text(_json(data))
+        with _writing(report_path) as out:
+            out.write_text(_json(data))
     click.echo("shelling: " + ("ok" if report.verdict else f"FAILED at {report.failing_pair}"))
     if not report.verdict:
         sys.exit(1)
@@ -229,7 +241,8 @@ def verify(matroids: tuple[str, ...], cap: int, seed: int,
     click.echo(f"{len(findings) - len(failed)}/{len(findings)} checks passed")
     if report_path:
         report = {"cap": cap, "seed": seed, "matroids": sorted(corpus), "ok": not failed}
-        Path(report_path).write_text(_json({**report, "findings": [asdict(f) for f in findings]}))
+        with _writing(report_path) as out:
+            out.write_text(_json({**report, "findings": [asdict(f) for f in findings]}))
     if failed:
         sys.exit(1)
 
@@ -243,10 +256,10 @@ def corpus(out_dir: str | None) -> None:
     for name, m in entries.items():
         click.echo(f"{name}: n={m.n} rank={m.rank} bases={len(m.bases)}")
     if out_dir:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, m in entries.items():
-            (directory / f"{name}.json").write_text(_json(spec_dict(m)))
+        with _writing(out_dir) as directory:
+            directory.mkdir(parents=True, exist_ok=True)
+            for name, m in entries.items():
+                (directory / f"{name}.json").write_text(_json(spec_dict(m)))
         click.echo(f"wrote {len(entries)} spec files to {directory}")
 
 

@@ -7,7 +7,7 @@ or sampled), lattice operations and boolean cover intervals.
 
 Each order has one definition here, and :func:`build_poset` materializes it once per matroid
 as rows that are ANDs of column bitsets; other code reads the relation from that poset.
-:func:`poset_certificate` checks its rows against the definitions, a row at a time, for the suite.
+:func:`poset_certificate` checks its rows against equivalent forms, a row at a time, for the suite.
 """
 
 from __future__ import annotations
@@ -32,37 +32,14 @@ POSET_KINDS = ("ext-bases", "int-bases", "extint-bases", "extint-ind", "flip-ind
 
 
 def compare_bases(matroid: Matroid, kind: str, a: int, b: int) -> bool:
-    """Whether a <= b for bases in the external/internal/combined order.
-
-    ext: A ⊆ B ∪ EA(B); int: A∖IA(A) ⊆ B; extint: IP(A) ∩ EP(B) = ∅.  The
-    bit of b in :func:`basis_order_row` of a, so a call costs O(B)."""
-    row = basis_order_row(matroid, kind, a)
-    if not matroid.is_basis(b):
-        raise NotABasis(subset_str(b, matroid.n))
-    return row >> matroid.bases.index(b) & 1 == 1
-
-
-@memoized
-def _basis_columns(matroid: Matroid) -> tuple[list[int], list[int]]:
-    """B ∪ EA(B) and EP(B) of each basis B, in ``matroid.bases`` order."""
-    profiles = [activity_profile(matroid, b) for b in matroid.bases]
-    return [b | p.ea for b, p in zip(matroid.bases, profiles)], [p.ep for p in profiles]
-
-
-def basis_order_row(matroid: Matroid, kind: str, a: int) -> int:
-    """The bitset over ``matroid.bases`` of the bases B with a <= B: the
-    definition of the order ``kind`` applied to A and every B at once."""
+    """Whether a <= b for bases in the external/internal/combined order: one bit
+    of the rows of :func:`build_poset`, the one definition of each basis order."""
     if kind not in BASIS_ORDER_KINDS:
         raise ValueError(f"unknown basis order {kind!r}")
-    if not matroid.is_basis(a):
-        raise NotABasis(subset_str(a, matroid.n))
-    pa, (closed, passive) = activity_profile(matroid, a), _basis_columns(matroid)
-    if kind == "ext":  # A ⊆ B ∪ EA(B)
-        return sum(1 << y for y, c in enumerate(closed) if not a & ~c)
-    if kind == "int":  # A∖IA(A) ⊆ B
-        need = a & ~pa.ia
-        return sum(1 << y for y, b in enumerate(matroid.bases) if not need & ~b)
-    return sum(1 << y for y, ep in enumerate(passive) if not pa.ip & ep)  # IP(A) ∩ EP(B) = ∅
+    for s in (a, b):
+        if not matroid.is_basis(s):
+            raise NotABasis(subset_str(s, matroid.n))
+    return build_poset(matroid, f"{kind}-bases").leq(a, b)
 
 
 def _key(matroid: Matroid, s: int) -> int:
@@ -168,10 +145,10 @@ class Poset:
 def build_poset(matroid: Matroid, kind: str) -> Poset:
     """Materialize one of the active orders; memoized per matroid and kind.
 
-    Basis orders are containments (extint: IP(A) ∩ EP(B) = ∅ iff IP(A) ⊆
-    B∪EA(B)).  On independent sets a row is containment (of complements when
-    flipped) among sets with the same related basis, and containment of
-    I∖IA(I)∪EA(I) among the others.
+    Basis orders are containments: ext A ⊆ B∪EA(B), int A∖IA(A) ⊆ B, extint
+    IP(A) ⊆ B∪EA(B) (iff IP(A) ∩ EP(B) = ∅).  On independent sets a row is
+    containment (of complements when flipped) among sets with the same related
+    basis, and containment of I∖IA(I)∪EA(I) among the others.
     """
     n = matroid.n
     if kind in ("ext-bases", "int-bases", "extint-bases"):
@@ -223,27 +200,27 @@ def poset_axiom_violation(poset: Poset, n: int) -> str:
     raise EquivalenceMismatch("the cover certificate of the poset axioms fails, the scan passes")
 
 
-def _row_disagreement(elems, rows, expected, n: int, what: str) -> str:
-    """``what`` on "a, b" for the first row a, and its lowest bit b, where
-    ``rows`` and ``expected`` differ, or ""."""
+def _row_disagreement(elems, rows, expected, n: int) -> str:
+    """The first row a, and its lowest bit b, where ``rows`` and ``expected`` differ, or ""."""
     for a, row, want in zip(elems, rows, expected):
         if row != want:
-            low = (row ^ want) & -(row ^ want)
-            return f"{what} on {subset_label(a, n)}, {subset_label(elems[low.bit_length() - 1], n)}"
+            b = elems[((row ^ want) & -(row ^ want)).bit_length() - 1]
+            return f"row disagrees with its definition on {subset_label(a, n)}, {subset_label(b, n)}"
     return ""
 
 
 def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
     """The detail of the suite's ``poset-axioms`` finding on the posets of
     :data:`POSET_KINDS`, keyed by kind, or "": the six orders are partial
-    orders, their rows are the definitions' rows (:func:`basis_order_row`;
-    ``nbc-extint`` is ``extint-ind`` restricted to the nbc sets), and the
-    basis orders agree with their equivalent forms.  Given key(I) = key(RB(I))
-    for every I, key(S) = S∖IA(S)∪EA(S) (Las Vergnas, "Active orders for
-    matroid bases", 2001), the ``extint-ind`` or ``flip-ind`` row of I in
-    the block of A is ``rel`` inside it and, outside, the union of the blocks
-    of the bases C ≠ A with key(A) ⊆ key(C).  A failure names the pair a
-    per-pair scan names, or the first I whose key is not RB(I)'s."""
+    orders, and their rows are those of equivalent forms.  The basis orders
+    are A∪EA(A) ⊆ B∪EA(B), A∖IA(A) ⊆ B∖IA(B) and key(A) ⊆ key(B), and
+    ``nbc-extint`` is ``extint-ind`` restricted to the nbc sets.  Given
+    key(I) = key(RB(I)) for every I, key(S) = S∖IA(S)∪EA(S) (Las Vergnas,
+    "Active orders for matroid bases", 2001), the ``extint-ind`` or
+    ``flip-ind`` row of I in the block of A is ``rel`` inside it and, outside,
+    the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C).  A
+    failure names the pair a per-pair scan names, or the first I whose key is
+    not RB(I)'s."""
     n, bases, ind = matroid.n, matroid.bases, posets["extint-ind"]
     related, blocks = _related_blocks(matroid, ind.elements)
     keys = [_key(matroid, b) for b in bases]  # above[A] & ~blocks[A]: the blocks of bases above A
@@ -264,28 +241,20 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
             )
         elif kind == "nbc-extint":
             expected = ind.restricted_rows(elems)
-        else:
-            expected = (basis_order_row(matroid, kind.split("-")[0], a) for a in elems)
+        else:  # A∪EA(A), A∖IA(A) or key(A), contained in B's
+            form = keys if kind == "extint-bases" else [
+                b | p.ea if kind == "ext-bases" else b & ~p.ia
+                for b, p in zip(elems, map(partial(activity_profile, matroid), elems))
+            ]
+            expected = containment_rows(form, form, n)
         violation = (
             poset_axiom_violation(poset, n)
             or blocked and key_break
-            or _row_disagreement(
-                elems, poset.up_rows, expected, n, "row disagrees with its definition"
-            )
+            or _row_disagreement(elems, poset.up_rows, expected, n)
         )
         if violation:
             return f"{kind}: {violation}"
-    profiles = [activity_profile(matroid, b) for b in bases]
-    forms = [0] * len(bases)  # where a basis order and one of its equivalent forms differ
-    for kind, sets in (
-        ("ext-bases", _basis_columns(matroid)[0]),  # A∪EA(A) ⊆ B∪EA(B)
-        ("int-bases", [b & ~p.ia for b, p in zip(bases, profiles)]),  # A∖IA(A) ⊆ B∖IA(B)
-        ("extint-bases", keys),  # key(A) ⊆ key(B), key = IP ∪ EA
-    ):
-        wants = containment_rows(sets, sets, n)
-        forms = [f | row ^ want for f, row, want in zip(forms, posets[kind].up_rows, wants)]
-    what = "equivalent forms of the basis orders disagree"
-    return _row_disagreement(bases, forms, [0] * len(forms), n, what)
+    return ""
 
 
 # -- linear extensions -----------------------------------------------------------

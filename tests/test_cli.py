@@ -225,6 +225,23 @@ def test_a_hostile_spec_is_refused_at_once(runner, tmp_path, text, error, messag
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "{m5}", "--dot", "{tmp}/missing/h.dot"],
+        ["shell", "{m5}", "--report", "{tmp}"],  # a directory
+        ["verify", "{m5}", "--no-builtin", "--cap", "3", "--report", "{tmp}/missing/r.json"],
+        ["corpus", "--dir", "{m5}"],  # an existing file
+    ],
+    ids=["order-dot", "shell-report", "verify-report", "corpus-dir"],
+)
+def test_an_unwritable_output_is_a_usage_error(runner, m5_path, tmp_path, argv):
+    result = runner.invoke(main, [a.format(m5=m5_path, tmp=tmp_path) for a in argv])
+    assert result.exit_code == 2, result.output
+    assert "Error: cannot write " in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m5.json"]  # no directory made
+
+
 class TestVerifyCommand:
     def test_single_matroid(self, runner, m5_path, tmp_path):
         report = tmp_path / "findings.json"

@@ -64,6 +64,7 @@ from activita.errors import (
     EquivalenceMismatch,
     ExchangeAxiomViolated,
     LatticeFailure,
+    NotABasis,
     NotIndependent,
 )
 from activita.matroid import Matroid, from_bases, graphic, linear_over_prime_field, relabel, uniform
@@ -71,8 +72,8 @@ from activita.orders import (
     BASIS_ORDER_KINDS,
     POSET_KINDS,
     Poset,
-    basis_order_row,
     build_poset,
+    compare_bases,
     leq_extint_ind,
     leq_flip_ind,
     linear_extensions,
@@ -277,6 +278,54 @@ def test_a_flipped_bit_of_a_basis_order_row_is_the_per_pair_detail(kind):
                 [f] = [f for f in run_check(check_posets, "m5", m) if f.check == "poset-axioms"]
                 detail = per_pair_poset_detail(m)
             assert detail.startswith(f"{kind}: ") and (f.ok, f.detail) == (False, detail)
+
+
+BASIS_FORMULA_MUTANTS = {  # one wrong basis-order rule: the sets of A and of B in A's ⊆ B's
+    "ext without EA": ("ext-bases", lambda b, p: (b, b), "134, 124"),
+    "int without IA": ("int-bases", lambda b, p: (b, b), "134, 124"),
+    "extint with IP ⊆ B": ("extint-bases", lambda b, p: (p.ip, b), "234, 124"),
+    "extint with B ⊆ B∪EA(B)": ("extint-bases", lambda b, p: (b, b | p.ea), "245, 125"),
+}
+
+
+@pytest.mark.parametrize("name", BASIS_FORMULA_MUTANTS)
+def test_a_wrong_basis_order_formula_fails_against_its_equivalent_form(name):
+    kind, rule, pair = BASIS_FORMULA_MUTANTS[name]
+    m = m5()
+    sets = [rule(b, activity_profile(m, b)) for b in m.bases]
+    rows = tuple(sum(1 << y for y, (_, t) in enumerate(sets) if s & ~t == 0) for s, _ in sets)
+    mutant = Poset(m.bases, rows)
+    assert rows != build_poset(m, kind).up_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite, "build_poset", lambda m, k: mutant if k == kind else build_poset(m, k))
+        [f] = [f for f in run_check(check_posets, "m5", m) if f.check == "poset-axioms"]
+        detail = per_pair_poset_detail(m)
+    assert (f.ok, f.detail) == (False, f"{kind}: row disagrees with its definition on {pair}")
+    assert detail == f.detail
+
+
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=40, deadline=None)
+def test_compare_bases_is_a_bit_of_the_per_pair_rows(m):
+    for kind in BASIS_ORDER_KINDS:
+        rows = per_pair_rows(m, f"{kind}-bases")
+        for row, a in zip(rows, m.bases):
+            assert [compare_bases(m, kind, a, b) for b in m.bases] == [
+                row >> y & 1 == 1 for y in range(len(m.bases))
+            ]
+
+
+def test_compare_bases_refuses_an_unknown_kind_and_a_non_basis():
+    m, basis, dependent, independent = m5(), 0b11100, 0b111, 0b1  # 345, 123 and 1
+    with pytest.raises(ValueError, match="^unknown basis order 'flip'$"):
+        compare_bases(m, "flip", dependent, dependent)  # the kind is checked first
+    for kind in BASIS_ORDER_KINDS:
+        for s, label in ((dependent, "123"), (independent, "1")):
+            with pytest.raises(NotABasis, match=f"^{label}$"):
+                compare_bases(m, kind, s, basis)
+            with pytest.raises(NotABasis, match=f"^{label}$"):
+                compare_bases(m, kind, basis, s)
 
 
 def down_row_covers(up_rows):
@@ -640,8 +689,7 @@ def assert_rows_match_per_pair_rows(m):
     """The basis orders' rows and the ``nbc-extint`` gather against
     :func:`per_pair_rows`."""
     for kind in BASIS_ORDER_KINDS:
-        rows = tuple(basis_order_row(m, kind, a) for a in m.bases)
-        assert rows == per_pair_rows(m, f"{kind}-bases"), kind
+        assert build_poset(m, f"{kind}-bases").up_rows == per_pair_rows(m, f"{kind}-bases"), kind
     gathered = build_poset(m, "extint-ind").restricted_rows(nbc_sets(m))
     assert tuple(gathered) == per_pair_rows(m, "nbc-extint")
 

@@ -5,7 +5,7 @@ CPython's parser keeps a module's tokens in an array that doubles whenever
 it fills, so past 4,096 tokens a module costs noticeably more memory to
 compile when the package is imported from source without a bytecode cache.
 The package's lines may not grow: new code is paid for by deletions, and
-the ceiling comes down with them.
+the ceiling is exactly the package's size, so deleted lines leave no headroom.
 """
 
 import tokenize
@@ -15,7 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "activita"
 CEILING = 4096
-LINE_CEILING = 2840
+LINE_CEILING = 2822
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
 FSTRING_START = getattr(tokenize, "FSTRING_START", None)  # Python 3.12 and later
 FSTRING_END = getattr(tokenize, "FSTRING_END", None)
@@ -48,4 +48,4 @@ def test_module_stays_under_the_token_ceiling(path):
 
 
 def test_package_stays_under_the_line_ceiling():
-    assert sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py")) <= LINE_CEILING
+    assert sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py")) == LINE_CEILING
