@@ -23,6 +23,7 @@ counted by size, in O(1) dict operations per diagram node or node pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -32,7 +33,6 @@ from operator import or_
 from .activity import (
     activity_profile,
     crapo_decompose_independent,
-    is_nbc,
     nbc_sets,
     related_basis,
 )
@@ -216,8 +216,10 @@ def facet_F(matroid: Matroid, indep: int) -> int:
 
 
 def facet_G(matroid: Matroid, subset: int) -> int:
-    """Facet y_{B_I∖I} z_I of the augmented nbc complex for an nbc set I."""
-    if not (matroid.is_independent(subset) and is_nbc(matroid, subset)):
+    """Facet y_{B_I∖I} z_I of the augmented nbc complex for an nbc set I, found by bisection."""
+    sets = nbc_sets(matroid)
+    x = bisect_left(sets, subset)
+    if sets[x : x + 1] != (subset,):
         raise NotNBC(subset_str(subset, matroid.n))
     return xyz(matroid.n, ys=related_basis(matroid, subset) & ~subset, zs=subset)
 

@@ -212,44 +212,39 @@ def _row_disagreement(elems, rows, expected, n: int) -> str:
 def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
     """The detail of the suite's ``poset-axioms`` finding on the posets of
     :data:`POSET_KINDS`, keyed by kind, or "": the six orders are partial
-    orders, and their rows are those of equivalent forms.  The basis orders
-    are A∪EA(A) ⊆ B∪EA(B), A∖IA(A) ⊆ B∖IA(B) and key(A) ⊆ key(B), and
-    ``nbc-extint`` is ``extint-ind`` restricted to the nbc sets.  Given
-    key(I) = key(RB(I)) for every I, key(S) = S∖IA(S)∪EA(S) (Las Vergnas,
-    "Active orders for matroid bases", 2001), the ``extint-ind`` or
-    ``flip-ind`` row of I in the block of A is ``rel`` inside it and, outside,
-    the union of the blocks of the bases C ≠ A with key(A) ⊆ key(C).  A
-    failure names the pair a per-pair scan names, or the first I whose key is
-    not RB(I)'s."""
-    n, bases, ind = matroid.n, matroid.bases, posets["extint-ind"]
-    related, blocks = _related_blocks(matroid, ind.elements)
-    keys = [_key(matroid, b) for b in bases]  # above[A] & ~blocks[A]: the blocks of bases above A
-    above = dict(zip(bases, containment_rows(keys, [_key(matroid, a) for a in related], n)))
+    orders, and their rows are those of one block form.  Each order is a union
+    of blocks, one per related basis (Las Vergnas, "Active orders for matroid
+    bases", 2001).  Outside the block of A, I lies below the blocks of the
+    bases C whose ``out`` contains A's: A∪EA(A) for ``ext-bases``, A∖IA(A) for
+    ``int-bases``, and key(A) = A∖IA(A)∪EA(A) = IP(A)∪EA(A) for the other four,
+    which needs key(I) = key(RB(I)) for every I.  Inside it, Crapo's deletion
+    sets give I = A∖Y_I ≤ K = A∖Y_K iff Y_K ⊆ Y_I, that is I ⊆ K, and the
+    reverse when flipped: ``ins`` is E∖Y_I = (E∖A)∪I, or Y_I when flipped.  A
+    basis is its own related basis, with Y = ∅, so a basis order is the block
+    form with singleton blocks.  A failure names the pair a per-pair scan
+    names, or the first I whose key is not RB(I)'s."""
+    n, full, ind = matroid.n, matroid.full_mask, posets["extint-ind"]
     key_break = next(
         (f"key of {subset_label(i, n)} is not that of its related basis {subset_label(a, n)}"
-         for i, a in zip(ind.elements, related) if _key(matroid, i) != _key(matroid, a)),
+         for i, a in zip(ind.elements, _related_blocks(matroid, ind.elements)[0])
+         if _key(matroid, i) != _key(matroid, a)),
         "",
     )
     for kind, poset in posets.items():
-        elems, blocked = poset.elements, kind in ("extint-ind", "flip-ind")
-        if blocked:  # rel inside each block, the blocks above it outside
-            rel = partial(leq_extint_ind if kind == "extint-ind" else leq_flip_ind, matroid)
-            expected = (
-                above[a] & ~blocks[a]
-                | sum(1 << y for y in iter_bits(blocks[a]) if rel(i, elems[y]))
-                for i, a in zip(elems, related)
-            )
-        elif kind == "nbc-extint":
-            expected = ind.restricted_rows(elems)
-        else:  # A∪EA(A), A∖IA(A) or key(A), contained in B's
-            form = keys if kind == "extint-bases" else [
-                b | p.ea if kind == "ext-bases" else b & ~p.ia
-                for b, p in zip(elems, map(partial(activity_profile, matroid), elems))
-            ]
-            expected = containment_rows(form, form, n)
+        elems = poset.elements
+        related, blocks = _related_blocks(matroid, elems)
+        form = {
+            a: (a | p.ea if kind == "ext-bases" else a & ~p.ia if kind == "int-bases"
+                else p.ip | p.ea)
+            for a, p in zip(blocks, map(partial(activity_profile, matroid), blocks))
+        }
+        out = [form[a] for a in related]
+        ins = [a & ~i if kind == "flip-ind" else full & ~a | i for i, a in zip(elems, related)]
+        rows = zip(related, containment_rows(out, out, n), containment_rows(ins, ins, n))
+        expected = (o & ~blocks[a] | w & blocks[a] for a, o, w in rows)
         violation = (
             poset_axiom_violation(poset, n)
-            or blocked and key_break
+            or not kind.endswith("-bases") and key_break
             or _row_disagreement(elems, poset.up_rows, expected, n)
         )
         if violation:

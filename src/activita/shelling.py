@@ -48,11 +48,11 @@ class ShellingReport:
 
 @dataclass(frozen=True)
 class Witness:
-    """Shelling witness (J, c) for a pair I, K; case records which lemma fired."""
+    """Shelling witness (J, c) for a pair I, K; B is the exchanged basis of
+    unrelated sets, None for related ones."""
 
     J: int
     c: int
-    case: str
     B: int | None = None
 
 
@@ -281,7 +281,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         )
     if a == c_basis:
         c = min_elem(k & ~i)
-        witness = Witness(J=k & ~(1 << (c - 1)), c=c, case="related")
+        witness = Witness(J=k & ~(1 << (c - 1)), c=c)
     else:
         ep = activity_profile(matroid, a).ep
         found = [(b, c) for c, b in _witness_table(matroid)[c_basis] if ep >> c - 1 & 1]
@@ -292,7 +292,7 @@ def shelling_witness(matroid: Matroid, i: int, k: int) -> Witness:
         y = c_basis & ~k
         if y & ~activity_profile(matroid, basis_b).ia:
             raise WitnessNotFound("deleted set is not internally active in the new basis")
-        witness = Witness(J=basis_b & ~y, c=c, case="unrelated", B=basis_b)
+        witness = Witness(J=basis_b & ~y, c=c, B=basis_b)
     if not (ind_poset.leq(witness.J, k) and witness.J != k):
         raise WitnessNotFound("constructed witness does not precede K")
     fi, fj, fk = (facet_F(matroid, s) for s in (i, witness.J, k))
@@ -338,9 +338,8 @@ def witness_groups(matroid: Matroid) -> Iterator[tuple[int, list[tuple[int, Witn
     z_bits = [xyz(matroid.n, zs=1 << e) for e in range(matroid.n)]
     for y, (k, fk, c_basis) in enumerate(zip(elems, facets, related)):
         deleted, block, rest, groups = c_basis & ~k, blocks[c_basis], full & ~ind.up_rows[y], []
-        peel = [(block & ~in_col[e], Witness(k ^ 1 << e, e + 1, "related")) for e in iter_bits(k)]
-        peel += [(ep_col[c - 1], Witness(b & ~deleted, c, "unrelated", b))
-                 for c, b in table[c_basis]]
+        peel = [(block & ~in_col[e], Witness(k ^ 1 << e, e + 1)) for e in iter_bits(k)]
+        peel += [(ep_col[c - 1], Witness(b & ~deleted, c, b)) for c, b in table[c_basis]]
         for col, w in peel:
             if rest & col:
                 groups.append((rest & col, w))

@@ -120,8 +120,12 @@ class TestFacetG:
         assert (fx, subset_str(fy, 5), fz) == (0, "345", 0)
 
     def test_not_nbc(self, m5_matroid):
-        with pytest.raises(NotNBC):
-            facet_G(m5_matroid, ps5("12"))
+        # not nbc, dependent, the full ground set, and a mask past it
+        for s in (ps5("12"), ps5("123"), m5_matroid.full_mask, 1 << m5_matroid.n):
+            with pytest.raises(NotNBC):
+                facet_G(m5_matroid, s)
+        with pytest.raises(NotNBC):  # a loop is a circuit, its broken circuit is ∅
+            facet_G(from_bases(1, [0]), 0)
 
     def test_size_is_rank(self, corpus):
         from activita.activity import nbc_sets

@@ -248,8 +248,10 @@ def test_block_certificate_matches_per_pair_scan(m, seed):
 
     assert poset_axioms() == (True, "") and per_pair_poset_detail(m) == ""
     rng = random.Random(seed)
-    kind = rng.choice(("extint-ind", "flip-ind"))
+    kind = rng.choice(("extint-ind", "flip-ind", "nbc-extint"))
     real = build_poset(m, kind)
+    if not real.elements:  # a loop leaves no nbc sets
+        return
     rows, x = list(real.up_rows), rng.randrange(len(real.up_rows))
     for _ in range(2):  # flip one bit of one row, then a second bit of that row
         rows[x] ^= 1 << rng.randrange(len(rows))
@@ -286,6 +288,18 @@ BASIS_FORMULA_MUTANTS = {  # one wrong basis-order rule: the sets of A and of B 
     "extint with IP ⊆ B": ("extint-bases", lambda b, p: (p.ip, b), "234, 124"),
     "extint with B ⊆ B∪EA(B)": ("extint-bases", lambda b, p: (b, b | p.ea), "245, 125"),
 }
+
+
+@pytest.mark.parametrize("kind, other", [("extint-ind", "flip-ind"), ("flip-ind", "extint-ind")])
+def test_the_other_order_on_independent_sets_fails_inside_its_blocks(kind, other):
+    # a partial order with the right keys outside its blocks: only the inside form can fail it
+    m = m5()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suite, "build_poset", lambda m, k: build_poset(m, other if k == kind else k))
+        [f] = [f for f in run_check(check_posets, "m5", m) if f.check == "poset-axioms"]
+        detail = per_pair_poset_detail(m)
+    assert (f.ok, f.detail) == (False, f"{kind}: row disagrees with its definition on ∅, 3")
+    assert detail == f.detail
 
 
 @pytest.mark.parametrize("name", BASIS_FORMULA_MUTANTS)

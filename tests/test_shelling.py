@@ -249,11 +249,11 @@ class TestHComplex:
 class TestWitness:
     def test_related_paper_example(self, m5_matroid):
         w = shelling_witness(m5_matroid, ps5("3"), ps5("45"))
-        assert (w.J, w.c, w.case) == (ps5("5"), 4, "related")
+        assert (w.J, w.c, w.B) == (ps5("5"), 4, None)
 
     def test_unrelated_paper_example(self, m5_matroid):
         w = shelling_witness(m5_matroid, ps5("23"), ps5("14"))
-        assert (w.J, w.c, w.B, w.case) == (ps5("15"), 4, ps5("135"), "unrelated")
+        assert (w.J, w.c, w.B) == (ps5("15"), 4, ps5("135"))
 
     def test_basis_pair(self, m5_matroid):
         from activita.complexes import facet_F
@@ -298,7 +298,7 @@ class TestWitness:
                 if leq_extint_ind(m, k, i):
                     continue
                 w = shelling_witness(m, i, k)
-                if w.case == "unrelated":
+                if w.B is not None:
                     from activita.activity import related_basis
 
                     ia_c = activity_profile(m, related_basis(m, k)).ia
