@@ -203,8 +203,8 @@ def from_bases(n: int, bases: Iterable[int]) -> Matroid:
 
 
 def _by_rank(n: int, rank: Callable[[Sequence[int]], int]) -> Matroid:
-    """The matroid on n elements whose bases are the r-subsets c of range(n)
-    with rank(c) = r, where r = rank(range(n)); element i + 1 is index i."""
+    """The matroid on n elements whose bases are the r-subsets c of range(n) with rank(c) = r =
+    rank(range(n)), index i being element i + 1; rank is min(|c|, r) or column rank mod p."""
     r = rank(range(n))
     bases = [sum(1 << i for i in c) for c in combinations(range(n), r) if rank(c) == r]
     return from_bases(n, bases)
@@ -221,34 +221,18 @@ def uniform(r: int, n: int) -> Matroid:
 def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     """Graphic matroid of an edge list; element i is the i-th edge.
 
-    Bases are the spanning forests of maximum size.  Self-loops and parallel
-    edges are allowed.
+    Bases are the spanning forests of maximum size; self-loops and parallel edges are
+    allowed.  A graph is its incidence matrix over GF(2) on its edges' endpoints (Oxley,
+    Matroid Theory, §5.1): isolated vertices cost nothing, and a self-loop's column is 2 ≡ 0.
     """
     if not edges:
         raise NoEdges("edge list must be nonempty")
     for u, v in edges:
         if not (1 <= u <= vertices and 1 <= v <= vertices):
             raise RankOutOfRange(f"edge ({u},{v}) references a vertex outside 1..{vertices}")
-    m = _ground_size(len(edges))
-
-    def forest_size(edge_idxs: Iterable[int]) -> int:
-        parent: dict[int, int] = {}  # union-find over the endpoints met so far
-
-        def find(x: int) -> int:
-            while x in parent:
-                x = parent[x]
-            return x
-
-        used = 0
-        for i in edge_idxs:
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                used += 1
-        return used
-
-    return _by_rank(m, forest_size)
+    _ground_size(len(edges))
+    ends = sorted({x for edge in edges for x in edge})
+    return linear_over_prime_field(2, [[(u == x) + (v == x) for u, v in edges] for x in ends])
 
 
 def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
@@ -261,24 +245,22 @@ def linear_over_prime_field(p: int, matrix: Sequence[Sequence[int]]) -> Matroid:
     n = _ground_size(len(rows[0]))
     if any(len(row) != n for row in rows):
         raise UnequalCardinality("matrix rows of different lengths")
+    vectors = list(zip(*rows))
 
     def col_rank(cols: Sequence[int]) -> int:
-        # Gaussian elimination on the selected columns, exact arithmetic mod p.
-        mat = [[row[j] for j in cols] for row in rows]
-        rank = 0
-        for j in range(len(cols)):
-            pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
-            if pivot is None:
-                continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            inv = pow(mat[rank][j], p - 2, p)
-            mat[rank] = [(x * inv) % p for x in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and mat[i][j]:
-                    f = mat[i][j]
-                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
-            rank += 1
-        return rank
+        # vec ← vec·piv[i] − vec[i]·piv for each kept (i, piv[i], piv) in turn; piv
+        # is 0 at the i of each column kept before it, so what is cleared stays 0
+        kept: list[tuple[int, int, Sequence[int]]] = []
+        for j in cols:
+            vec = vectors[j]
+            for i, a, piv in kept:
+                if b := vec[i]:
+                    vec = [(x * a - b * y) % p for x, y in zip(vec, piv)]
+            for i, x in enumerate(vec):
+                if x:
+                    kept.append((i, x, vec))
+                    break
+        return len(kept)
 
     return _by_rank(n, col_rank)
 

@@ -120,12 +120,31 @@ class TestUniform:
                 assert uniform(r, n).bases == tuple(sorted(subsets))
 
 
+def complete(n):
+    return list(combinations(range(1, n + 1), 2))
+
+
+def wheel(n):
+    """The hub n + 1 joined to the n-cycle 1..n."""
+    return [(i, i % n + 1) for i in range(1, n + 1)] + [(n + 1, i) for i in range(1, n + 1)]
+
+
+SPANNING_TREES = {  # graph: (vertices, edges, spanning trees)
+    # Cayley: n^(n-2) spanning trees of the complete graph K_n
+    **{f"K{n}": (n, complete(n), n ** (n - 2)) for n in range(2, 7)},
+    "K3,3": (6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)], 81),  # m^(n-1)·n^(m-1)
+    # the wheel W_n: L_2n - 2, with L_k the Lucas numbers (18, 47, 123, 322)
+    **{f"W{n}": (n + 1, wheel(n), count) for n, count in zip(range(3, 7), (16, 45, 121, 320))},
+}
+
+
 class TestGraphic:
-    def test_k4_spanning_trees(self):
-        m = graphic(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-        # Cayley: 4^(4-2) spanning trees of the complete graph
-        assert len(m.bases) == 16
-        assert m.rank == 3
+    @pytest.mark.parametrize("graph", SPANNING_TREES)
+    def test_spanning_tree_counts(self, graph):
+        vertices, edges, count = SPANNING_TREES[graph]
+        m = graphic(vertices, edges)
+        assert len(m.bases) == count
+        assert m.rank == vertices - 1
 
     def test_triangle(self):
         m = graphic(3, [(1, 2), (2, 3), (1, 3)])
@@ -145,7 +164,8 @@ class TestGraphic:
         assert m.loops == mask_of([2])
 
     def test_isolated_vertices_cost_nothing(self):
-        # the forests are sized over the edges' endpoints, not over every vertex
+        # column rank mod p; a graph is its incidence matrix over GF(2) on its
+        # edges' endpoints (Oxley, Matroid Theory, §5.1), with no row per vertex
         k4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         started = time.perf_counter()
         assert graphic(10**7, k4) == graphic(4, k4)

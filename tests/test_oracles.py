@@ -20,7 +20,9 @@ by fundamental cocircuits against the pairwise scan it replaced, the Crapo table
 against the per-subset basis scan, the circuit axioms by containment rows
 against the per-(B, e) circuit scan, and the cover certificate of the poset
 axioms against the per-pair scan; ``bitsets.columns`` and ``bitsets.maximal``
-against the per-bit transpose and the pairwise scan they replaced. Invariants
+against the per-bit transpose and the pairwise scan they replaced; ``graphic``
+against the union-find that sized its forests, and ``linear_over_prime_field``
+against the Gauss–Jordan elimination its column rank replaced. Invariants
 besides: ``blocks`` inverts ``xyz``, the activity Tutte polynomial keeps under
 relabeling and swaps q and t under duality, and the h-vectors of the augmented
 complexes are f-vectors by face counts.
@@ -196,6 +198,89 @@ def test_crapo_table_matches_the_basis_scan_on_families_that_are_no_matroid(
 def test_is_independent_matches_basis_scan(m):
     for s in range(1 << m.n):
         assert m.is_independent(s) == any(s & ~b == 0 for b in m.bases)
+
+
+def forest_size(edges, edge_idxs) -> int:
+    """The union-find that sized a graph's forests before ``graphic`` read the
+    graph as its incidence matrix over GF(2)."""
+    parent: dict[int, int] = {}  # union-find over the endpoints met so far
+
+    def find(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    used = 0
+    for i in edge_idxs:
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            used += 1
+    return used
+
+
+def gauss_jordan_bases(p, matrix) -> tuple[int, ...]:
+    """The bases of ``linear_over_prime_field`` by the Gauss–Jordan ``col_rank``
+    that the column-by-column reduction replaced."""
+    rows = [[x % p for x in row] for row in matrix]
+
+    def col_rank(cols):
+        # Gaussian elimination on the selected columns, exact arithmetic mod p.
+        mat = [[row[j] for j in cols] for row in rows]
+        rank = 0
+        for j in range(len(cols)):
+            pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+            if pivot is None:
+                continue
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            inv = pow(mat[rank][j], p - 2, p)
+            mat[rank] = [(x * inv) % p for x in mat[rank]]
+            for i in range(len(mat)):
+                if i != rank and mat[i][j]:
+                    f = mat[i][j]
+                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+            rank += 1
+        return rank
+
+    n = len(rows[0])
+    r = col_rank(range(n))
+    return tuple(sorted(sum(1 << i for i in c) for c in combinations(range(n), r) if col_rank(c) == r))
+
+
+ENDPOINTS = st.sampled_from([1, 2, 3, 4, 10**18])
+
+
+@example([(1, 1)])  # rank 0: a lone self-loop
+@example([(1, 2), (2, 1), (2, 2), (10**18, 10**18), (3, 10**18)])
+@given(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), min_size=1, max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_graphic_bases_are_the_union_find_forests(edges):
+    # self-loops, parallel edges and a vertex label far past the edge count
+    r = forest_size(edges, range(len(edges)))
+    forests = [c for c in combinations(range(len(edges)), r) if forest_size(edges, c) == r]
+    assert graphic(10**18, edges).bases == tuple(sorted(sum(1 << i for i in c) for c in forests))
+
+
+@st.composite
+def prime_field_matrices(draw):
+    """(p, matrix): 1–4 rows and 1–7 columns of entries in -2p..2p, some of
+    whose columns are multiplied by p, so zero columns and rank 0 are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=1, max_size=4))
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    return p, [[x * p if j in zero else x for j, x in enumerate(r)] for r in matrix]
+
+
+@example((3, [[3, -6], [0, 9]]))  # rank 0
+@example((7, [[0, 6, 5, 1, 2], [2, 1, 0, 1, 0], [1, 1, 1, 1, 1]]))  # m5
+@given(prime_field_matrices())
+@settings(max_examples=200, deadline=None)
+def test_column_rank_matches_gauss_jordan(case):
+    p, matrix = case
+    assert linear_over_prime_field(p, matrix).bases == gauss_jordan_bases(p, matrix)
 
 
 def per_pair_rows(m, kind):
