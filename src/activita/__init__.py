@@ -6,7 +6,6 @@ from .activity import (
     activity_profile,
     activity_profile_by_exchange,
     broken_circuits,
-    crapo_decompose_independent,
     crapo_decompose_subset,
     flip_involution,
     is_nbc,

@@ -120,16 +120,6 @@ def crapo_decompositions(matroid: Matroid) -> list[CrapoDecomposition]:
     ]
 
 
-def crapo_decompose_independent(matroid: Matroid, indep: int) -> CrapoDecomposition:
-    """Unique (B, Y ⊆ IA(B)) with indep = B∖Y; B is the related basis.
-
-    Read off :func:`related_basis` as (B, x=0, y=B∖indep);
-    :func:`crapo_decompose_subset` is the basis-scan oracle it must agree with.
-    """
-    basis = related_basis(matroid, indep)
-    return CrapoDecomposition(basis=basis, x=0, y=basis & ~indep)
-
-
 @memoized
 def related_basis(matroid: Matroid, indep: int) -> int:
     """The basis internally related to an independent set, memoized.
@@ -140,7 +130,8 @@ def related_basis(matroid: Matroid, indep: int) -> int:
     only if B∖e∪e' is a basis for some larger e' ∉ B, but e' was rejected when
     the set held only I and elements of B above e', all inside B∖e.  By the
     uniqueness of Crapo's decomposition I = B∖Y with Y ⊆ IA(B) (Crapo 1969;
-    Björner 1992) this B is the related basis.  O(n) independence tests.
+    Björner 1992) this B is the related basis: (B, 0, B∖I) is the decomposition
+    :func:`crapo_decompose_subset` must agree with.  O(n) independence tests.
     """
     if not matroid.is_independent(indep):
         raise NotIndependent(subset_str(indep, matroid.n))

@@ -95,24 +95,21 @@ def order(matroid: str, kind: str, dot_path: str | None, as_json: bool) -> None:
     """Build one of the active orders and export its Hasse diagram."""
     m = _load(matroid)
     poset = build_poset(m, kind)
+    covers = poset.covers()
     if dot_path:
         with _writing(dot_path) as out:
             out.write_text(poset_dot(poset, m.n, kind))
-        click.echo(f"wrote {dot_path} ({len(poset.covers())} cover edges)")
-        return
-    data = {
-        "kind": kind,
-        "elements": [subset_str(e, m.n) for e in poset.elements],
-        "covers": [
-            [subset_str(a, m.n), subset_str(b, m.n)] for a, b in poset.covers()
-        ],
-    }
-    if as_json:
-        click.echo(_json(data))
+        click.echo(f"wrote {dot_path} ({len(covers)} cover edges)")
+    elif as_json:
+        click.echo(_json({
+            "kind": kind,
+            "elements": [subset_str(e, m.n) for e in poset.elements],
+            "covers": [[subset_str(a, m.n), subset_str(b, m.n)] for a, b in covers],
+        }))
     else:
-        click.echo(f"{kind}: {len(poset)} elements, {len(data['covers'])} covers")
-        for a, b in data["covers"]:
-            click.echo(f"  {a or chr(0x2205)} < {b or chr(0x2205)}")
+        click.echo(f"{kind}: {len(poset)} elements, {len(covers)} covers")
+        for a, b in covers:
+            click.echo(f"  {subset_label(a, m.n)} < {subset_label(b, m.n)}")
 
 
 @main.command("complex")

@@ -30,12 +30,7 @@ from functools import cached_property, reduce
 from math import comb, inf
 from operator import or_
 
-from .activity import (
-    activity_profile,
-    crapo_decompose_independent,
-    nbc_sets,
-    related_basis,
-)
+from .activity import activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, maximal, subset_str
 from .errors import NotNBC, NotPure
 from .matroid import Matroid, memoized
@@ -210,7 +205,7 @@ def facet_F(matroid: Matroid, indep: int) -> int:
     E∖EA(I) = B∪EP(B), and Y = B∖I; the suite's ``related-basis-activities``
     finding compares EA and IP of I and B on every independent set.
     """
-    y = crapo_decompose_independent(matroid, indep).y
+    y = related_basis(matroid, indep) & ~indep
     prof = activity_profile(matroid, indep)
     return xyz(matroid.n, indep | prof.ep, y, indep | prof.ea)
 

@@ -121,14 +121,10 @@ class Poset:
         minimal = ((1 << len(strict)) - 1) & ~reduce(or_, strict, 0)  # in no other up-row
         return tuple(below), tuple(upper), minimal
 
-    @cached_property
-    def cover_index_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(i, j) with elements[j] covering elements[i], sorted."""
-        return tuple((i, j) for i, js in enumerate(self.cover_tables[1]) for j in js)
-
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover relations as (lower, upper) element pairs."""
-        return tuple((self.elements[i], self.elements[j]) for i, j in self.cover_index_pairs)
+        """Cover relations as (lower, upper) element pairs, sorted by their indices."""
+        elems = self.elements
+        return tuple((elems[i], elems[j]) for i, js in enumerate(self.cover_tables[1]) for j in js)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:

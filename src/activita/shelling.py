@@ -20,9 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .activity import (
-    _related_blocks, activity_profile, crapo_decompose_independent, nbc_sets, related_basis
-)
+from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import SimplicialComplex, facet_F, xyz
 from .errors import (ActivitaError, ComparablePair, EquivalenceMismatch, NoLinearExtension,
@@ -219,12 +217,12 @@ def h_complex_check(restrictions: list[int]) -> bool:
 
 
 def flip_restrictions(matroid: Matroid) -> dict[int, int]:
-    """Closed-form restriction set y_Y z_{IP(A)} of F(I), I = A∖Y, in the flip
-    order, for every independent set I; the same for every extension order."""
+    """Closed-form restriction set y_{B∖I} z_{IP(B)} of F(I), B the related basis of I,
+    in the flip order, for every independent set I; the same for every extension order."""
     out = {}
     for indep in matroid.independent_sets:
-        dec = crapo_decompose_independent(matroid, indep)
-        out[indep] = xyz(matroid.n, ys=dec.y, zs=activity_profile(matroid, dec.basis).ip)
+        basis = related_basis(matroid, indep)
+        out[indep] = xyz(matroid.n, ys=basis & ~indep, zs=activity_profile(matroid, basis).ip)
     return out
 
 

@@ -29,10 +29,6 @@ class BiPoly:
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "BiPoly":
         return cls({(0, 0): 1})
 
@@ -64,9 +60,6 @@ class BiPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def subst(self, qval: "BiPoly", tval: "BiPoly") -> "BiPoly":
         """Substitute polynomials for q and t; exponents must be nonnegative."""
@@ -197,7 +190,7 @@ def identity_report(matroid: Matroid) -> IdentityReport:
     h_matches = h_poly == rhs_a
 
     nbc_h_poly = h_polynomial(build_complex(matroid, "augmented-nbc").fh.h)
-    rhs_b = tutte.subst(q_plus_1, BiPoly.zero())
+    rhs_b = tutte.subst(q_plus_1, BiPoly())
     nbc_matches = nbc_h_poly == rhs_b
 
     order = first_extension(build_poset(matroid, "flip-ind"))

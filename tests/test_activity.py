@@ -6,7 +6,6 @@ from activita.activity import (
     activity_profile,
     activity_profile_by_exchange,
     broken_circuits,
-    crapo_decompose_independent,
     crapo_decompose_subset,
     is_nbc,
     nbc_sets,
@@ -113,17 +112,16 @@ class TestCrapo:
             activity.crapo_decompositions(m5_matroid)
 
     def test_independent_examples(self, m5_matroid):
-        dec = crapo_decompose_independent(m5_matroid, ps5("14"))
-        assert (dec.basis, dec.y) == (ps5("134"), ps5("3"))
-        dec = crapo_decompose_independent(m5_matroid, ps5("2"))
-        assert (dec.basis, dec.y) == (ps5("245"), ps5("45"))
+        # I = B∖Y with B the related basis and Y = B∖I
+        for i, b, y in (("14", "134", "3"), ("2", "245", "45")):
+            basis = related_basis(m5_matroid, ps5(i))
+            assert (basis, basis & ~ps5(i)) == (ps5(b), ps5(y))
         for b in m5_matroid.bases:
-            dec = crapo_decompose_independent(m5_matroid, b)
-            assert (dec.basis, dec.y) == (b, 0)
+            assert related_basis(m5_matroid, b) == b
 
     def test_not_independent(self, m5_matroid):
         with pytest.raises(NotIndependent):
-            crapo_decompose_independent(m5_matroid, ps5("123"))
+            related_basis(m5_matroid, ps5("123"))
 
     def test_guards_fire_on_broken_structure(self, monkeypatch):
         # bypassing validation with a non-matroid makes the guards trip
@@ -164,8 +162,8 @@ class TestCrapo:
                 total += 1 << activity_profile(m, b).ia.bit_count()
             assert total == len(m.independent_sets)
             for i in m.independent_sets:
-                dec = crapo_decompose_independent(m, i)
-                assert i == dec.basis & ~dec.y
+                b = related_basis(m, i)
+                assert not i & ~b and not b & ~i & ~activity_profile(m, b).ia  # Y ⊆ IA(B)
 
     def test_related_sets_share_activities(self, corpus):
         for m in corpus.values():

@@ -210,8 +210,8 @@ class TestFHVectors:
                 if not fh.f:
                     continue
                 d = len(fh.f) - 1
-                lhs = BiPoly.zero()
-                rhs = BiPoly.zero()
+                lhs = BiPoly()
+                rhs = BiPoly()
                 for i in range(d + 1):
                     lhs = lhs + BiPoly({(0, 0): fh.f[i]}) * q_minus_1 ** (d - i)
                     rhs = rhs + BiPoly({(0, 0): fh.h[i]}) * q ** (d - i)

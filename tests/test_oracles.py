@@ -44,8 +44,8 @@ from hypothesis import strategies as st
 
 import activita.activity as activity
 from activita.activity import (
+    CrapoDecomposition,
     activity_profile,
-    crapo_decompose_independent,
     crapo_decompose_subset,
     crapo_decompositions,
     externally_active,
@@ -160,9 +160,8 @@ def test_nbc_sets_match_the_per_set_filter_on_corpus_and_w4():
 @settings(max_examples=60, deadline=None)
 def test_related_basis_matches_crapo_scan(m):
     for i in m.independent_sets:
-        scan = crapo_decompose_subset(m, i)
-        assert related_basis(m, i) == scan.basis
-        assert crapo_decompose_independent(m, i) == scan
+        b = related_basis(m, i)
+        assert crapo_decompose_subset(m, i) == CrapoDecomposition(b, 0, b & ~i)
 
 
 @with_edge_cases
@@ -449,7 +448,9 @@ def test_column_rows_and_covers_match_per_pair_build(m):
     for kind in POSET_KINDS:
         poset = build_poset(m, kind)
         assert poset.up_rows == per_pair_rows(m, kind), kind
-        assert poset.cover_index_pairs == down_row_covers(poset.up_rows), kind
+        elems = poset.elements
+        covers = tuple((elems[i], elems[j]) for i, j in down_row_covers(poset.up_rows))
+        assert poset.covers() == covers, kind
 
 
 def f_vector_by_inclusion_exclusion(cx) -> tuple[int, ...]:
@@ -724,11 +725,12 @@ def cross_block_cover_drops(m):
     each such cover in turn: each is still a partial order, and no longer the order."""
     ind = build_poset(m, "extint-ind")
     related = [related_basis(m, e) for e in ind.elements]
-    for i, j in ind.cover_index_pairs:
-        if related[i] != related[j]:
-            rows = list(ind.up_rows)
-            rows[i] &= ~(1 << j)
-            yield Poset(ind.elements, tuple(rows))
+    for i, js in enumerate(ind.cover_tables[1]):
+        for j in js:
+            if related[i] != related[j]:
+                rows = list(ind.up_rows)
+                rows[i] &= ~(1 << j)
+                yield Poset(ind.elements, tuple(rows))
 
 
 def lattice_laws_on(m, ind) -> tuple[bool, str, bool]:

@@ -250,7 +250,7 @@ class TestPosetAxioms:
 
         real = suite.build_poset
         poset = real(m5_matroid, kind)
-        i, j = poset.cover_index_pairs[0]
+        i, j = (poset.index[e] for e in poset.covers()[0])
         rows = list(poset.up_rows)
         rows[i] &= ~(1 << j)
         mutant = Poset(poset.elements, tuple(rows))
@@ -273,10 +273,8 @@ class TestPosetAxioms:
 
         real = suite.build_poset
         poset = real(m5_matroid, kind)
-        uppers = {}
-        for i, j in poset.cover_index_pairs:
-            uppers.setdefault(i, []).append(j)
-        i, (j, k) = next((i, js[:2]) for i, js in uppers.items() if len(js) > 1)
+        upper = enumerate(poset.cover_tables[1])
+        i, (j, k) = next((i, js[:2]) for i, js in upper if len(js) > 1)
         rows = list(poset.up_rows)
         rows[i] &= ~(1 << j | 1 << k)
         mutant = Poset(poset.elements, tuple(rows))
@@ -701,18 +699,16 @@ class TestFlipInvolution:
             assert activity_profile(m5_matroid, f).ia == 0
 
     def test_generating_function_identity(self, corpus):
-        from activita.activity import activity_profile, crapo_decompose_independent
+        from activita.activity import activity_profile, related_basis
 
         for m in corpus.values():
             sizes = sorted(i.bit_count() for i in m.independent_sets)
             literal = []
             flipped = []
             for i in m.independent_sets:
-                dec = crapo_decompose_independent(m, i)
-                prof = activity_profile(m, dec.basis)
-                literal.append(
-                    (prof.ia & ~dec.y).bit_count() + prof.ip.bit_count()
-                )
-                flipped.append(dec.y.bit_count() + prof.ip.bit_count())
+                b = related_basis(m, i)
+                y, prof = b & ~i, activity_profile(m, b)
+                literal.append((prof.ia & ~y).bit_count() + prof.ip.bit_count())
+                flipped.append(y.bit_count() + prof.ip.bit_count())
             assert sorted(literal) == sizes
             assert sorted(flipped) == sizes

@@ -15,8 +15,8 @@ import activita.orders as orders
 import activita.shelling as shelling
 import activita.suite as suite
 import activita.tutte as tutte
-from activita.activity import CrapoDecomposition, activity_profile, related_basis
-from activita.bitsets import elems_of, mask_of, parse_subset
+from activita.activity import CrapoDecomposition, related_basis
+from activita.bitsets import elems_of, parse_subset
 from activita.complexes import FHVector, SimplicialComplex
 from activita.corpus import builtin_corpus, m5
 from activita.errors import ExchangeAxiomViolated, NoLinearExtension
@@ -347,10 +347,13 @@ def dependent_sets_on_the_first_basis(monkeypatch):
     monkeypatch.setattr(suite, "crapo_decompositions", moved)
 
 
-def decompose_without_deletions(monkeypatch):
-    real = suite.crapo_decompose_independent
-    wrong = lambda m, i: replace(real(m, i), y=0)
-    monkeypatch.setattr(suite, "crapo_decompose_independent", wrong)
+def the_first_basis_holding_each_set(monkeypatch):
+    """The suite takes the first basis B ⊇ I for the related basis of I: I = B∖Y
+    still, but where B is another basis Y = B∖I leaves IA(B), as Crapo's
+    decomposition is unique."""
+    monkeypatch.setattr(
+        suite, "related_basis", lambda m, i: next(b for b in m.bases if not i & ~b)
+    )
 
 
 def move_an_element_on_the_dual(monkeypatch):
@@ -397,7 +400,7 @@ def augmented_nbc_replaced_by_nbc(monkeypatch):
 def collapse_at_t_equals_one(monkeypatch):
     """Setting t = 1 instead of t = q drops the t-exponents."""
     at_one = lambda p: sum(
-        (BiPoly.monomial(qe, 0, v) for (qe, _), v in p.coeffs.items()), BiPoly.zero()
+        (BiPoly.monomial(qe, 0, v) for (qe, _), v in p.coeffs.items()), BiPoly()
     )
     monkeypatch.setattr(BiPoly, "subst_t_equals_q", at_one)
 
@@ -426,15 +429,19 @@ def no_exchange_witness(good):
     return ()
 
 
-def another_basis_for_the_empty_set(monkeypatch):
-    """The suite pairs ∅ with a basis other than its related one, whose
-    interval [B∖IA(B), B∪EA(B)] does not hold ∅."""
-    real = suite.related_basis
+def lowest_ea_moved_off_the_non_bases(monkeypatch):
+    """Move the lowest EA element of each independent set that is not a basis into
+    EP; the bases keep their profiles, so only the related-basis comparison sees it."""
+    real = suite.activity_profile
 
-    def moved(m, i):
-        return real(m, i) if i else next(b for b in m.bases if b != real(m, 0))
+    def moved(m, s):
+        prof = real(m, s)
+        if m.is_basis(s):
+            return prof
+        low = prof.ea & -prof.ea
+        return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
 
-    monkeypatch.setattr(suite, "related_basis", moved)
+    monkeypatch.setattr(suite, "activity_profile", moved)
 
 
 def ext_bases_rows(change):
@@ -455,7 +462,7 @@ def ext_bases_rows(change):
 
 def without_the_first_cover(poset):
     """Still a partial order, but no longer the one the definition gives."""
-    i, j = poset.cover_index_pairs[0]
+    i, j = (poset.index[e] for e in poset.covers()[0])
     return [row & ~(1 << j) if x == i else row for x, row in enumerate(poset.up_rows)]
 
 
@@ -505,12 +512,14 @@ MUTANTS = {
         m5, CRAPO, dependent_sets_on_the_first_basis, {"crapo-partition-subsets"},
         "crapo-partition-independent",
     ),
+    # A related_basis fake that returns another basis fails both findings: IP(B) lies
+    # only in B's interval, so distinct bases differ in IP, and IP(I) = IP(RB(I)).
     "crapo-partition-independent": (
-        m5, CRAPO, decompose_without_deletions, {"crapo-partition-independent"},
-        "crapo-partition-subsets",
+        m5, CRAPO, the_first_basis_holding_each_set,
+        {"crapo-partition-independent", "related-basis-activities"}, "crapo-partition-subsets",
     ),
     "related-basis-activities": (
-        m5, CRAPO, another_basis_for_the_empty_set, {"related-basis-activities"},
+        m5, CRAPO, lowest_ea_moved_off_the_non_bases, {"related-basis-activities"},
         "crapo-partition-subsets",
     ),
     "poset-axioms": (
@@ -602,24 +611,10 @@ MUTANTS = {
 }
 
 
-def deletions_from_the_passive_elements_first(monkeypatch):
-    """Y_I keeps its size but is drawn from IP(B_I) before IA(B_I), so it
-    leaves IA(B_I) wherever B_I has an internally passive element."""
-    real = suite.crapo_decompose_independent
-
-    def moved(m, i):
-        dec = real(m, i)
-        prof = activity_profile(m, dec.basis)
-        pool = elems_of(prof.ip) + elems_of(prof.ia)
-        return replace(dec, y=mask_of(pool[: dec.y.bit_count()]))
-
-    monkeypatch.setattr(suite, "crapo_decompose_independent", moved)
-
-
 def test_deletions_outside_internal_activity_fail_flip_involution(monkeypatch):
-    # |flip(I)| = |Y_I| + |IP(B_I)| still holds, since |Y_I| is kept; only
-    # |I| = |IA(B_I)∖Y_I| + |IP(B_I)| sees Y_I leave IA(B_I)
-    deletions_from_the_passive_elements_first(monkeypatch)
+    # with B_I another basis ⊇ I, Y_I = B_I∖I leaves IA(B_I), and
+    # |I| = |IA(B_I)∖Y_I| + |IP(B_I)| no longer holds
+    the_first_basis_holding_each_set(monkeypatch)
     [finding] = run_check(suite.check_flip_involution, "m5", m5())
     assert (finding.check, finding.ok) == ("flip-involution", False)
 
