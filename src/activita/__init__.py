@@ -50,9 +50,9 @@ from .shelling import (
     ShellingReport,
     Witness,
     exchange_down_basis,
-    flip_restrictions,
     h_complex_check,
     property_H_check,
+    restriction_formula,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_shelling,

@@ -103,6 +103,8 @@ class Matroid:
         """
         if basis not in self._basis_set:
             raise NotABasis(f"{subset_str(basis, self.n)} is not a basis")
+        if not 0 < e <= self.n:
+            raise RankOutOfRange(f"element {e} outside ground set 1..{self.n}")
         ebit = 1 << (e - 1)
         if basis & ebit:
             raise ElementInBasis(f"element {e} already lies in the basis")

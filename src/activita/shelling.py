@@ -24,7 +24,7 @@ from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import SimplicialComplex, facet_F, xyz
 from .errors import (ActivitaError, ComparablePair, EquivalenceMismatch, NoLinearExtension,
-                     NotAPermutation, WitnessNotFound)
+                     NotABasis, NotAPermutation, WitnessNotFound)
 from .matroid import Matroid, memoized
 from .orders import Poset, build_poset
 
@@ -94,11 +94,11 @@ def _judge(cx: SimplicialComplex, order, restrictions: list[int]) -> ShellingRep
 
 
 def verify_orders(
-    cx: SimplicialComplex, poset: Poset, orders: list[tuple[int, ...]], closed_form: dict | None
+    cx: SimplicialComplex, poset: Poset, orders: list[tuple[int, ...]], closed_form: dict
 ) -> tuple[tuple[bool, ...], list[list[int]]]:
     """Shell ``cx`` along ``orders``, linear extensions of ``poset`` on its facet tags, up to
     the first that does not shell.  Returns five flags (there are orders and all shell; each map
-    tag → R is ``closed_form``, if given; property (H); an h-complex; the complex's h-vector)
+    tag → R is ``closed_form``; property (H); an h-complex; the complex's h-vector)
     and the restriction sets once per map.  Raises NotAPermutation unless the tags are the
     poset's elements, each once per order, NoLinearExtension unless all below come first.  A
     neighbour below F precedes F in every extension and one above follows it, so a table folds
@@ -139,7 +139,7 @@ def verify_orders(
                 return (False,) * 5, []
             rs = maps[key] = report.restrictions
             flags = [ok and new for ok, new in zip(flags, (
-                closed_form is None or all(closed_form[t] == r for t, r in zip(order, rs)),
+                all(closed_form[t] == r for t, r in zip(order, rs)),
                 property_H_check(cx, facets, rs), h_complex_check(rs), report.matches_complex_h,
             ))]
     return (bool(orders), *flags), list(maps.values())
@@ -216,13 +216,14 @@ def h_complex_check(restrictions: list[int]) -> bool:
     return all(r & ~(1 << v) in family for r in family for v in iter_bits(r))
 
 
-def flip_restrictions(matroid: Matroid) -> dict[int, int]:
-    """Closed-form restriction set y_{B∖I} z_{IP(B)} of F(I), B the related basis of I,
-    in the flip order, for every independent set I; the same for every extension order."""
+def restriction_formula(matroid: Matroid, kind: str) -> dict[int, int]:
+    """R(F(I)) in shellings along extensions of ``kind``, I its elements: z_I for ``extint-ind``,
+    ``nbc-extint``; y_{B∖I} z_{IP(B)}, B = RB(I), for ``flip-ind`` and ``extint-bases``."""
+    flip = kind in ("flip-ind", "extint-bases")
     out = {}
-    for indep in matroid.independent_sets:
-        basis = related_basis(matroid, indep)
-        out[indep] = xyz(matroid.n, ys=basis & ~indep, zs=activity_profile(matroid, basis).ip)
+    for i in build_poset(matroid, kind).elements:
+        b = related_basis(matroid, i) if flip else i
+        out[i] = xyz(matroid.n, ys=b & ~i, zs=activity_profile(matroid, b).ip if flip else i)
     return out
 
 
@@ -380,10 +381,12 @@ def witness_pass(matroid: Matroid) -> tuple[str, bool]:
 def exchange_down_basis(matroid: Matroid, a_basis: int, a: int) -> int:
     """Swap an internally passive element for the largest possible replacement.
 
-    For a ∈ IP(A), returns D = A∖a∪d with d the maximum element outside A∖a
-    (other than a itself) keeping a basis; D lies strictly below A in the
-    external/internal order and its internal activity contains IA(A).
+    For a basis A (else NotABasis) and a ∈ IP(A), returns D = A∖a∪d with d the maximum
+    element outside A∖a (other than a itself) keeping a basis; D lies strictly below A in
+    the external/internal order and its internal activity contains IA(A).
     """
+    if not matroid.is_basis(a_basis):
+        raise NotABasis(f"{subset_str(a_basis, matroid.n)} is not a basis")
     abit = 1 << (a - 1)
     prof = activity_profile(matroid, a_basis)
     if not prof.ip & abit:

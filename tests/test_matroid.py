@@ -300,6 +300,12 @@ class TestFundamentalCircuit:
         with pytest.raises(ElementInBasis):
             m5_matroid.fundamental_circuit(ps5("345"), 3)
 
+    def test_element_outside_the_ground_set(self, m5_matroid):
+        # the message is parse_subset's; 0 used to fail on a negative shift, 6 to give 6's bit
+        for e in (0, 6):
+            with pytest.raises(RankOutOfRange, match=rf"^element {e} outside ground set 1\.\.5$"):
+                m5_matroid.fundamental_circuit(ps5("345"), e)
+
     def test_unique_circuit_in_cycle(self, corpus):
         for m in corpus.values():
             for b in m.bases:

@@ -965,7 +965,9 @@ def test_shelling_properties_read_an_order_only_through_its_restriction_map(name
             )
             assert report.verdict
             assert by_map.setdefault(frozenset(zip(order, r)), verdicts) == verdicts
-        flags, restrictions = shelling.verify_orders(cx, poset, sample.orders, None)
+        formula = shelling.restriction_formula(m, kinds[1])
+        flags, restrictions = shelling.verify_orders(cx, poset, sample.orders, formula)
+        assert flags[:2] == (True, True)  # every sample shells, with the closed form
         assert flags[2:] == tuple(all(v[x] for v in by_map.values()) for x in range(3))
         assert len(restrictions) == len(by_map)
 

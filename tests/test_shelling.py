@@ -23,6 +23,7 @@ from activita.errors import (
     ComparablePair,
     EquivalenceMismatch,
     NoLinearExtension,
+    NotABasis,
     NotAPermutation,
 )
 from activita.matroid import uniform
@@ -39,6 +40,7 @@ from activita.shelling import (
     exchange_down_basis,
     h_complex_check,
     property_H_check,
+    restriction_formula,
     restriction_sets_bruteforce,
     shelling_witness,
     verify_orders,
@@ -88,21 +90,24 @@ class TestVerifyShelling:
 
     def test_no_orders_fail_every_flag(self, m5_matroid):
         cx, poset = build_complex(m5_matroid, "augmented-ea"), build_poset(m5_matroid, "extint-ind")
-        assert verify_orders(cx, poset, [], None) == ((False,) * 5, [])
-        flags, restrictions = verify_orders(cx, poset, [first_extension(poset)], None)
+        formula = restriction_formula(m5_matroid, "extint-ind")
+        assert verify_orders(cx, poset, [], formula) == ((False,) * 5, [])
+        flags, restrictions = verify_orders(cx, poset, [first_extension(poset)], formula)
         assert flags == (True,) * 5 and len(restrictions) == 1
 
     def test_every_restriction_map_is_checked(self):
         # two shellings of the 4-cycle 12, 14, 23, 34 with different restriction
         # maps: ∅, 4, 3, 34 is closed under subsets, ∅, 3, 4, 14 lacks 1, and
-        # property (H) fails on it too: 1 ∈ R(14), but the face 1 lies in [∅, 12]
+        # property (H) fails on it too: 1 ∈ R(14), but the face 1 lies in [∅, 12];
+        # the expected map is the first order's, which the second does not have
         e12, e14, e23, e34 = (mask_of(edge) for edge in ((1, 2), (1, 4), (2, 3), (3, 4)))
         cx = SimplicialComplex((e12, e14, e23, e34))
         good, bad, free = (e12, e14, e23, e34), (e12, e23, e34, e14), antichain(cx)
         expected = ((True,) * 5, [[0, 0b1000, 0b100, 0b1100]])
-        assert verify_orders(cx, free, [good, good], None) == expected
-        flags, restrictions = verify_orders(cx, free, [good, bad, good], None)
-        assert flags == (True, True, False, False, True)
+        good_map = dict(zip(good, expected[1][0]))
+        assert verify_orders(cx, free, [good, good], good_map) == expected
+        flags, restrictions = verify_orders(cx, free, [good, bad, good], good_map)
+        assert flags == (True, False, False, False, True)
         assert restrictions == [[0, 0b1000, 0b100, 0b1100], [0, 0b100, 0b1000, 0b1001]]
 
     def test_not_a_permutation(self, m5_matroid):
@@ -119,24 +124,26 @@ class TestVerifyShelling:
     def test_verify_orders_takes_only_permutations_that_extend_the_poset(self, m5_matroid):
         cx, poset = build_complex(m5_matroid, "augmented-ea"), build_poset(m5_matroid, "extint-ind")
         order, foreign = first_extension(poset), max(cx.tags) + 1
+        formula = restriction_formula(m5_matroid, "extint-ind")
         # one missing; one repeated in its place; one foreign; every tag and one again
         for wrong in (order[:-1], order[:-1] + order[:1], order[:-1] + (foreign,), order + order[:1]):
             with pytest.raises(NotAPermutation):
-                verify_orders(cx, poset, [order, wrong], None)
+                verify_orders(cx, poset, [order, wrong], formula)
         a, b = poset.covers()[0]  # b covers a: a comes first in every extension
         swapped = tuple({a: b, b: a}.get(t, t) for t in order)
         with pytest.raises(NoLinearExtension):
-            verify_orders(cx, poset, [order, swapped], None)
+            verify_orders(cx, poset, [order, swapped], formula)
         # the bases are facet tags of "ea", the other independent sets are not
         with pytest.raises(NotAPermutation):
-            verify_orders(build_complex(m5_matroid, "ea"), poset, [order], None)
+            verify_orders(build_complex(m5_matroid, "ea"), poset, [order], formula)
 
     def test_verify_orders_takes_only_a_poset_on_the_facet_tags(self, m5_matroid):
         # "augmented-ea" tags every independent set; the bases poset has only the bases
         cx, bases = build_complex(m5_matroid, "augmented-ea"), build_poset(m5_matroid, "extint-bases")
+        formula = restriction_formula(m5_matroid, "extint-bases")
         for orders in ([], [first_extension(bases)]):
             with pytest.raises(NotAPermutation, match="facet tags are not the poset's elements"):
-                verify_orders(cx, bases, orders, None)
+                verify_orders(cx, bases, orders, formula)
 
     def test_pairwise_oracle_agrees(self, m5_matroid, corpus):
         # on shellings and on a known failure
@@ -438,6 +445,12 @@ class TestDownwardExchange:
                     assert compare_bases(m, "extint", d_basis, a_basis)
                     assert prof.ia & ~activity_profile(m, d_basis).ia == 0
 
+    def test_a_set_that_is_no_basis_raises(self, m5_matroid):
+        # 2 is internally passive in the profile of the independent set 12
+        assert activity_profile(m5_matroid, ps5("12")).ip & ps5("2")
+        with pytest.raises(NotABasis, match="^12 is not a basis$"):
+            exchange_down_basis(m5_matroid, ps5("12"), 2)
+
 
 # -- differential tests: the neighbour-indexed verifier against the scans ---------
 
@@ -533,7 +546,7 @@ def fold_verify_shelling(cx, orders, closed_form):
         maps.setdefault(frozenset(zip(order, report.restrictions)), (facets, report))
     shelled, reports = bool(orders), maps.values()
     flags = (
-        closed_form is None or all(closed_form[t] == r for pairs in maps for t, r in pairs),
+        all(closed_form[t] == r for pairs in maps for t, r in pairs),
         all(property_H_check(cx, facets, report.restrictions) for facets, report in reports),
         all(h_complex_check(report.restrictions) for _, report in reports),
         all(report.matches_complex_h for _, report in reports),
@@ -563,14 +576,17 @@ def complexes_with_posets(draw):
 
 @given(complexes_with_posets(), st.integers(1, 6), st.booleans(), st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
-def test_verify_orders_is_a_fold_of_verify_shelling(case, count, closed, seed):
-    # the random poset and the antichain, on which every neighbour is incomparable
+def test_verify_orders_is_a_fold_of_verify_shelling(case, count, exact, seed):
+    # the random poset and the antichain, on which every neighbour is incomparable; the
+    # closed form is the first order's map, or that map off at its first tag
     cx, drawn = case
     for poset in (drawn, antichain(cx)):
         rng = random.Random(seed)
         orders = [random_extension(poset, rng) for _ in range(count)]
         first = verify_shelling(cx, [cx.facet_by_tag[t] for t in orders[0]])
-        closed_form = dict(zip(orders[0], first.restrictions)) if closed else None
+        closed_form = dict(zip(orders[0], first.restrictions))
+        if not exact:
+            closed_form[orders[0][0]] ^= 1
         expected = fold_verify_shelling(cx, orders, closed_form)
         assert verify_orders(cx, poset, orders, closed_form) == expected
 

@@ -17,14 +17,20 @@ import activita.suite as suite
 import activita.tutte as tutte
 from activita.activity import CrapoDecomposition, related_basis
 from activita.bitsets import elems_of, parse_subset
-from activita.complexes import FHVector, SimplicialComplex
+from activita.complexes import FHVector, SimplicialComplex, blocks, xyz
 from activita.corpus import builtin_corpus, m5
 from activita.errors import ExchangeAxiomViolated, NoLinearExtension
 from activita.matroid import Matroid, from_bases, graphic, relabel, uniform
 from activita.orders import Poset
 from activita.suite import run_check, run_suite
 from activita.tutte import BiPoly
-from test_oracles import EDGE_CASES, W4, equal_size_families, externally_active_by_circuits
+from test_oracles import (
+    EDGE_CASES,
+    W4,
+    cross_block_cover_drops,
+    equal_size_families,
+    externally_active_by_circuits,
+)
 
 
 def test_full_suite_on_m5(m5_matroid):
@@ -357,16 +363,16 @@ def the_first_basis_holding_each_set(monkeypatch):
 
 
 def move_an_element_on_the_dual(monkeypatch):
-    """Move the lowest element of EA ∪ EP across, on the profiles of m5's dual
-    only, told apart from m5 by its bases."""
+    """Move the lowest IA element into IP, on the profiles of m5's dual only,
+    told apart from m5 by its bases."""
     real, dual = suite.activity_profile, m5().dual
 
     def moved(m, s):
         prof = real(m, s)
         if m != dual:
             return prof
-        low = (prof.ea | prof.ep) & -(prof.ea | prof.ep)
-        return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
+        low = prof.ia & -prof.ia
+        return replace(prof, ia=prof.ia ^ low, ip=prof.ip ^ low)
 
     monkeypatch.setattr(suite, "activity_profile", moved)
 
@@ -429,45 +435,82 @@ def no_exchange_witness(good):
     return ()
 
 
-def lowest_ea_moved_off_the_non_bases(monkeypatch):
-    """Move the lowest EA element of each independent set that is not a basis into
-    EP; the bases keep their profiles, so only the related-basis comparison sees it."""
-    real = suite.activity_profile
+def off_the_bases(change):
+    """The suite's ``activity_profile`` gives ``change(profile)`` on every set
+    that is not a basis; the bases keep their profiles."""
 
-    def moved(m, s):
-        prof = real(m, s)
-        if m.is_basis(s):
-            return prof
-        low = prof.ea & -prof.ea
-        return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
+    def patch(monkeypatch):
+        real = suite.activity_profile
+        moved = lambda m, s: real(m, s) if m.is_basis(s) else change(real(m, s))
+        monkeypatch.setattr(suite, "activity_profile", moved)
 
-    monkeypatch.setattr(suite, "activity_profile", moved)
+    return patch
 
 
-def ext_bases_rows(change):
-    """Replace the up-rows of the ``ext-bases`` order the suite builds by
-    ``change(poset)``."""
+def lowest_ea_moved_into_ep(prof):
+    """On the non-bases only the related-basis comparison sees it."""
+    low = prof.ea & -prof.ea
+    return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
+
+
+def lowest_ea_also_in_ep(prof):
+    """EA and EP meet: only the partition sees it, as EA keeps the element."""
+    return replace(prof, ep=prof.ep | prof.ea & -prof.ea)
+
+
+def poset_rows(kind, change):
+    """Replace the up-rows of the ``kind`` order the suite builds by
+    ``change(m, poset)``."""
 
     def patch(monkeypatch):
         real = suite.build_poset
 
-        def mutated(m, kind):
-            poset = real(m, kind)
-            return Poset(poset.elements, tuple(change(poset))) if kind == "ext-bases" else poset
+        def mutated(m, k):
+            poset = real(m, k)
+            return Poset(poset.elements, tuple(change(m, poset))) if k == kind else poset
 
         monkeypatch.setattr(suite, "build_poset", mutated)
 
     return patch
 
 
-def without_the_first_cover(poset):
+def without_the_first_cover(m, poset):
     """Still a partial order, but no longer the one the definition gives."""
     i, j = (poset.index[e] for e in poset.covers()[0])
     return [row & ~(1 << j) if x == i else row for x, row in enumerate(poset.up_rows)]
 
 
-def every_basis_below_every_other(poset):
+def every_basis_below_every_other(m, poset):
     return [(1 << len(poset.elements)) - 1] * len(poset.elements)
+
+
+def without_345_below_124(m, poset):
+    """345 and 124, m5's bottom and top bases, lie in different blocks."""
+    rows = list(poset.up_rows)
+    rows[poset.index[parse_subset("345", 5)]] &= ~(1 << poset.index[parse_subset("124", 5)])
+    return rows
+
+
+def without_the_first_cross_block_cover(m, poset):
+    """Still a partial order; on m5 ``lattice-laws`` names 14 as leaving the block form."""
+    return next(cross_block_cover_drops(m)).up_rows
+
+
+def boolean_blocks_without_their_top(monkeypatch):
+    """``orders.submasks``, whose one reader is ``boolean_interval``, misses the mask."""
+    real = orders.submasks
+    monkeypatch.setattr(orders, "submasks", lambda mask: (s for s in real(mask) if s != mask))
+
+
+def bivariate_blocks_swapped(monkeypatch):
+    """The identity report's polynomial reads |Y| from the z block and |T| from the y
+    block; the t = q collapse is the same either way."""
+    real = tutte.bivariate_restriction_polynomial
+
+    def swapped(m, restrictions):
+        return real(m, [xyz(m.n, x, z, y) for x, y, z in (blocks(m.n, r) for r in restrictions)])
+
+    monkeypatch.setattr(tutte, "bivariate_restriction_polynomial", swapped)
 
 
 def deletion_contraction_swaps_the_variables(monkeypatch):
@@ -487,13 +530,24 @@ def u24():
     return uniform(2, 4)
 
 
+def drop_empty_nbc_set(monkeypatch):
+    real = shelling.nbc_sets
+    monkeypatch.setattr(shelling, "nbc_sets", lambda m: real(m)[1:])  # sorted by mask: ∅ first
+
+
+def exchange_down_in_place(monkeypatch):
+    monkeypatch.setattr(suite, "exchange_down_basis", lambda m, a_basis, a: a_basis)
+
+
 MAIN, FLIP, NBC = suite.check_shelling_main, suite.check_shelling_flip, suite.check_nbc_suite
 ACTIVITY, CRAPO, TUTTE = suite.check_activity, suite.check_crapo, suite.check_tutte
-POSETS = suite.check_posets
+POSETS, EA, WITNESSES = suite.check_posets, suite.check_shelling_ea, suite.check_witnesses
 AXIOMS = suite.check_matroid_axioms
 MUTANTS = {
     # finding, or finding/what a second mutant breaks: (matroid, check, mutant,
-    # the findings it fails, a sibling that still passes)
+    # the findings it fails, a sibling that still passes, None for a check of one
+    # name); each runs on a fresh matroid, since a matroid keeps what it memoizes,
+    # the witness pass among it, and the shared fixture must not keep a mutated one
     "dual-involution": (m5, AXIOMS, dual_drops_a_basis, {"dual-involution"}, "circuits-not-in-bases"),
     "circuits-not-in-bases": (
         m5, AXIOMS, a_basis_listed_as_a_circuit,
@@ -508,6 +562,10 @@ MUTANTS = {
     ),
     "rank-monotone": (m5, AXIOMS, rank_of_the_complement, {"rank-monotone"}, "rank-submodular"),
     "rank-submodular": (m5, AXIOMS, nullity_for_rank, {"rank-submodular"}, "rank-monotone"),
+    "activity-partition": (
+        m5, ACTIVITY, off_the_bases(lowest_ea_also_in_ep), {"activity-partition"},
+        "activity-duality",
+    ),
     "crapo-partition-subsets": (
         m5, CRAPO, dependent_sets_on_the_first_basis, {"crapo-partition-subsets"},
         "crapo-partition-independent",
@@ -519,16 +577,34 @@ MUTANTS = {
         {"crapo-partition-independent", "related-basis-activities"}, "crapo-partition-subsets",
     ),
     "related-basis-activities": (
-        m5, CRAPO, lowest_ea_moved_off_the_non_bases, {"related-basis-activities"},
+        m5, CRAPO, off_the_bases(lowest_ea_moved_into_ep), {"related-basis-activities"},
         "crapo-partition-subsets",
     ),
     "poset-axioms": (
-        m5, POSETS, ext_bases_rows(without_the_first_cover), {"poset-axioms"},
+        m5, POSETS, poset_rows("ext-bases", without_the_first_cover), {"poset-axioms"},
         "extint-refines-ext-int",
     ),
     "extint-refines-ext-int": (
-        m5, POSETS, ext_bases_rows(every_basis_below_every_other),
+        m5, POSETS, poset_rows("ext-bases", every_basis_below_every_other),
         {"poset-axioms", "extint-refines-ext-int"}, "ind-order-restricts-to-bases",
+    ),
+    "ind-order-restricts-to-bases": (
+        m5, POSETS, poset_rows("extint-ind", without_345_below_124),
+        {"poset-axioms", "ind-order-restricts-to-bases"}, "extint-refines-ext-int",
+    ),
+    "boolean-intervals": (
+        m5, suite.check_boolean_intervals, boolean_blocks_without_their_top,
+        {"boolean-intervals"}, None,
+    ),
+    "lattice-laws": (
+        m5, suite.check_lattice, poset_rows("extint-ind", without_the_first_cross_block_cover),
+        {"lattice-laws"}, None,
+    ),
+    # with B_I another basis ⊇ I, Y_I = B_I∖I leaves IA(B_I), and
+    # |I| = |IA(B_I)∖Y_I| + |IP(B_I)| no longer holds
+    "flip-involution": (
+        m5, suite.check_flip_involution, the_first_basis_holding_each_set, {"flip-involution"},
+        None,
     ),
     "activity-duality": (
         m5, ACTIVITY, move_an_element_on_the_dual, {"activity-duality"}, "activity-partition"
@@ -567,6 +643,7 @@ MUTANTS = {
         m5, FLIP, a_second_map_with_empty_restrictions, {"bivariate-order-invariant"},
         "shelling-flip",
     ),
+    "shelling-ea": (m5, EA, wrong_closed_form, {"shelling-ea"}, None),
     "nbc-facet-count": (m5, NBC, count_an_nbc_set_twice, {"nbc-facet-count"}, "shelling-nbc"),
     # the count of independent sets with no external activity reads no nbc_sets
     "nbc-facet-count/every-reader": (
@@ -605,18 +682,24 @@ MUTANTS = {
     "nbc-h-identity-report": (
         m5, TUTTE, augmented_nbc_replaced_by_nbc, {"nbc-h-identity-report"}, "h-identity"
     ),
+    "bivariate-identity": (
+        m5, TUTTE, bivariate_blocks_swapped, {"bivariate-identity"}, "bivariate-collapse"
+    ),
     "bivariate-collapse": (
         m5, TUTTE, collapse_at_t_equals_one, {"bivariate-collapse"}, "bivariate-identity"
     ),
+    "witness-all-pairs": (
+        # the wrong exchanged basis: every c of good(134) takes the B of its smallest c
+        m5, WITNESSES, witness_table_mutant(lambda good: [(c, good[-1][1]) for c, b in good]),
+        {"witness-all-pairs", "witness-nbc-closure"}, "downward-exchange-lemma",
+    ),
+    "witness-nbc-closure": (
+        m5, WITNESSES, drop_empty_nbc_set, {"witness-nbc-closure"}, "witness-all-pairs"
+    ),
+    "downward-exchange-lemma": (
+        m5, WITNESSES, exchange_down_in_place, {"downward-exchange-lemma"}, "witness-all-pairs"
+    ),
 }
-
-
-def test_deletions_outside_internal_activity_fail_flip_involution(monkeypatch):
-    # with B_I another basis ⊇ I, Y_I = B_I∖I leaves IA(B_I), and
-    # |I| = |IA(B_I)∖Y_I| + |IP(B_I)| no longer holds
-    the_first_basis_holding_each_set(monkeypatch)
-    [finding] = run_check(suite.check_flip_involution, "m5", m5())
-    assert (finding.check, finding.ok) == ("flip-involution", False)
 
 
 @pytest.mark.parametrize("finding", MUTANTS)
@@ -626,7 +709,7 @@ def test_shelling_mutant_fails_its_finding(monkeypatch, finding):
     findings = {f.check: f.ok for f in run_check(check, "m", matroid(), 10, 0)}
     assert finding.partition("/")[0] in failing
     assert {name for name, ok in findings.items() if not ok} == failing
-    assert findings[sibling]
+    assert sibling is None or findings[sibling]
 
 
 UNSHELLED = {  # check: the findings an order that does not shell fails
@@ -658,57 +741,23 @@ def test_an_order_that_is_no_linear_extension_fails_every_finding(m5_matroid, mo
     ]
 
 
-def drop_empty_nbc_set(monkeypatch):
-    real = shelling.nbc_sets
-    monkeypatch.setattr(shelling, "nbc_sets", lambda m: real(m)[1:])  # sorted by mask: ∅ first
-
-
-def exchange_down_in_place(monkeypatch):
-    monkeypatch.setattr(suite, "exchange_down_basis", lambda m, a_basis, a: a_basis)
-
-
-WITNESS_MUTANTS = {
-    # finding: (mutant, the findings it fails, a sibling that still passes)
-    "witness-all-pairs": (
-        # the wrong exchanged basis: every c of good(134) takes the B of its smallest c
-        witness_table_mutant(lambda good: [(c, good[-1][1]) for c, b in good]),
-        {"witness-all-pairs", "witness-nbc-closure"},
-        "downward-exchange-lemma",
-    ),
-    "witness-nbc-closure": (drop_empty_nbc_set, {"witness-nbc-closure"}, "witness-all-pairs"),
-    "downward-exchange-lemma": (
-        exchange_down_in_place, {"downward-exchange-lemma"}, "witness-all-pairs"
-    ),
-}
-
-
-# The witness mutants run on a fresh m5: the witness pass a matroid has seen
-# is kept on it, and the shared fixture must not keep a mutated one.
-
-
-@pytest.mark.parametrize("finding", WITNESS_MUTANTS)
-def test_witness_mutant_fails_its_finding(monkeypatch, finding):
-    mutant, failing, sibling = WITNESS_MUTANTS[finding]
-    mutant(monkeypatch)
-    findings = {f.check: f.ok for f in run_check(suite.check_witnesses, "m5", m5())}
-    assert finding in failing
-    assert {name for name, ok in findings.items() if not ok} == failing
-    assert findings[sibling]
-
-
 def test_the_mutants_tell_every_two_names_of_a_check_apart():
     # the names and verdicts of a check are paired by position; two verdicts
     # returned in each other's places fail the mutant test of any mutant that
     # fails one of the two names and not the other
     failing = [entry[3] for entry in MUTANTS.values()] + list(UNSHELLED.values())
-    failing += [entry[1] for entry in WITNESS_MUTANTS.values()]
     for names in suite.FINDINGS.values():
         for a, b in combinations(names, 2):
             assert any((a in f) != (b in f) for f in failing), (a, b)
 
 
+def test_every_finding_fails_under_some_mutant():
+    failed = set().union(*(entry[3] for entry in MUTANTS.values()), *UNSHELLED.values())
+    assert failed == {name for names in suite.FINDINGS.values() for name in names}
+
+
 def test_wrong_witness_names_the_pair_and_the_oracle_message(monkeypatch):
-    WITNESS_MUTANTS["witness-all-pairs"][0](monkeypatch)
+    MUTANTS["witness-all-pairs"][2](monkeypatch)
     finding = {f.check: f for f in run_check(suite.check_witnesses, "m5", m5())}["witness-all-pairs"]
     assert finding.detail == "pair 1, 14: constructed witness violates the facet equation"
 
