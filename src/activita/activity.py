@@ -17,6 +17,7 @@ from .errors import (
     DecompositionNotUnique,
     NotABasis,
     NotIndependent,
+    RankOutOfRange,
 )
 from .matroid import Matroid, memoized
 
@@ -64,7 +65,9 @@ def externally_active(matroid: Matroid, subset: int) -> int:
 
 @memoized
 def activity_profile(matroid: Matroid, subset: int) -> ActivityProfile:
-    """All four activity sets of a subset, memoized per matroid."""
+    """All four activity sets of a subset of 1..n, memoized per matroid."""
+    if subset >> matroid.n:
+        raise RankOutOfRange(f"subset {bin(subset)} outside ground set 1..{matroid.n}")
     full = matroid.full_mask
     ea = externally_active(matroid, subset)
     ia = externally_active(matroid.dual, full & ~subset)

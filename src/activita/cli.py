@@ -139,10 +139,11 @@ def complex_cmd(matroid: str, kind: str, as_json: bool) -> None:
 
 
 _SHELL_POSET = {
-    "augmented-ea": "extint-ind",
-    "ea": "extint-bases",
-    "nbc": "nbc-extint",
-    "augmented-nbc": "nbc-extint",
+    ("augmented-ea", "extint"): "extint-ind",
+    ("augmented-ea", "flip"): "flip-ind",
+    ("ea", "extint"): "extint-bases",
+    ("nbc", "extint"): "nbc-extint",
+    ("augmented-nbc", "extint"): "nbc-extint",
 }
 
 
@@ -172,12 +173,9 @@ def shell(matroid: str, kind: str, order_kind: str, seed: int,
           report_path: str | None) -> None:
     """Shell a complex along a seeded linear extension and report restrictions."""
     m = _load(matroid)
-    if order_kind == "flip":
-        if kind != "augmented-ea":
-            raise click.UsageError("--order flip applies to the augmented-ea complex")
-        poset_kind = "flip-ind"
-    else:
-        poset_kind = _SHELL_POSET[kind]
+    poset_kind = _SHELL_POSET.get((kind, order_kind))
+    if poset_kind is None:
+        raise click.UsageError("--order flip applies to the augmented-ea complex")
     cx = build_complex(m, kind)
     extension = random_extension(build_poset(m, poset_kind), random.Random(seed))
     # the nbc complex's facets are the maximal nbc sets: they keep the order in

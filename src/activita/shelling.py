@@ -24,7 +24,7 @@ from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, iter_bits, min_elem, submasks, subset_label, subset_str
 from .complexes import SimplicialComplex, facet_F, xyz
 from .errors import (ActivitaError, ComparablePair, EquivalenceMismatch, NoLinearExtension,
-                     NotABasis, NotAPermutation, WitnessNotFound)
+                     NotABasis, NotAPermutation, RankOutOfRange, WitnessNotFound)
 from .matroid import Matroid, memoized
 from .orders import Poset, build_poset
 
@@ -387,10 +387,12 @@ def exchange_down_basis(matroid: Matroid, a_basis: int, a: int) -> int:
     """
     if not matroid.is_basis(a_basis):
         raise NotABasis(f"{subset_str(a_basis, matroid.n)} is not a basis")
+    if not 0 < a <= matroid.n:
+        raise RankOutOfRange(f"element {a} outside ground set 1..{matroid.n}")
     abit = 1 << (a - 1)
-    prof = activity_profile(matroid, a_basis)
-    if not prof.ip & abit:
-        raise ValueError(f"element {a} is not internally passive in the basis")
+    if not activity_profile(matroid, a_basis).ip & abit:
+        label = subset_str(a_basis, matroid.n)
+        raise RankOutOfRange(f"element {a} is not internally passive in the basis {label}")
     rest = a_basis ^ abit
     for d in range(matroid.n, 0, -1):
         dbit = 1 << (d - 1)

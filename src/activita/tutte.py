@@ -29,10 +29,6 @@ class BiPoly:
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
 
     @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def monomial(cls, qexp: int, texp: int, coeff: int = 1) -> "BiPoly":
         return cls({(qexp, texp): coeff})
 
@@ -56,7 +52,7 @@ class BiPoly:
         return BiPoly(out)
 
     def __pow__(self, e: int) -> "BiPoly":
-        return reduce(BiPoly.__mul__, [self] * e, BiPoly.one())
+        return reduce(BiPoly.__mul__, [self] * e, BiPoly.monomial(0, 0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
@@ -115,7 +111,7 @@ def tutte_by_deletion_contraction(matroid: Matroid) -> BiPoly:
     @cache
     def rec(ground: int, bases: frozenset[int]) -> BiPoly:
         if not ground:
-            return BiPoly.one()
+            return BiPoly.monomial(0, 0)
         ebit = ground & -ground
         rest = ground ^ ebit
         covered, common = reduce(or_, bases, 0), reduce(and_, bases, ground)
@@ -153,21 +149,13 @@ def bivariate_restriction_polynomial(
 
 @dataclass
 class IdentityReport:
-    """Exact polynomial identities tying complexes to Tutte evaluations."""
+    """T(q, t) and the verdicts of the identities tying complexes to Tutte evaluations."""
 
     tutte: BiPoly
-    h_poly: BiPoly
     h_matches: bool
-    nbc_h_poly: BiPoly
     nbc_matches: bool
-    bivariate: BiPoly
     bivariate_matches: bool
     collapse_matches: bool
-
-    @property
-    def ok(self) -> bool:
-        flags = (self.h_matches, self.nbc_matches, self.bivariate_matches, self.collapse_matches)
-        return all(flags)
 
 
 def identity_report(matroid: Matroid) -> IdentityReport:
@@ -182,16 +170,15 @@ def identity_report(matroid: Matroid) -> IdentityReport:
     """
     n, r = matroid.n, matroid.rank
     tutte = tutte_by_activities(matroid)
-    one = BiPoly.one()
+    one = BiPoly.monomial(0, 0)
     q_plus_1 = BiPoly({(0, 0): 1, (1, 0): 1})
 
     h_poly = h_polynomial(build_complex(matroid, "augmented-ea").fh.h)
     rhs_a = BiPoly.monomial(n, 0) * tutte.subst(q_plus_1, one)
     h_matches = h_poly == rhs_a
 
-    nbc_h_poly = h_polynomial(build_complex(matroid, "augmented-nbc").fh.h)
     rhs_b = tutte.subst(q_plus_1, BiPoly())
-    nbc_matches = nbc_h_poly == rhs_b
+    nbc_matches = h_polynomial(build_complex(matroid, "augmented-nbc").fh.h) == rhs_b
 
     order = first_extension(build_poset(matroid, "flip-ind"))
     cx = build_complex(matroid, "augmented-ea")
@@ -203,13 +190,4 @@ def identity_report(matroid: Matroid) -> IdentityReport:
 
     collapse_matches = bivariate.subst_t_equals_q() == h_poly
 
-    return IdentityReport(
-        tutte=tutte,
-        h_poly=h_poly,
-        h_matches=h_matches,
-        nbc_h_poly=nbc_h_poly,
-        nbc_matches=nbc_matches,
-        bivariate=bivariate,
-        bivariate_matches=bivariate_matches,
-        collapse_matches=collapse_matches,
-    )
+    return IdentityReport(tutte, h_matches, nbc_matches, bivariate_matches, collapse_matches)

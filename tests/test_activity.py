@@ -12,7 +12,7 @@ from activita.activity import (
     related_basis,
 )
 from activita.bitsets import parse_subset, subset_str
-from activita.errors import NotABasis, NotIndependent
+from activita.errors import NotABasis, NotIndependent, RankOutOfRange
 from activita.matroid import from_bases, uniform
 
 ps5 = lambda s: parse_subset(s, 5)
@@ -44,6 +44,12 @@ def test_m5_nonbasis_rows(m5_matroid):
     assert (prof.ea, prof.ip) == (ps5("35"), ps5("124"))
     prof = activity_profile(m5_matroid, ps5("345"))
     assert (prof.ep, prof.ia) == (ps5("12"), ps5("345"))
+
+
+@pytest.mark.parametrize("mask", [1 << 5, -1])
+def test_a_mask_outside_the_ground_set_raises(m5_matroid, mask):
+    with pytest.raises(RankOutOfRange, match=r"outside ground set 1\.\.5$"):
+        activity_profile(m5_matroid, mask)
 
 
 def test_uniform_example():

@@ -159,6 +159,11 @@ class TestShellCommand:
             result = runner.invoke(main, ["shell", m5_path, "--complex", kind])
             assert (result.exit_code, result.output) == (0, "shelling: ok\n")
 
+    def test_flip_order_on_another_complex_is_a_usage_error(self, runner, m5_path):
+        result = runner.invoke(main, ["shell", m5_path, "--complex", "ea", "--order", "flip"])
+        assert result.exit_code == 2
+        assert "--order flip applies to the augmented-ea complex" in result.output
+
 
 class TestTutteCommand:
     def test_text(self, runner, m5_path):

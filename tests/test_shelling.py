@@ -25,6 +25,7 @@ from activita.errors import (
     NoLinearExtension,
     NotABasis,
     NotAPermutation,
+    RankOutOfRange,
 )
 from activita.matroid import uniform
 from activita.orders import (
@@ -450,6 +451,17 @@ class TestDownwardExchange:
         assert activity_profile(m5_matroid, ps5("12")).ip & ps5("2")
         with pytest.raises(NotABasis, match="^12 is not a basis$"):
             exchange_down_basis(m5_matroid, ps5("12"), 2)
+
+    @pytest.mark.parametrize("a", [0, 9])
+    def test_an_element_outside_the_ground_set_raises(self, m5_matroid, a):
+        with pytest.raises(RankOutOfRange, match=rf"^element {a} outside ground set 1\.\.5$"):
+            exchange_down_basis(m5_matroid, ps5("345"), a)
+
+    def test_an_internally_active_element_raises(self, m5_matroid):
+        # IA(345) = 345, so no element of the basis is internally passive
+        assert activity_profile(m5_matroid, ps5("345")).ia == ps5("345")
+        with pytest.raises(RankOutOfRange, match="^element 3 is not internally passive in the basis 345$"):
+            exchange_down_basis(m5_matroid, ps5("345"), 3)
 
 
 # -- differential tests: the neighbour-indexed verifier against the scans ---------
