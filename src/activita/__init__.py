@@ -2,7 +2,6 @@
 
 from .activity import (
     ActivityProfile,
-    CrapoDecomposition,
     activity_profile,
     activity_profile_by_exchange,
     broken_circuits,

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import containment_rows, iter_bits, max_elem, submasks, subset_label, subset_str
-from .errors import (
-    DecompositionNotFound,
-    DecompositionNotUnique,
-    NotABasis,
-    NotIndependent,
-    RankOutOfRange,
-)
+from .bitsets import (containment_rows, in_ground, iter_bits, max_elem, submasks, subset_label,
+                      subset_str)
+from .errors import DecompositionNotFound, DecompositionNotUnique, NotABasis, NotIndependent
 from .matroid import Matroid, memoized
 
 
@@ -30,15 +25,6 @@ class ActivityProfile:
     ep: int
     ia: int
     ip: int
-
-
-@dataclass(frozen=True)
-class CrapoDecomposition:
-    """The unique way of writing S as basis ∖ y ∪ x with y ⊆ IA, x ⊆ EA."""
-
-    basis: int
-    x: int
-    y: int
 
 
 def externally_active(matroid: Matroid, subset: int) -> int:
@@ -66,8 +52,7 @@ def externally_active(matroid: Matroid, subset: int) -> int:
 @memoized
 def activity_profile(matroid: Matroid, subset: int) -> ActivityProfile:
     """All four activity sets of a subset of 1..n, memoized per matroid."""
-    if subset >> matroid.n:
-        raise RankOutOfRange(f"subset {bin(subset)} outside ground set 1..{matroid.n}")
+    in_ground(subset, matroid.n)
     full = matroid.full_mask
     ea = externally_active(matroid, subset)
     ia = externally_active(matroid.dual, full & ~subset)
@@ -93,9 +78,9 @@ def activity_profile_by_exchange(matroid: Matroid, basis: int) -> ActivityProfil
     return ActivityProfile(ea=ea, ep=full & ~basis & ~ea, ia=ia, ip=basis & ~ia)
 
 
-def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:
-    """Unique (B, X ⊆ EA(B), Y ⊆ IA(B)) with subset = B∖Y ∪ X, found by scanning the
-    bases for the intervals [B∖IA(B), B∪EA(B)] that hold it: O(B) a call."""
+def crapo_decompose_subset(matroid: Matroid, subset: int) -> int:
+    """The basis B whose interval [B∖IA(B), B∪EA(B)] holds the subset, found by scanning the
+    bases: O(B) a call.  It is Crapo's decomposition: S = B∖Y ∪ X with X ⊆ EA(B), Y ⊆ IA(B)."""
     hits = []
     for b in matroid.bases:
         prof = activity_profile(matroid, b)
@@ -106,21 +91,18 @@ def crapo_decompose_subset(matroid: Matroid, subset: int) -> CrapoDecomposition:
         if hits:
             raise DecompositionNotUnique(f"{len(hits)} Crapo decompositions of {label}")
         raise DecompositionNotFound(f"no Crapo decomposition of {label}")
-    return CrapoDecomposition(basis=hits[0], x=subset & ~hits[0], y=hits[0] & ~subset)
+    return hits[0]
 
 
-def crapo_decompositions(matroid: Matroid) -> list[CrapoDecomposition]:
-    """Every subset's decomposition, by marking each basis's interval on a table of all 2^n
-    subsets (O(2^n) time and memory); where none or two mark one, the scan raises its error."""
+def crapo_decompositions(matroid: Matroid) -> list[int]:
+    """Every subset's basis, indexed by the subset, by marking each basis's interval on a table of
+    all 2^n subsets (O(2^n) time and memory); where none or two mark one, the scan raises."""
     table = [-1] * (1 << matroid.n)  # -1: no basis yet, -2: two bases
     for b in matroid.bases:
         prof = activity_profile(matroid, b)
         for sub in submasks(prof.ea | prof.ia):
             table[b & ~prof.ia | sub] = b if table[b & ~prof.ia | sub] == -1 else -2
-    return [
-        CrapoDecomposition(b, s & ~b, b & ~s) if b >= 0 else crapo_decompose_subset(matroid, s)
-        for s, b in enumerate(table)
-    ]
+    return [b if b >= 0 else crapo_decompose_subset(matroid, s) for s, b in enumerate(table)]
 
 
 @memoized
@@ -133,8 +115,8 @@ def related_basis(matroid: Matroid, indep: int) -> int:
     only if B∖e∪e' is a basis for some larger e' ∉ B, but e' was rejected when
     the set held only I and elements of B above e', all inside B∖e.  By the
     uniqueness of Crapo's decomposition I = B∖Y with Y ⊆ IA(B) (Crapo 1969;
-    Björner 1992) this B is the related basis: (B, 0, B∖I) is the decomposition
-    :func:`crapo_decompose_subset` must agree with.  O(n) independence tests.
+    Björner 1992) this B is the related basis, the basis :func:`crapo_decompose_subset`
+    must return for I.  O(n) independence tests.
     """
     if not matroid.is_independent(indep):
         raise NotIndependent(subset_str(indep, matroid.n))
@@ -171,6 +153,7 @@ def broken_circuits(matroid: Matroid) -> tuple[int, ...]:
 
 def is_nbc(matroid: Matroid, subset: int) -> bool:
     """True iff the subset contains no broken circuit."""
+    in_ground(subset, matroid.n)
     return all(bc & ~subset for bc in broken_circuits(matroid))
 
 

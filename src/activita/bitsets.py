@@ -12,6 +12,8 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
+from .errors import RankOutOfRange
+
 MAX_GROUND = 64
 
 
@@ -79,9 +81,16 @@ def maximal(family: Sequence[int], width: int) -> list[int]:
     return [s for x, (s, row) in enumerate(zip(family, rows)) if row == 1 << x]
 
 
+def in_ground(mask: int, n: int) -> int:
+    """The mask, if a subset of 1..n; a bit past n, or a negative mask, raises."""
+    if mask >> n:
+        raise RankOutOfRange(f"subset {bin(mask)} outside ground set 1..{n}")
+    return mask
+
+
 def subset_str(mask: int, n: int) -> str:
     """Machine string form of a subset ("" for the empty set)."""
-    return ("" if n <= 9 else ",").join(str(e) for e in elems_of(mask))
+    return ("" if n <= 9 else ",").join(str(e) for e in elems_of(in_ground(mask, n)))
 
 
 def subset_label(mask: int, n: int) -> str:

@@ -19,7 +19,8 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
-from .bitsets import MAX_GROUND, columns, elems_of, iter_bits, mask_of, submasks, subset_str
+from .bitsets import (MAX_GROUND, columns, elems_of, in_ground, iter_bits, mask_of, submasks,
+                      subset_str)
 from .errors import (
     ElementInBasis,
     EmptyBases,
@@ -62,6 +63,7 @@ class Matroid:
 
     def rank_of(self, subset: int) -> int:
         """Rank of a subset: max |subset ∩ B| over bases B."""
+        in_ground(subset, self.n)
         return max((subset & b).bit_count() for b in self.bases)
 
     @cached_property

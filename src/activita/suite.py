@@ -154,22 +154,21 @@ def check_activity(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
 
 
 def check_crapo(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
-    """Each subset has one Crapo decomposition (it raises otherwise), a basis and sets of
-    its activities that give the subset back, and each independent set the same by both routes.
+    """Each subset S lies in the interval of one basis B, its entry of the table (which raises
+    otherwise): S∖B ⊆ EA(B) and B∖S ⊆ IA(B); each independent set has that basis by both routes.
     Each independent set has its related basis's EA and IP; equal keys IP ∪ EA follow, and
     I ∪ EP(I) = E∖EA(I), so ``related-basis-activities`` compares these two only."""
-    decs = crapo_decompositions(m)
+    table = crapo_decompositions(m)
     profiles = {b: activity_profile(m, b) for b in m.bases}
     partition = all(
-        (p := profiles.get(d.basis)) and s == d.basis & ~d.y | d.x
-        and not d.x & ~p.ea and not d.y & ~p.ia for s, d in enumerate(decs)
+        (p := profiles.get(b)) and not s & ~b & ~p.ea and not b & ~s & ~p.ia
+        for s, b in enumerate(table)
     )
-    routes = all(related_basis(m, i) == decs[i].basis for i in m.independent_sets)
-    related_ok = True
-    for i in m.independent_sets:
-        b = related_basis(m, i)
-        pi, pb = activity_profile(m, i), activity_profile(m, b)
-        related_ok &= pi.ea == pb.ea and pi.ip == pb.ip
+    routes = all(related_basis(m, i) == table[i] for i in m.independent_sets)
+    related_ok = all(
+        (pi := activity_profile(m, i)).ea == (pb := activity_profile(m, related_basis(m, i))).ea
+        and pi.ip == pb.ip for i in m.independent_sets
+    )
     return [partition, routes, related_ok]
 
 
@@ -223,23 +222,18 @@ def check_lattice(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
 
 
 def check_flip_involution(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
-    elems = m.independent_sets
-    image = set()
-    ok = True
-    for i in elems:
-        fl = flip_involution(m, i)
-        image.add(fl)
-        ok &= flip_involution(m, fl) == i
-        b = related_basis(m, i)
-        y, prof = b & ~i, activity_profile(m, b)
-        # size bookkeeping behind the generating-function identity
-        ok &= i.bit_count() == (prof.ia & ~y).bit_count() + prof.ip.bit_count()
-        ok &= fl.bit_count() == y.bit_count() + prof.ip.bit_count()
-    # This makes the flip a bijection of the independent sets, so every flip(I)
-    # is independent, and with |flip(I)| = |Y_I| + |IP(B_I)| above, the sorted
-    # lists of |I| and of |Y_I| + |IP(B_I)| are equal.
-    ok &= image == set(elems)
-    return [ok]
+    """The flip is an involution on the independent sets, so a bijection of them, and every
+    flip(I) is independent.  With I = B∖Y for its related basis B, |I| = |IA(B)∖Y| + |IP(B)| and
+    |flip(I)| = |Y| + |IP(B)|, so the sorted lists of |I| and of |Y| + |IP(B)| are equal: the size
+    bookkeeping behind the generating-function identity."""
+    flips = {i: flip_involution(m, i) for i in m.independent_sets}
+    return [all(
+        flips.get(fl) == i
+        and i.bit_count() == (prof.ia & ~y).bit_count() + prof.ip.bit_count()
+        and fl.bit_count() == y.bit_count() + prof.ip.bit_count()
+        for i, fl in flips.items() for b in [related_basis(m, i)]
+        for y, prof in [(b & ~i, activity_profile(m, b))]
+    )]
 
 
 def _sampled_shelling(
@@ -314,13 +308,11 @@ def check_witnesses(m: Matroid, cap: int = 200, seed: int = 0) -> list[Verdict]:
     :func:`witness_pass`, which runs once per matroid whichever check asks first."""
     error, nbc_closed = witness_pass(m)
     bases_poset = build_poset(m, "extint-bases")
-    down_ok = True
-    for a_basis in m.bases:
-        prof = activity_profile(m, a_basis)
-        for a in elems_of(prof.ip):
-            d_basis = exchange_down_basis(m, a_basis, a)
-            down_ok &= bases_poset.leq(d_basis, a_basis) and d_basis != a_basis
-            down_ok &= prof.ia & ~activity_profile(m, d_basis).ia == 0
+    down_ok = all(
+        bases_poset.leq(d, a_basis) and d != a_basis and not prof.ia & ~activity_profile(m, d).ia
+        for a_basis in m.bases for prof in [activity_profile(m, a_basis)] for a in elems_of(prof.ip)
+        for d in [exchange_down_basis(m, a_basis, a)]
+    )
     return [(not error, error), not error and nbc_closed, down_ok]
 
 

@@ -307,9 +307,10 @@ def test_criterion_10_structure_propositions(corpus):
     ok = True
     for m in corpus.values():
         for s in range(1 << m.n):
-            dec = crapo_decompose_subset(m, s)  # raises if not unique
-            ok &= s == (dec.basis & ~dec.y) | dec.x
-            ok &= dec.x == 0 or not m.is_independent(s)  # an independent set is B∖Y
+            b = crapo_decompose_subset(m, s)  # raises if not unique
+            prof = activity_profile(m, b)
+            ok &= not s & ~b & ~prof.ea and not b & ~s & ~prof.ia
+            ok &= not s & ~b or not m.is_independent(s)  # an independent set is B∖Y
         for b, c in build_poset(m, "extint-bases").covers():
             ok &= bool(boolean_interval(m, b, c))
         ok &= lattice_laws_hold(m)

@@ -1,4 +1,7 @@
-"""Activity profiles, Crapo decompositions, broken circuits, nbc sets."""
+"""Activity profiles, Crapo decompositions, broken circuits, nbc sets, and
+the ground-set guard on masks."""
+
+import signal
 
 import pytest
 
@@ -12,8 +15,11 @@ from activita.activity import (
     related_basis,
 )
 from activita.bitsets import parse_subset, subset_str
+from activita.complexes import facet_G
 from activita.errors import NotABasis, NotIndependent, RankOutOfRange
 from activita.matroid import from_bases, uniform
+from activita.orders import boolean_interval, compare_bases, meet_join_ind
+from activita.shelling import exchange_down_basis
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -50,6 +56,38 @@ def test_m5_nonbasis_rows(m5_matroid):
 def test_a_mask_outside_the_ground_set_raises(m5_matroid, mask):
     with pytest.raises(RankOutOfRange, match=r"outside ground set 1\.\.5$"):
         activity_profile(m5_matroid, mask)
+
+
+OUT_OF_GROUND = {  # each hung on the mask −1, or answered for a mask outside 1..5
+    "related_basis": lambda m: related_basis(m, -1),
+    "meet_join_ind": lambda m: meet_join_ind(m, -1, 0),
+    "boolean_interval": lambda m: boolean_interval(m, -1, -1),
+    "compare_bases": lambda m: compare_bases(m, "ext", -1, 0),
+    "exchange_down_basis": lambda m: exchange_down_basis(m, -1, 1),
+    "fundamental_circuit": lambda m: m.fundamental_circuit(-1, 1),
+    "is_nbc": lambda m: is_nbc(m, 1 << 40),
+    "rank_of-negative": lambda m: m.rank_of(-1),
+    "rank_of-past-n": lambda m: m.rank_of(1 << 40),
+    "subset_str": lambda m: subset_str(-1, 5),
+    "facet_G-past-n": lambda m: facet_G(m, 1 << 5),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_GROUND.values(), ids=OUT_OF_GROUND)
+def test_a_mask_outside_the_ground_set_raises_at_once(m5_matroid, call):
+    # without the guard an error text iterates the bits of a negative mask,
+    # which never ends, so an alarm bounds each call
+    def alarm(signum, frame):
+        raise TimeoutError("no error within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(2)
+    try:
+        with pytest.raises(RankOutOfRange, match=r"^subset -?0b\d+ outside ground set 1\.\.5$"):
+            call(m5_matroid)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_uniform_example():
@@ -99,12 +137,9 @@ def test_loop_always_externally_active():
 
 class TestCrapo:
     def test_subset_examples(self, m5_matroid):
-        dec = crapo_decompose_subset(m5_matroid, ps5("23"))
-        assert (dec.basis, dec.x, dec.y) == (ps5("235"), 0, ps5("5"))
-        dec = crapo_decompose_subset(m5_matroid, ps5("12345"))
-        assert (dec.basis, dec.x, dec.y) == (ps5("124"), ps5("35"), 0)
-        dec = crapo_decompose_subset(m5_matroid, ps5("345"))
-        assert (dec.basis, dec.x, dec.y) == (ps5("345"), 0, 0)
+        # 23 = 235∖5, 12345 = 124 ∪ 35, and a basis is its own
+        for s, b in (("23", "235"), ("12345", "124"), ("345", "345")):
+            assert crapo_decompose_subset(m5_matroid, ps5(s)) == ps5(b)
 
     def test_one_subset_scans_the_bases_and_marks_no_table(self, m5_matroid, monkeypatch):
         # one decomposition costs O(B) profile lookups; only crapo_decompositions
@@ -112,8 +147,7 @@ class TestCrapo:
         import activita.activity as activity
 
         monkeypatch.setattr(activity, "submasks", None)
-        dec = crapo_decompose_subset(m5_matroid, ps5("23"))
-        assert (dec.basis, dec.x, dec.y) == (ps5("235"), 0, ps5("5"))
+        assert crapo_decompose_subset(m5_matroid, ps5("23")) == ps5("235")
         with pytest.raises(TypeError):
             activity.crapo_decompositions(m5_matroid)
 
@@ -158,8 +192,9 @@ class TestCrapo:
                 total += 1 << (prof.ia.bit_count() + prof.ea.bit_count())
             assert total == 1 << m.n
             for s in range(1 << m.n):
-                dec = crapo_decompose_subset(m, s)
-                assert s == (dec.basis & ~dec.y) | dec.x
+                b = crapo_decompose_subset(m, s)
+                prof = activity_profile(m, b)
+                assert not s & ~b & ~prof.ea and not b & ~s & ~prof.ia
 
     def test_partition_of_independent_sets(self, corpus):
         for m in corpus.values():

@@ -367,8 +367,9 @@ def test_random_linear_matroid_activity_invariants(subset_bits, matrix):
     assert prof.ia | prof.ip == s and not prof.ia & prof.ip
     dual_prof = activity_profile(m.dual, m.full_mask & ~s)
     assert prof.ia == dual_prof.ea
-    dec = crapo_decompose_subset(m, s)  # unique, or it raises
-    assert s == (dec.basis & ~dec.y) | dec.x
+    b = crapo_decompose_subset(m, s)  # unique, or it raises
+    b_prof = activity_profile(m, b)
+    assert not s & ~b & ~b_prof.ea and not b & ~s & ~b_prof.ia
 
 
 class TestMemoized:
