@@ -9,7 +9,7 @@ an independent cross-check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitsets import (containment_rows, in_ground, iter_bits, max_elem, submasks, subset_label,
                       subset_str)
@@ -17,8 +17,7 @@ from .errors import DecompositionNotFound, DecompositionNotUnique, NotABasis, No
 from .matroid import Matroid, memoized
 
 
-@dataclass(frozen=True)
-class ActivityProfile:
+class ActivityProfile(NamedTuple):
     """The four activity sets of a subset S: EA ⊔ EP = E∖S and IA ⊔ IP = S."""
 
     ea: int

@@ -62,9 +62,9 @@ def submasks(mask: int) -> Iterator[int]:
 
 def columns(sets: Sequence[int], width: int) -> list[int]:
     """The bitset {k : e ∈ sets[k]} for each bit e < width: the sets' binary digits by column."""
-    spec, low = f"0{width}b", (1 << width) - 1
-    digits = [format(s & low, spec) for s in reversed(sets)]  # highest bit first, last set on top
-    return [int("".join(col), 2) for col in zip("0" * width, *digits)][::-1]  # a zero row: no sets
+    spec, low = f"0{width}b", (1 << width) - 1  # a row per set, highest bit first, last set on top
+    rows = "".join(["0" * width] + [format(s & low, spec) for s in reversed(sets)])  # 0 row: no sets
+    return [int(rows[c::width], 2) for c in range(width - 1, -1, -1)]  # digit c of every row
 
 
 def containment_rows(need: Sequence[int], have: Sequence[int], width: int) -> list[int]:

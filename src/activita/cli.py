@@ -11,7 +11,6 @@ import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -66,7 +65,7 @@ def activity(matroid: str, subset: str) -> None:
         mask = parse_subset(subset, m.n)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    prof = asdict(activity_profile(m, mask))
+    prof = activity_profile(m, mask)._asdict()
     click.echo(_json({key.upper(): subset_str(s, m.n) for key, s in prof.items()}))
 
 
@@ -149,7 +148,7 @@ _SHELL_POSET = {
 
 def _report_json(cx: SimplicialComplex, order: list[int], report: ShellingReport, n: int) -> dict:
     """The report, with property (H) and the h-complex check (None unless it shells)."""
-    data = asdict(report)
+    data = report._asdict()
     shelled, restrictions = report.verdict, report.restrictions
     data["property_h"] = property_H_check(cx, order, restrictions) if shelled else None
     data["h_complex"] = h_complex_check(restrictions) if shelled else None
@@ -237,7 +236,7 @@ def verify(matroids: tuple[str, ...], cap: int, seed: int,
     if report_path:
         report = {"cap": cap, "seed": seed, "matroids": sorted(corpus), "ok": not failed}
         with _writing(report_path) as out:
-            out.write_text(_json({**report, "findings": [asdict(f) for f in findings]}))
+            out.write_text(_json({**report, "findings": [f._asdict() for f in findings]}))
     if failed:
         sys.exit(1)
 

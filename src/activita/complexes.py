@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb, inf
 from operator import or_
 
 from .activity import activity_profile, nbc_sets, related_basis
 from .bitsets import iter_bits, maximal, subset_str
-from .errors import NotNBC, NotPure
+from .errors import BadArgument, NotNBC, NotPure, RankOutOfRange
 from .matroid import Matroid, memoized
 
 COMPLEX_KINDS = ("augmented-ea", "ea", "nbc", "augmented-nbc")
@@ -49,7 +48,6 @@ def blocks(n: int, face: int) -> tuple[int, int, int]:
     return face & full, face >> n & full, face >> 2 * n & full
 
 
-@dataclass(frozen=True)
 class FHVector:
     """Face counts f_0..f_d and the h-vector obtained from them.
 
@@ -57,8 +55,10 @@ class FHVector:
     read ``sum(f)``.
     """
 
-    f: tuple[int, ...]
-    h: tuple[int, ...]
+    __slots__ = ("f", "h")
+
+    def __init__(self, f: tuple[int, ...], h: tuple[int, ...]):
+        self.f, self.h = f, h
 
     def __len__(self) -> int:
         return sum(self.f)
@@ -224,7 +224,7 @@ def build_complex(matroid: Matroid, kind: str) -> SimplicialComplex:
     """Build one of the four activity complexes on the x, y, z vertices, its
     facets tagged by the sets that generate them; memoized per matroid and kind."""
     if kind not in COMPLEX_KINDS:
-        raise ValueError(f"unknown complex kind {kind!r}")
+        raise BadArgument(f"unknown complex kind {kind!r}")
     if kind == "augmented-ea":
         tags = matroid.independent_sets
         facets = [facet_F(matroid, i) for i in tags]
@@ -250,6 +250,8 @@ def induced_subcomplex(cx: SimplicialComplex, keep: int) -> SimplicialComplex:
     :func:`~activita.bitsets.maximal`.  So the z block of ``augmented-nbc`` induces
     ``nbc`` and the x and z blocks of ``augmented-ea`` induce ``ea``, facet for facet.
     """
+    if keep < 0:
+        raise RankOutOfRange(f"vertex mask {keep} is negative")
     restricted = sorted({f & keep for f in cx.facets})
     return SimplicialComplex(tuple(maximal(restricted, keep.bit_length())))
 

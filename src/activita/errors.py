@@ -5,6 +5,10 @@ class ActivitaError(Exception):
     """Base class for all library errors."""
 
 
+class BadArgument(ActivitaError, ValueError):
+    """An unknown kind or a cap below 1: a library error that is also a ``ValueError``."""
+
+
 class EmptyBases(ActivitaError):
     pass
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import or_
+from typing import NamedTuple
 
 from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, containment_rows, iter_bits, submasks, subset_label, subset_str
-from .errors import EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis, NotACover
+from .errors import (BadArgument, EquivalenceMismatch, LatticeFailure, NoLinearExtension, NotABasis,
+                     NotACover)
 from .matroid import Matroid, memoized
 
 BASIS_ORDER_KINDS = ("ext", "int", "extint")
@@ -35,7 +36,7 @@ def compare_bases(matroid: Matroid, kind: str, a: int, b: int) -> bool:
     """Whether a <= b for bases in the external/internal/combined order: one bit
     of the rows of :func:`build_poset`, the one definition of each basis order."""
     if kind not in BASIS_ORDER_KINDS:
-        raise ValueError(f"unknown basis order {kind!r}")
+        raise BadArgument(f"unknown basis order {kind!r}")
     for s in (a, b):
         if not matroid.is_basis(s):
             raise NotABasis(subset_str(s, matroid.n))
@@ -166,7 +167,7 @@ def build_poset(matroid: Matroid, kind: str) -> Poset:
         across = containment_rows(keys, keys, n)
         rows = [w & blocks[b] | a & ~blocks[b] for w, a, b in zip(within, across, bases)]
     else:
-        raise ValueError(f"unknown poset kind {kind!r}")
+        raise BadArgument(f"unknown poset kind {kind!r}")
     return Poset(elements, tuple(rows))
 
 
@@ -251,8 +252,7 @@ def poset_certificate(matroid: Matroid, posets: dict[str, Poset]) -> str:
 # -- linear extensions -----------------------------------------------------------
 
 
-@dataclass
-class ExtensionSample:
+class ExtensionSample(NamedTuple):
     """Linear extensions of a poset: all of them, or a seeded sample."""
 
     orders: list[tuple[int, ...]]
@@ -345,7 +345,7 @@ def linear_extensions(poset: Poset, cap: int = 200, seed: int = 0) -> ExtensionS
     down-sets capped at ``cap`` decides: lexicographic backtracking, or seeded random topological
     sorting (for coverage, not uniformity); both place an element only after all below it."""
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise BadArgument("cap must be at least 1")
     if _count_extensions(poset, cap) <= cap:
         return ExtensionSample(_enumerate_extensions(poset), exhaustive=True)
     rng = random.Random(seed)

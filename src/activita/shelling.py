@@ -18,7 +18,7 @@ and ground element c with F(I) ∩ F(K) ⊆ F(J) ∩ F(K) = F(K) ∖ z_c.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .activity import _related_blocks, activity_profile, nbc_sets, related_basis
 from .bitsets import columns, iter_bits, min_elem, submasks, subset_label, subset_str
@@ -29,8 +29,7 @@ from .matroid import Matroid, memoized
 from .orders import Poset, build_poset
 
 
-@dataclass
-class ShellingReport:
+class ShellingReport(NamedTuple):
     """Outcome of checking one facet order.
 
     When the order fails, ``restrictions`` holds the sets for the prefix
@@ -44,8 +43,7 @@ class ShellingReport:
     matches_complex_h: bool | None = None
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Shelling witness (J, c) for a pair I, K; B is the exchanged basis of
     unrelated sets, None for related ones."""
 

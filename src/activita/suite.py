@@ -11,8 +11,7 @@ samples, drawn from cover tables built once per poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .activity import (
     _related_blocks,
@@ -55,8 +54,7 @@ from .tutte import (
 )
 
 
-@dataclass
-class Finding:
+class Finding(NamedTuple):
     matroid: str
     check: str
     ok: bool

@@ -9,9 +9,9 @@ formulas tying the activity complexes to Tutte evaluations.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_, or_
+from typing import NamedTuple
 
 from .activity import activity_profile
 from .complexes import build_complex, xyz
@@ -147,8 +147,7 @@ def bivariate_restriction_polynomial(
     )
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """T(q, t) and the verdicts of the identities tying complexes to Tutte evaluations."""
 
     tutte: BiPoly

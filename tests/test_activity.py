@@ -1,5 +1,5 @@
-"""Activity profiles, Crapo decompositions, broken circuits, nbc sets, and
-the ground-set guard on masks."""
+"""Activity profiles, Crapo decompositions, broken circuits, nbc sets, the
+ground-set guard on masks, and the library error for an unknown kind or cap."""
 
 import signal
 
@@ -15,11 +15,12 @@ from activita.activity import (
     related_basis,
 )
 from activita.bitsets import parse_subset, subset_str
-from activita.complexes import facet_G
-from activita.errors import NotABasis, NotIndependent, RankOutOfRange
+from activita.complexes import build_complex, facet_G, induced_subcomplex
+from activita.errors import ActivitaError, BadArgument, NotABasis, NotIndependent, RankOutOfRange
 from activita.matroid import from_bases, uniform
-from activita.orders import boolean_interval, compare_bases, meet_join_ind
-from activita.shelling import exchange_down_basis
+from activita.orders import (boolean_interval, build_poset, compare_bases, linear_extensions,
+                             meet_join_ind)
+from activita.shelling import exchange_down_basis, restriction_formula
 
 ps5 = lambda s: parse_subset(s, 5)
 
@@ -88,6 +89,23 @@ def test_a_mask_outside_the_ground_set_raises_at_once(m5_matroid, call):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_unknown_kind_or_a_cap_below_1_raises_a_library_error(m5_matroid):
+    assert issubclass(BadArgument, ActivitaError) and issubclass(BadArgument, ValueError)
+    m, basis = m5_matroid, ps5("345")
+    calls = [
+        ("unknown complex kind 'flip'", lambda: build_complex(m, "flip")),
+        ("unknown poset kind 'flip'", lambda: build_poset(m, "flip")),
+        ("unknown poset kind 'flip'", lambda: restriction_formula(m, "flip")),
+        ("unknown basis order 'flip'", lambda: compare_bases(m, "flip", basis, basis)),
+        ("cap must be at least 1", lambda: linear_extensions(build_poset(m, "extint-bases"), cap=0)),
+    ]
+    for message, call in calls:
+        with pytest.raises(BadArgument, match=f"^{message}$"):
+            call()
+    with pytest.raises(RankOutOfRange, match="^vertex mask -1 is negative$"):
+        induced_subcomplex(build_complex(m, "augmented-nbc"), -1)
 
 
 def test_uniform_example():

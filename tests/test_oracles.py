@@ -19,13 +19,14 @@ containment rows against the per-set broken-circuit filter, the exchange check
 by fundamental cocircuits against the pairwise scan it replaced, the Crapo table
 against the per-subset basis scan, the circuit axioms by containment rows
 against the per-(B, e) circuit scan, and the cover certificate of the poset
-axioms against the per-pair scan; ``bitsets.columns`` and ``bitsets.maximal``
-against the per-bit transpose and the pairwise scan they replaced; ``graphic``
-against the union-find that sized its forests, and ``linear_over_prime_field``
-against the Gauss–Jordan elimination its column rank replaced. Invariants
-besides: ``blocks`` inverts ``xyz``, the activity Tutte polynomial keeps under
-relabeling and swaps q and t under duality, and the h-vectors of the augmented
-complexes are f-vectors by face counts.
+axioms against the per-pair scan; ``bitsets.columns`` against the per-bit
+transpose and the zip transpose it replaced, ``bitsets.maximal`` against the
+pairwise scan it replaced; ``graphic`` against the union-find that sized its
+forests, and ``linear_over_prime_field`` against the Gauss–Jordan elimination
+its column rank replaced. Invariants besides: ``blocks`` inverts ``xyz``, the
+activity Tutte polynomial keeps under relabeling and swaps q and t under
+duality, activity profiles swap external and internal under duality, and the
+h-vectors of the augmented complexes are f-vectors by face counts.
 
 Random column matroids over GF(2) and GF(3) and random graphic matroids with
 n <= 7, taken as drawn or dualized, then relabeled.  Zero columns and
@@ -44,6 +45,7 @@ from hypothesis import strategies as st
 
 import activita.activity as activity
 from activita.activity import (
+    ActivityProfile,
     activity_profile,
     crapo_decompose_subset,
     crapo_decompositions,
@@ -508,6 +510,16 @@ def test_tutte_by_activities_under_relabel_and_dual(m, seed):
     assert tutte_by_activities(m.dual) == swapped
 
 
+@with_edge_cases
+@given(small_matroids())
+@settings(max_examples=60, deadline=None)
+def test_activity_profiles_swap_external_and_internal_under_duality(m):
+    """E∖S in M* has the profile of S in M with EA, IA swapped and EP, IP swapped."""
+    for s in range(1 << m.n):
+        ea, ep, ia, ip = activity_profile(m.dual, m.full_mask & ~s)
+        assert activity_profile(m, s) == ActivityProfile(ea=ia, ep=ip, ia=ea, ip=ep)
+
+
 def f_of(faces: set[int]) -> tuple[int, ...]:
     if not faces:
         return ()
@@ -592,6 +604,14 @@ def columns_bit_by_bit(sets, width: int) -> list[int]:
     return [sum(1 << k for k, s in enumerate(sets) if s >> e & 1) for e in range(width)]
 
 
+def columns_by_zip(sets, width: int) -> list[int]:
+    """The zip transpose of the digit strings that the strided slices of ``bitsets.columns``
+    replaced."""
+    spec, low = f"0{width}b", (1 << width) - 1
+    digits = [format(s & low, spec) for s in reversed(sets)]
+    return [int("".join(col), 2) for col in zip("0" * width, *digits)][::-1]
+
+
 def maximal_by_pairwise_scan(family) -> list[int]:
     """The O(N²) scan that ``bitsets.maximal`` replaced in ``induced_subcomplex`` and in
     the ``nbc`` branch of ``build_complex``."""
@@ -606,7 +626,7 @@ def maximal_by_pairwise_scan(family) -> list[int]:
 @example([0b101], 0)
 @settings(max_examples=200, deadline=None)
 def test_columns_match_the_bit_by_bit_transpose(sets, width):
-    assert columns(sets, width) == columns_bit_by_bit(sets, width)
+    assert columns(sets, width) == columns_bit_by_bit(sets, width) == columns_by_zip(sets, width)
 
 
 @given(set_families())

@@ -291,8 +291,6 @@ class TestPosetAxioms:
         # definitions both read the new key and agree pair by pair, and the
         # order stays a partial order, so only the block certificate sees it
         import activita.orders as orders
-        from dataclasses import replace
-
         from activita.corpus import m5
         from test_oracles import per_pair_rows
 
@@ -300,7 +298,7 @@ class TestPosetAxioms:
 
         def ea_loses_3(m, s):
             p = real(m, s)
-            return replace(p, ea=p.ea & ~0b100, ep=p.ep | 0b100) if s == ps5("12") else p
+            return p._replace(ea=p.ea & ~0b100, ep=p.ep | 0b100) if s == ps5("12") else p
 
         monkeypatch.setattr(orders, "activity_profile", ea_loses_3)
         m = m5()

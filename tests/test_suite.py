@@ -3,7 +3,6 @@ mutants that each turn one finding of the matroid-axiom, activity, Crapo,
 shelling, witness or Tutte checks to FAIL."""
 
 import re
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -101,8 +100,8 @@ def test_each_check_emits_its_declared_names_in_order(name):
 def test_an_empty_sample_fails_the_bruteforce_crosscheck(monkeypatch):
     # u24 has 11 facets, so the crosscheck is due, and with no order it fails
     real = suite.linear_extensions
-    monkeypatch.setattr(suite, "linear_extensions", lambda poset, cap, seed: replace(
-        real(poset, cap=cap, seed=seed), orders=[]))
+    empty = lambda poset, cap, seed: real(poset, cap=cap, seed=seed)._replace(orders=[])
+    monkeypatch.setattr(suite, "linear_extensions", empty)
     findings = {f.check: f.ok for f in run_check(MAIN, "u24", u24(), 10, 0)}
     assert not findings["shelling-extint"]
     assert not findings["restriction-bruteforce-crosscheck"]
@@ -189,7 +188,7 @@ def falsify(field):
 
     def patch(monkeypatch):
         real = shelling._judge
-        monkeypatch.setattr(shelling, "_judge", lambda *args: replace(real(*args), **{field: False}))
+        monkeypatch.setattr(shelling, "_judge", lambda *args: real(*args)._replace(**{field: False}))
 
     return patch
 
@@ -231,7 +230,7 @@ def swap_a_cover_pair(monkeypatch):
     def swapped(poset, cap, seed):
         sample, (a, b) = real(poset, cap=cap, seed=seed), poset.covers()[0]
         last = tuple({a: b, b: a}.get(t, t) for t in sample.orders[-1])
-        return replace(sample, orders=sample.orders[:-1] + [last])
+        return sample._replace(orders=sample.orders[:-1] + [last])
 
     monkeypatch.setattr(suite, "linear_extensions", swapped)
 
@@ -369,14 +368,14 @@ def move_an_element_on_the_dual(monkeypatch):
         if m != dual:
             return prof
         low = prof.ia & -prof.ia
-        return replace(prof, ia=prof.ia ^ low, ip=prof.ip ^ low)
+        return prof._replace(ia=prof.ia ^ low, ip=prof.ip ^ low)
 
     monkeypatch.setattr(suite, "activity_profile", moved)
 
 
 def exchange_finds_no_internal_activity(monkeypatch):
     real = suite.activity_profile_by_exchange
-    wrong = lambda m, b: replace(real(m, b), ia=0, ip=b)
+    wrong = lambda m, b: real(m, b)._replace(ia=0, ip=b)
     monkeypatch.setattr(suite, "activity_profile_by_exchange", wrong)
 
 
@@ -447,12 +446,12 @@ def off_the_bases(change):
 def lowest_ea_moved_into_ep(prof):
     """On the non-bases only the related-basis comparison sees it."""
     low = prof.ea & -prof.ea
-    return replace(prof, ea=prof.ea ^ low, ep=prof.ep ^ low)
+    return prof._replace(ea=prof.ea ^ low, ep=prof.ep ^ low)
 
 
 def lowest_ea_also_in_ep(prof):
     """EA and EP meet: only the partition sees it, as EA keeps the element."""
-    return replace(prof, ep=prof.ep | prof.ea & -prof.ea)
+    return prof._replace(ep=prof.ep | prof.ea & -prof.ea)
 
 
 def poset_rows(kind, change):
